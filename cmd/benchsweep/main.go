@@ -11,15 +11,16 @@
 //	           [-pprof ADDR] [-cpuprofile FILE] [-memprofile FILE]
 //	           [-events FILE] [-manifest FILE] [-progress]
 //
-// The engine comparison times the materialised per-point Reference
-// engine against the single-pass MultiPass and StackDist engines,
-// recording per-engine ns_per_ref and passes_per_workload so the
-// one-pass stack-distance kernel's win over the family kernel is
-// tracked alongside the headline pass reduction.  The shard curve then
-// times the MultiPass sweep at each shard count in -shards (default
-// "1,2,4,...,NumCPU", always at least 1,2,4 so the curve is never a
-// single point) with Parallelism pinned to the shard count, so point s
-// of the curve uses exactly s cores and the curve isolates
+// The engine comparison times the Reference engine (one cache per
+// point, each replaying the whole trace) against the single-pass
+// MultiPass and StackDist engines, all on the one chunk-broadcast
+// executor, recording per-engine ns_per_ref and passes_per_workload so
+// the one-pass stack-distance kernel's standing against the family
+// kernel is tracked alongside the headline pass reduction.  The shard
+// curve then times the MultiPass sweep at each shard count in -shards
+// (default "1,2,4,...,NumCPU", always at least 1,2,4 so the curve is
+// never a single point) with Parallelism pinned to the shard count, so
+// point s of the curve uses exactly s cores and the curve isolates
 // intra-workload scaling.  An explicit -shards list is honored exactly
 // as given; when it (or the padded default on a small machine) asks
 // for more shards than CPUs, those points run oversubscribed and the
@@ -27,11 +28,12 @@
 // know the tail of the curve measured contention, not scaling.
 // SIGINT/SIGTERM cancel the run at the next chunk boundary: the event
 // stream is flushed and closed, RUN.json records interrupted: true,
-// and benchsweep exits non-zero.  -verify additionally cross-checks that both
-// single-pass engines at shards=-1, 1 and NumCPU reproduce the
-// materialised MultiPass baseline bit for bit -- with StackDist making
-// exactly one trace pass per workload -- exiting non-zero on any
-// mismatch (the CI smoke step runs this).
+// and benchsweep exits non-zero.  -verify additionally cross-checks
+// every engine at shards=1 and NumCPU, bit for bit, against an oracle
+// that bypasses the executor -- sweep.RunOne, one cache.Cache per
+// (workload, point) fed straight from the generator -- with the
+// single-pass engines making exactly one trace pass per workload,
+// exiting non-zero on any mismatch (the CI smoke step runs this).
 //
 // Alongside wall-clock figures the record carries two kernel-level
 // numbers for the MultiPass engine: ns_per_ref (engine seconds over the
@@ -67,6 +69,7 @@ import (
 	"time"
 
 	"subcache/internal/kernelbench"
+	"subcache/internal/metrics"
 	"subcache/internal/sweep"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
@@ -242,7 +245,7 @@ func main() {
 		if err := verifyShardIdentity(ctx, netSizes, *refs); err != nil {
 			die("benchsweep: verify:", err)
 		}
-		fmt.Printf("verify ok: shards=1, shards=%d and the materialised baseline agree on every counter\n", runtime.NumCPU())
+		fmt.Printf("verify ok: every engine at shards=1 and shards=%d matches per-point RunOne on every counter\n", runtime.NumCPU())
 	}
 
 	if *checkpoint != "" {
@@ -425,44 +428,43 @@ func timeSweep(ctx context.Context, netSizes []int, refs int, base sweep.Request
 	return time.Since(start).Seconds(), passes, nil
 }
 
-// verifyShardIdentity proves the single-pass engines exact on the full
-// grid: for every architecture, the materialised MultiPass baseline
-// (Shards: -1) must be matched bit-for-bit by MultiPass and StackDist
-// at shards=-1, 1 and NumCPU -- every run and summary identical, and
-// the StackDist sweeps making exactly one trace pass per workload.
+// verifyShardIdentity proves every engine exact on the full grid
+// against an oracle that does not use the sweep executor: for every
+// architecture, each (workload, point) is replayed through its own
+// cache.Cache by sweep.RunOne, and every engine at shards=1 and NumCPU
+// must reproduce those runs and their summaries bit for bit, with the
+// single-pass engines making exactly one trace pass per workload.
 func verifyShardIdentity(ctx context.Context, netSizes []int, refs int) error {
 	for _, a := range synth.AllArchs() {
-		base := sweep.Request{
-			Arch: a, Points: sweep.Grid(netSizes, a.WordSize()),
-			Refs: refs, Engine: sweep.MultiPass,
-		}
-		want := base
-		want.Shards = -1
-		wantRes, err := sweep.RunContext(ctx, want)
-		if err != nil {
-			return fmt.Errorf("%s baseline: %w", a, err)
-		}
-		for _, eng := range []sweep.Engine{sweep.MultiPass, sweep.StackDist} {
-			for _, s := range []int{-1, 1, runtime.NumCPU()} {
-				if eng == sweep.MultiPass && s == -1 {
-					continue // the baseline itself
+		points := sweep.Grid(netSizes, a.WordSize())
+		suite := synth.Workloads(a)
+		wantRuns := make(map[sweep.Point][]metrics.Run, len(points))
+		wantSums := make(map[sweep.Point]metrics.Summary, len(points))
+		for _, p := range points {
+			for _, prof := range suite {
+				run, err := sweep.RunOneContext(ctx, prof, p.Config(a), refs)
+				if err != nil {
+					return fmt.Errorf("%s %s %v oracle: %w", a, prof.Name, p, err)
 				}
-				req := base
-				req.Engine = eng
-				req.Shards = s
-				res, err := sweep.RunContext(ctx, req)
+				wantRuns[p] = append(wantRuns[p], run)
+			}
+			wantSums[p] = metrics.Average(wantRuns[p])
+		}
+		for _, eng := range []sweep.Engine{sweep.Reference, sweep.MultiPass, sweep.StackDist} {
+			for _, s := range []int{1, runtime.NumCPU()} {
+				res, err := sweep.RunContext(ctx, sweep.Request{
+					Arch: a, Points: points, Refs: refs, Engine: eng, Shards: s,
+				})
 				if err != nil {
 					return fmt.Errorf("%s %s shards=%d: %w", a, eng, s, err)
 				}
-				if !reflect.DeepEqual(res.Runs, wantRes.Runs) ||
-					!reflect.DeepEqual(res.Summaries, wantRes.Summaries) {
-					return fmt.Errorf("%s: %s shards=%d results differ from the materialised multipass baseline", a, eng, s)
+				if !reflect.DeepEqual(res.Runs, wantRuns) ||
+					!reflect.DeepEqual(res.Summaries, wantSums) {
+					return fmt.Errorf("%s: %s shards=%d results differ from per-point RunOne", a, eng, s)
 				}
-				if eng == sweep.StackDist {
-					if workloads := len(synth.Workloads(a)); res.TracePasses != workloads {
-						return fmt.Errorf("%s: stackdist shards=%d made %d trace passes, want %d (one per workload)",
-							a, s, res.TracePasses, workloads)
-					}
+				if eng != sweep.Reference && res.TracePasses != len(suite) {
+					return fmt.Errorf("%s: %s shards=%d made %d trace passes, want %d (one per workload)",
+						a, eng, s, res.TracePasses, len(suite))
 				}
 			}
 		}

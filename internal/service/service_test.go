@@ -166,6 +166,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Arch: "PDP-11", Nets: []int{96}, Refs: 1000},                              // not a power of two
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Engine: "warp"},              // unknown engine
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"nope"}}, // unknown workload
+		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Shards: -1},                  // negative shards
+		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Shards: 1 << 62},             // shards past the cap
 	}
 	for i, req := range bad {
 		if code, resp := post(t, ts, req, false); code != http.StatusBadRequest {
@@ -174,6 +176,10 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := s.Stats().Counter(telemetry.RequestsAdmitted); got != 0 {
 		t.Errorf("requests_admitted = %d after only invalid submits, want 0", got)
+	}
+	// The refusals left the daemon serving.
+	if code, resp := post(t, ts, smallRequest(1000), true); code != http.StatusOK {
+		t.Errorf("valid request after the refusals: code %d (%s), want 200", code, resp.Error)
 	}
 }
 

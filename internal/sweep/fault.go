@@ -41,8 +41,9 @@ type PointError struct {
 	// workload-scope failure (e.g. a trace read error), which loses
 	// every point of the workload; see WorkloadScope.
 	Point Point
-	// Shard is the shard worker index that hosted the failure, or -1
-	// when the failing path was not sharded.
+	// Shard is the shard worker index that hosted the failure: always
+	// >= 0 for a point-scope failure, and -1 for a workload-scope one
+	// (a trace-stream or checkpoint error), which no shard owns.
 	Shard int
 	// Cause is the underlying failure: a trace error, a configuration
 	// error, or a *PanicError for a recovered panic.
@@ -142,19 +143,20 @@ func safeCall(fn func()) (err error) {
 // attributed exactly like a real one.  All hooks may be nil.
 type Hooks struct {
 	// WrapSource, if set, wraps each workload's word-split trace
-	// source before simulation starts, for both the materialised and
-	// the streamed executors.  Faults injected here surface as
-	// workload-scope trace errors.
+	// source before the executor starts streaming it -- after every
+	// simulation unit is built, so a fail-fast construction error
+	// streams nothing.  Faults injected here surface as workload-scope
+	// trace errors.
 	WrapSource func(workload string, src trace.Source) trace.Source
 	// BeforeChunk is called by each shard worker before it simulates a
 	// chunk.  A panic here kills every unit the shard owns
-	// (shard-scope).  Not called by the unsharded paths, which have no
-	// shard worker to kill.
+	// (shard-scope).
 	BeforeChunk func(workload string, shard, chunk int)
 	// BeforeUnit is called before one simulation unit (a multipass
-	// family, a fallback cache, or a reference-engine point) processes
-	// a chunk; points lists the grid points the unit carries.  A panic
-	// here kills exactly that unit.  shard is -1 on unsharded paths.
+	// family, a stack-distance set partition, or a reference cache)
+	// processes a chunk; shard is its owning worker and points lists
+	// the grid points the unit carries.  A panic here kills exactly
+	// that unit.
 	BeforeUnit func(workload string, shard int, points []Point, chunk int)
 }
 
@@ -314,9 +316,11 @@ func (ps *packSet) forUnit(u *simUnit, refs []trace.Ref) []uint64 {
 	return nil
 }
 
-// collect finalises the unit and writes its runs into runs (indexed by
-// config index), inside a recovery boundary of its own: a panic while
-// flushing loses only this unit's points.
+// collect finalises a family or reference-cache unit and writes its
+// runs into runs (indexed by config index), inside a recovery boundary
+// of its own: a panic while flushing loses only this unit's points.
+// Stack units are not collected here; the executor flushes them and
+// merges sibling set partitions by group.
 func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -328,13 +332,6 @@ func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 		u.fam.FlushUsage()
 		for j, k := range u.idxs {
 			runs[k] = metrics.NewRun(traceName, u.fam.Config(j), u.fam.Stats(j))
-		}
-	case u.stack != nil:
-		// Only whole-stream stack units collect directly; the sharded
-		// executor merges sibling set partitions itself.
-		u.stack.FlushUsage()
-		for j, k := range u.idxs {
-			runs[k] = metrics.NewRun(traceName, u.stack.Config(j), u.stack.Stats(j))
 		}
 	default:
 		u.cache.FlushUsage()
@@ -365,9 +362,4 @@ func pointErrors(workload string, points []Point, failed []unitFailure) []*Point
 		}
 	}
 	return out
-}
-
-// workloadError wraps a workload-scope failure (no surviving points).
-func workloadError(workload string, shard int, cause error) []*PointError {
-	return []*PointError{{Workload: workload, Shard: shard, Cause: cause}}
 }

@@ -1,14 +1,17 @@
-// Sharded intra-workload execution: one workload's configurations are
-// partitioned across shard workers, all fed from a single trace
-// generation by broadcasting fixed-size chunks of the word stream
-// through a ring of reusable buffers.
+// The sweep executor, for every engine: one workload's simulation
+// units are partitioned across shard workers, all fed from a single
+// trace generation by broadcasting fixed-size chunks of the word
+// stream through a ring of reusable buffers.  A one-shard run is the
+// degenerate case, not a separate path.
 //
-// Sharding is across configurations, never across the trace: every
-// family and fallback cache still consumes the complete ordered access
-// stream, and each one is owned by exactly one worker, so per-point
-// counters are bit-identical to the materialised single-pass and
-// reference paths -- only the scheduling changes.  The trace is never
-// materialised; memory stays at O(buffers), not O(refs).
+// Sharding is across configurations (or, for stack-distance groups,
+// across disjoint set partitions), never across the trace: every
+// family, stack engine and reference cache still consumes the complete
+// ordered access stream, and each one is owned by exactly one worker,
+// so per-point counters are bit-identical to replaying the trace
+// through one cache.Cache per configuration (RunOne) -- only the
+// scheduling changes.  The trace is never materialised; memory stays
+// at O(buffers), not O(refs).
 //
 // Fault tolerance: each shard's simulation units (see fault.go) fail
 // independently.  A panicking unit is retired with its configurations
@@ -31,6 +34,7 @@ import (
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
 	"subcache/internal/multipass"
+	"subcache/internal/stackdist"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
@@ -132,6 +136,138 @@ func referencePlans(n, shards int) []multipass.ShardPlan {
 	return plans
 }
 
+// shardUnitLists realises an engine's plan over cfgs as per-shard unit
+// lists plus the planner's per-shard cost estimates, attributing
+// construction failures to the owning shard index.  Lists may number
+// fewer than shards when the planner cannot fill them all.
+func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int) (lists [][]*simUnit, costs []int, failed []unitFailure) {
+	switch eng {
+	case StackDist:
+		// Stack groups fan out across shards by set partitioning;
+		// configurations stack analysis refuses (stackdist.Supported)
+		// ride the same pass on multipass families or reference caches,
+		// planned over the leftover indexes and remapped back.
+		splans, rest := stackdist.Partition(cfgs, shards)
+		var mplans []multipass.ShardPlan
+		if len(rest) > 0 {
+			restCfgs := make([]cache.Config, len(rest))
+			for i, k := range rest {
+				restCfgs[i] = cfgs[k]
+			}
+			mplans = multipass.PartitionShards(restCfgs, shards)
+			for pi := range mplans {
+				for _, idxs := range mplans[pi].Families {
+					for j, k := range idxs {
+						idxs[j] = rest[k]
+					}
+				}
+				for j, k := range mplans[pi].Rest {
+					mplans[pi].Rest[j] = rest[k]
+				}
+			}
+		}
+		n := len(splans)
+		if len(mplans) > n {
+			n = len(mplans)
+		}
+		lists = make([][]*simUnit, n)
+		costs = make([]int, n)
+		for si := 0; si < n; si++ {
+			if si < len(splans) {
+				us, fs := planStackUnits(splans[si], cfgs, points, si)
+				lists[si] = append(lists[si], us...)
+				failed = append(failed, fs...)
+				costs[si] += splans[si].Cost()
+			}
+			if si < len(mplans) {
+				us, fs := planUnits(mplans[si], cfgs, points, si)
+				lists[si] = append(lists[si], us...)
+				failed = append(failed, fs...)
+				costs[si] += mplans[si].Cost()
+			}
+		}
+	case MultiPass:
+		plans := multipass.PartitionShards(cfgs, shards)
+		lists = make([][]*simUnit, len(plans))
+		costs = make([]int, len(plans))
+		for si, plan := range plans {
+			us, fs := planUnits(plan, cfgs, points, si)
+			lists[si] = us
+			failed = append(failed, fs...)
+			costs[si] = plan.Cost()
+		}
+	default: // Reference
+		plans := referencePlans(len(cfgs), shards)
+		lists = make([][]*simUnit, len(plans))
+		costs = make([]int, len(plans))
+		for si, plan := range plans {
+			us, fs := planUnits(plan, cfgs, points, si)
+			lists[si] = us
+			failed = append(failed, fs...)
+			costs[si] = plan.Cost()
+		}
+	}
+	return lists, costs, failed
+}
+
+// planStackUnits realises one shard's stack units -- each a set
+// partition of one stack group -- attributing construction failures to
+// the given shard.
+func planStackUnits(plan stackdist.Plan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
+	for _, u := range plan.Units {
+		ucfgs := make([]cache.Config, len(u.Idxs))
+		for j, k := range u.Idxs {
+			ucfgs[j] = cfgs[k]
+		}
+		e, err := stackdist.NewEngine(ucfgs, u.Parts, u.Part)
+		if err != nil {
+			failed = append(failed, unitFailure{idxs: u.Idxs, shard: shard, gid: u.Gid + 1, cause: err})
+			continue
+		}
+		units = append(units, &simUnit{stack: e, idxs: u.Idxs, pts: unitPoints(points, u.Idxs), gid: u.Gid + 1})
+	}
+	return units, failed
+}
+
+// planUnits realises one shard plan's families and fallback caches as
+// simUnits, attributing construction failures to the given shard.
+func planUnits(plan multipass.ShardPlan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
+	for _, idxs := range plan.Families {
+		fcfgs := make([]cache.Config, len(idxs))
+		for j, k := range idxs {
+			fcfgs[j] = cfgs[k]
+		}
+		fam, err := multipass.New(fcfgs)
+		if err != nil {
+			failed = append(failed, unitFailure{idxs: idxs, shard: shard, cause: err})
+			continue
+		}
+		units = append(units, &simUnit{fam: fam, idxs: idxs, pts: unitPoints(points, idxs)})
+	}
+	for _, k := range plan.Rest {
+		c, err := cache.New(cfgs[k])
+		if err != nil {
+			failed = append(failed, unitFailure{idxs: []int{k}, shard: shard, cause: err})
+			continue
+		}
+		units = append(units, &simUnit{cache: c, idxs: []int{k}, pts: unitPoints(points, []int{k})})
+	}
+	return units, failed
+}
+
+// unitPoints resolves the points a unit carries; nil when the caller
+// has no point vocabulary (RunConfigs).
+func unitPoints(points []Point, idxs []int) []Point {
+	if points == nil {
+		return nil
+	}
+	pts := make([]Point, len(idxs))
+	for j, k := range idxs {
+		pts[j] = points[k]
+	}
+	return pts
+}
+
 // runConfigsSharded is the chunk-broadcast executor.  eng selects how
 // configurations are planned into units: stack-distance engines plus
 // fallbacks (StackDist), multipass families plus fallbacks (MultiPass),
@@ -154,7 +290,7 @@ func referencePlans(n, shards int) []multipass.ShardPlan {
 //     and the group's points are attributed exactly once.
 func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Config, points []Point, refs, wordSize, shards int, eng Engine, continueOnError bool, hooks *Hooks, rec telemetry.Recorder) (runs []metrics.Run, ok []bool, failed []unitFailure, err error) {
 	enabled := rec.Enabled()
-	lists, costs, failed := shardUnitLists(eng, cfgs, points, shards, false)
+	lists, costs, failed := shardUnitLists(eng, cfgs, points, shards)
 	if len(failed) > 0 && !continueOnError {
 		return nil, nil, failed[:1], nil
 	}
@@ -497,22 +633,22 @@ func (rn *shardRunner) processChunk(refs []trace.Ref, workload string, hooks *Ho
 }
 
 // simulateSharded evaluates every requested point over one workload via
-// the chunk-broadcast executor, for either engine, translating unit
+// the chunk-broadcast executor, planned by req.Engine, translating unit
 // failures into attributed PointErrors.  A workload aborted by the
 // caller's cancellation returns (nil, nil): a casualty, not a cause.
-func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shards int, eng Engine) (map[Point]metrics.Run, []*PointError) {
+func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shards int) (map[Point]metrics.Run, []*PointError) {
 	cfgs := make([]cache.Config, len(req.Points))
 	for i, p := range req.Points {
 		cfgs[i] = pointConfig(p, req)
 	}
 	runs, ok, failed, err := runConfigsSharded(ctx, prof, cfgs, req.Points, req.Refs,
-		req.Arch.WordSize(), shards, eng, req.ContinueOnError, req.Hooks,
+		req.Arch.WordSize(), shards, req.Engine, req.ContinueOnError, req.Hooks,
 		telemetry.OrNop(req.Recorder))
 	if err != nil {
 		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return nil, nil
 		}
-		return nil, workloadError(prof.Name, -1, fmt.Errorf("trace: %w", err))
+		return nil, []*PointError{{Workload: prof.Name, Shard: -1, Cause: fmt.Errorf("trace: %w", err)}}
 	}
 	pes := pointErrors(prof.Name, req.Points, failed)
 	sort.Slice(pes, func(i, j int) bool { return pointLess(pes[i].Point, pes[j].Point) })
@@ -523,23 +659,4 @@ func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shard
 		}
 	}
 	return out, pes
-}
-
-// firstError picks the error to report from per-workload results: the
-// lowest-index real failure, so the cancellations the first failure
-// triggered in sibling workloads never mask it.
-func firstError(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return first
 }

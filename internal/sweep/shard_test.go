@@ -10,64 +10,63 @@ import (
 	"testing"
 
 	"subcache/internal/cache"
+	"subcache/internal/metrics"
 	"subcache/internal/synth"
+	"subcache/internal/trace"
 )
 
 // TestShardedDifferential: the chunk-broadcast executor must reproduce
-// the materialised baselines bit for bit -- every run and every summary
-// -- for both engines at every shard count, because sharding partitions
-// configurations, never the trace.
+// an oracle that does not use it -- RunOne, one cache.Cache fed straight
+// from the generator per (workload, point) -- bit for bit, every run
+// and every summary, for every engine at every shard count, because
+// sharding partitions configurations, never the trace.
 func TestShardedDifferential(t *testing.T) {
 	pts := Grid([]int{64, 256}, 2)
 	base := Request{Arch: synth.PDP11, Points: pts, Refs: 20000}
-	workloads := len(synth.Workloads(synth.PDP11))
+	workloads := synth.Workloads(synth.PDP11)
 
-	baseline := base
-	baseline.Engine = Reference // Shards 0: the legacy per-point path
-	want, err := Run(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name   string
-		engine Engine
-		shards int
-		passes int
-	}{
-		{"reference/shards=1", Reference, 1, len(pts) * workloads},
-		{"reference/shards=2", Reference, 2, len(pts) * workloads},
-		{"reference/shards=3", Reference, 3, len(pts) * workloads},
-		{"reference/shards=ncpu", Reference, runtime.NumCPU(), len(pts) * workloads},
-		{"multipass/materialised", MultiPass, -1, workloads},
-		{"multipass/auto", MultiPass, 0, workloads},
-		{"multipass/shards=1", MultiPass, 1, workloads},
-		{"multipass/shards=2", MultiPass, 2, workloads},
-		{"multipass/shards=3", MultiPass, 3, workloads},
-		{"multipass/shards=ncpu", MultiPass, runtime.NumCPU(), workloads},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			req := base
-			req.Engine = tc.engine
-			req.Shards = tc.shards
-			got, err := Run(req)
+	want := make(map[Point][]metrics.Run, len(pts))
+	for _, p := range pts {
+		for _, prof := range workloads {
+			run, err := RunOne(prof, p.Config(base.Arch), base.Refs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.TracePasses != tc.passes {
-				t.Errorf("TracePasses = %d, want %d", got.TracePasses, tc.passes)
-			}
-			for _, p := range pts {
-				if !reflect.DeepEqual(got.Runs[p], want.Runs[p]) {
-					t.Fatalf("%v: runs differ from materialised reference\n got:  %v\n want: %v",
-						p, got.Runs[p], want.Runs[p])
+			want[p] = append(want[p], run)
+		}
+	}
+
+	for _, eng := range []Engine{Reference, MultiPass, StackDist} {
+		passes := len(workloads)
+		if eng == Reference {
+			passes *= len(pts)
+		}
+		for _, sc := range []struct {
+			name   string
+			shards int
+		}{{"auto", 0}, {"shards=1", 1}, {"shards=2", 2}, {"shards=3", 3}, {"shards=ncpu", runtime.NumCPU()}} {
+			t.Run(eng.String()+"/"+sc.name, func(t *testing.T) {
+				req := base
+				req.Engine = eng
+				req.Shards = sc.shards
+				got, err := Run(req)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got.Summaries[p] != want.Summaries[p] {
-					t.Errorf("%v: summaries differ", p)
+				if got.TracePasses != passes {
+					t.Errorf("TracePasses = %d, want %d", got.TracePasses, passes)
 				}
-			}
-		})
+				for _, p := range pts {
+					if !reflect.DeepEqual(got.Runs[p], want[p]) {
+						t.Fatalf("%v: runs differ from per-point RunOne\n got:  %v\n want: %v",
+							p, got.Runs[p], want[p])
+					}
+					if got.Summaries[p] != metrics.Average(want[p]) {
+						t.Errorf("%v: summaries differ", p)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -210,10 +209,11 @@ func TestRunContextCancelled(t *testing.T) {
 		engine Engine
 		shards int
 	}{
-		{"reference/legacy", Reference, 0},
+		{"reference/auto", Reference, 0},
 		{"reference/sharded", Reference, 2},
-		{"multipass/materialised", MultiPass, -1},
+		{"multipass/one-shard", MultiPass, 1},
 		{"multipass/sharded", MultiPass, 2},
+		{"stackdist/sharded", StackDist, 2},
 	} {
 		res, err := RunContext(ctx, Request{Arch: synth.PDP11, Points: pts,
 			Refs: 5000, Engine: tc.engine, Shards: tc.shards})
@@ -245,12 +245,11 @@ func TestShardedErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestReferenceShortCircuit: after the first failing point the legacy
-// reference path must stop deriving configurations for the remaining
-// points instead of replaying the trace for each; the Override
-// invocation count proves the workers were short-circuited.
+// TestReferenceShortCircuit: under fail-fast, a simulation unit that
+// fails to build aborts its workload before any trace is streamed, so
+// the WrapSource hook -- called as the stream starts -- never runs.
 func TestReferenceShortCircuit(t *testing.T) {
-	var calls atomic.Int32
+	var wrapped atomic.Int32
 	pts := make([]Point, 40)
 	for i := range pts {
 		pts[i] = Point{Net: 64, Block: 8, Sub: 2}
@@ -258,16 +257,17 @@ func TestReferenceShortCircuit(t *testing.T) {
 	_, err := Run(Request{
 		Arch: synth.PDP11, Points: pts, Refs: 2000,
 		Workloads: []string{"ED"}, Engine: Reference, Parallelism: 1,
-		Override: func(c *cache.Config) {
-			calls.Add(1)
-			c.Assoc = 999
-		},
+		Override: func(c *cache.Config) { c.Assoc = 999 },
+		Hooks: &Hooks{WrapSource: func(_ string, src trace.Source) trace.Source {
+			wrapped.Add(1)
+			return src
+		}},
 	})
 	if err == nil {
 		t.Fatal("sweep accepted an invalid config")
 	}
-	if n := calls.Load(); n >= int32(len(pts)) {
-		t.Errorf("first error did not short-circuit: override ran %d times for %d points", n, len(pts))
+	if n := wrapped.Load(); n != 0 {
+		t.Errorf("construction failure still streamed the trace: WrapSource ran %d times", n)
 	}
 }
 
@@ -289,27 +289,6 @@ func TestShardedParallelismInvariance(t *testing.T) {
 			if !reflect.DeepEqual(results[0].Runs[p], results[i].Runs[p]) {
 				t.Errorf("parallelism/shard budget changed results at %v", p)
 			}
-		}
-	}
-}
-
-// TestFirstErrorPrefersRealFailures: cancellations triggered by a
-// sibling's failure must never mask the failure itself, regardless of
-// which workload index recorded it first.
-func TestFirstErrorPrefersRealFailures(t *testing.T) {
-	boom := errors.New("boom")
-	for _, tc := range []struct {
-		name string
-		errs []error
-		want error
-	}{
-		{"nil", []error{nil, nil}, nil},
-		{"real first", []error{boom, context.Canceled}, boom},
-		{"canceled first", []error{context.Canceled, nil, boom}, boom},
-		{"only canceled", []error{nil, context.Canceled}, context.Canceled},
-	} {
-		if got := firstError(tc.errs); !errors.Is(got, tc.want) && got != tc.want {
-			t.Errorf("%s: firstError = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -2,10 +2,11 @@
 // suites: the harness behind every table and figure reproduction.
 //
 // A sweep generates each workload's trace once, splits it to data-path
-// words once, and replays it through every requested cache organisation
-// in parallel.  Results come back as metrics.Run values keyed by
-// (workload, point) plus unweighted per-architecture averages, the
-// paper's aggregation (§3.3).
+// words, and streams it in fixed-size chunks to shard workers that
+// together hold every requested cache organisation (the chunk-broadcast
+// executor in shard.go, the one path every engine runs on).  Results
+// come back as metrics.Run values keyed by (workload, point) plus
+// unweighted per-architecture averages, the paper's aggregation (§3.3).
 //
 // Execution is fault tolerant (see fault.go): worker panics become
 // attributed PointErrors, Request.ContinueOnError trades fail-fast
@@ -16,17 +17,13 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
-	"subcache/internal/multipass"
-	"subcache/internal/stackdist"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
@@ -36,16 +33,18 @@ import (
 type Engine int
 
 const (
-	// Reference replays the trace through one cache.Cache per point:
-	// one trace pass per (workload, point) pair, parallel across points.
+	// Reference gives every point its own cache.Cache, which replays
+	// the whole trace: one pass per (workload, point) pair in
+	// Result.TracePasses, though every cache is fed from the workload's
+	// one streamed generation.  It is the oracle the single-pass engines
+	// are checked against.
 	Reference Engine = iota
 	// MultiPass makes a single pass over each workload's trace, feeding
 	// every point simultaneously: points whose tag dynamics are
 	// sub-block-invariant (cache.Config.MultiPassSafe) are grouped into
 	// multipass.Family kernels sharing one tag engine per (net, block)
 	// family, and the rest ride the same pass as individual reference
-	// caches.  Results are bit-identical to Reference; parallelism moves
-	// from points to workloads.
+	// caches.  Results are bit-identical to Reference.
 	MultiPass
 	// StackDist also makes a single pass per workload, but collapses
 	// further: every LRU point of one block size -- all net sizes,
@@ -190,16 +189,13 @@ type Request struct {
 	// per-point Reference engine.  MultiPass produces bit-identical
 	// results in far fewer trace passes (see Result.TracePasses).
 	Engine Engine
-	// Shards selects intra-workload parallelism.  With Shards >= 1 each
-	// workload's families and fallback caches are partitioned across
-	// that many shard workers, all fed from a single chunk-broadcast
-	// trace generation (every cache still sees the complete ordered
-	// stream, so results stay bit-identical; the trace is streamed, not
-	// materialised).  0, the default, picks a machine-appropriate shard
-	// count for the MultiPass engine and keeps the Reference engine on
-	// its materialised per-point path, preserving it as an independent
-	// baseline.  Negative forces the materialised-trace paths for both
-	// engines (the differential baselines).
+	// Shards selects intra-workload parallelism: each workload's
+	// simulation units are partitioned across that many shard workers,
+	// all fed from a single chunk-broadcast trace generation (every
+	// cache still sees the complete ordered stream, so results stay
+	// bit-identical; the trace is streamed, never materialised).  0,
+	// the default, picks the parallelism budget spread over the suite's
+	// workloads, rounded up.  Negative is an error.
 	Shards int
 	// ContinueOnError selects the degraded-completion failure policy:
 	// instead of the first failing point aborting the sweep
@@ -244,11 +240,12 @@ type Result struct {
 	// averaged over its surviving runs (N says how many), and a point
 	// with no surviving runs has no summary.
 	Summaries map[Point]metrics.Summary
-	// TracePasses counts full iterations over a workload's word trace
-	// summed across workloads: len(Points) per workload for the
-	// Reference engine, 1 per workload for MultiPass.  Workloads
-	// restored from a checkpoint cost no passes.  The sweep benchmarks
-	// report it as the single-pass kernel's headline saving.
+	// TracePasses counts full replays of a workload's word trace summed
+	// across workloads: len(Points) per workload for the Reference
+	// engine, whose every cache replays the whole stream, and 1 per
+	// workload for the single-pass engines.  Workloads restored from a
+	// checkpoint cost no passes.  The sweep benchmarks report it as the
+	// single-pass kernels' headline saving.
 	TracePasses int
 	// Errors lists every attributed failure of a ContinueOnError
 	// sweep, ordered by workload (catalog order), then point.  Empty
@@ -311,6 +308,14 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	if len(req.Points) == 0 {
 		return nil, fmt.Errorf("sweep: no points requested")
 	}
+	if req.Shards < 0 {
+		return nil, fmt.Errorf("sweep: negative shard count %d (want 0 for auto, or a positive count)", req.Shards)
+	}
+	switch req.Engine {
+	case Reference, MultiPass, StackDist:
+	default:
+		return nil, fmt.Errorf("sweep: unknown engine %v", req.Engine)
+	}
 	profiles, err := selectWorkloads(req.Arch, req.Workloads)
 	if err != nil {
 		return nil, err
@@ -350,52 +355,14 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 		par = runtime.GOMAXPROCS(0)
 	}
 
-	// Pick the per-workload executor and the cross-workload
-	// parallelism for the requested engine/shard strategy.
-	var fn func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError)
-	outer := par
+	// Every engine runs on the chunk-broadcast executor (shard.go).  A
+	// Reference point's cache replays the whole trace on its own, so it
+	// counts as one pass per point.
 	passesPerWorkload := 1
-	switch req.Engine {
-	case Reference:
+	if req.Engine == Reference {
 		passesPerWorkload = len(req.Points)
-		if req.Shards >= 1 {
-			// Sharded streaming executor, one reference cache per point.
-			outer, fn = shardedExecutor(req, profiles, par, Reference)
-		} else {
-			// Materialised per-point path: workloads sequential, points
-			// parallel within each (the legacy baseline scheduling).
-			outer = 1
-			fn = func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-				rec := telemetry.OrNop(req.Recorder)
-				parent := telemetry.SpanFromContext(ctx)
-				tsp := telemetry.StartSpan(rec, telemetry.Span{Name: "trace-read", Parent: parent, Workload: prof.Name})
-				accesses, err := wordTrace(prof, req)
-				if err != nil {
-					tsp.EndErr(err.Error())
-					return nil, workloadError(prof.Name, -1, err)
-				}
-				tsp.End()
-				ssp := telemetry.StartSpan(rec, telemetry.Span{Name: "simulate", Parent: parent, Workload: prof.Name})
-				defer ssp.End()
-				return simulatePoints(ctx, prof.Name, accesses, req, par)
-			}
-		}
-	case MultiPass, StackDist:
-		eng := req.Engine
-		if req.Shards < 0 {
-			if outer > len(profiles) {
-				outer = len(profiles)
-			}
-			fn = func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-				return simulateOnePass(ctx, prof, req, eng)
-			}
-		} else {
-			outer, fn = shardedExecutor(req, profiles, par, eng)
-		}
-	default:
-		return nil, fmt.Errorf("sweep: unknown engine %v", req.Engine)
 	}
-
+	outer, fn := shardedExecutor(req, profiles, par)
 	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, outer, fn)
 	if err != nil {
 		return nil, err
@@ -425,9 +392,9 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 }
 
 // shardedExecutor returns the outer (cross-workload) parallelism and
-// the per-workload function for the chunk-broadcast executor, for any
-// engine (eng selects how configurations are planned into units).
-func shardedExecutor(req Request, profiles []synth.Profile, par int, eng Engine) (int, func(context.Context, synth.Profile) (map[Point]metrics.Run, []*PointError)) {
+// the per-workload function for the chunk-broadcast executor, which
+// plans configurations into units by req.Engine.
+func shardedExecutor(req Request, profiles []synth.Profile, par int) (int, func(context.Context, synth.Profile) (map[Point]metrics.Run, []*PointError)) {
 	shards := req.Shards
 	if shards == 0 {
 		// Auto: spread the cores over the suite's concurrent workloads,
@@ -446,7 +413,7 @@ func shardedExecutor(req Request, profiles []synth.Profile, par int, eng Engine)
 		outer = len(profiles)
 	}
 	fn := func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-		return simulateSharded(ctx, prof, req, shards, eng)
+		return simulateSharded(ctx, prof, req, shards)
 	}
 	return outer, fn
 }
@@ -602,270 +569,6 @@ func pointConfig(p Point, req Request) cache.Config {
 	return cfg
 }
 
-// buildUnits groups the request's points into simulation units for the
-// materialised single-pass path.  A unit whose construction fails is
-// returned as a failure instead of a unit; under fail-fast the caller
-// aborts on the first one.
-func buildUnits(req Request, eng Engine) (units []*simUnit, failed []unitFailure) {
-	cfgs := make([]cache.Config, len(req.Points))
-	for i, p := range req.Points {
-		cfgs[i] = pointConfig(p, req)
-	}
-	lists, _, failed := shardUnitLists(eng, cfgs, req.Points, 1, true)
-	for _, us := range lists {
-		units = append(units, us...)
-	}
-	return units, failed
-}
-
-// shardUnitLists realises an engine's plan over cfgs as per-shard unit
-// lists plus the planner's per-shard cost estimates.  materialised
-// attributes construction failures to shard -1 (the unsharded paths);
-// otherwise to the owning shard index.  Lists may number fewer than
-// shards when the planner cannot fill them all.
-func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int, materialised bool) (lists [][]*simUnit, costs []int, failed []unitFailure) {
-	shardAt := func(si int) int {
-		if materialised {
-			return -1
-		}
-		return si
-	}
-	switch eng {
-	case StackDist:
-		// Stack groups fan out across shards by set partitioning;
-		// configurations stack analysis refuses (stackdist.Supported)
-		// ride the same pass on multipass families or reference caches,
-		// planned over the leftover indexes and remapped back.
-		splans, rest := stackdist.Partition(cfgs, shards)
-		var mplans []multipass.ShardPlan
-		if len(rest) > 0 {
-			restCfgs := make([]cache.Config, len(rest))
-			for i, k := range rest {
-				restCfgs[i] = cfgs[k]
-			}
-			mplans = multipass.PartitionShards(restCfgs, shards)
-			for pi := range mplans {
-				for _, idxs := range mplans[pi].Families {
-					for j, k := range idxs {
-						idxs[j] = rest[k]
-					}
-				}
-				for j, k := range mplans[pi].Rest {
-					mplans[pi].Rest[j] = rest[k]
-				}
-			}
-		}
-		n := len(splans)
-		if len(mplans) > n {
-			n = len(mplans)
-		}
-		lists = make([][]*simUnit, n)
-		costs = make([]int, n)
-		for si := 0; si < n; si++ {
-			if si < len(splans) {
-				us, fs := planStackUnits(splans[si], cfgs, points, shardAt(si))
-				lists[si] = append(lists[si], us...)
-				failed = append(failed, fs...)
-				costs[si] += splans[si].Cost()
-			}
-			if si < len(mplans) {
-				us, fs := planUnits(mplans[si], cfgs, points, shardAt(si))
-				lists[si] = append(lists[si], us...)
-				failed = append(failed, fs...)
-				costs[si] += mplans[si].Cost()
-			}
-		}
-	case MultiPass:
-		plans := multipass.PartitionShards(cfgs, shards)
-		lists = make([][]*simUnit, len(plans))
-		costs = make([]int, len(plans))
-		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, shardAt(si))
-			lists[si] = us
-			failed = append(failed, fs...)
-			costs[si] = plan.Cost()
-		}
-	default: // Reference
-		plans := referencePlans(len(cfgs), shards)
-		lists = make([][]*simUnit, len(plans))
-		costs = make([]int, len(plans))
-		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, shardAt(si))
-			lists[si] = us
-			failed = append(failed, fs...)
-			costs[si] = plan.Cost()
-		}
-	}
-	return lists, costs, failed
-}
-
-// planStackUnits realises one shard's stack units -- each a set
-// partition of one stack group -- attributing construction failures to
-// the given shard.
-func planStackUnits(plan stackdist.Plan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
-	for _, u := range plan.Units {
-		ucfgs := make([]cache.Config, len(u.Idxs))
-		for j, k := range u.Idxs {
-			ucfgs[j] = cfgs[k]
-		}
-		e, err := stackdist.NewEngine(ucfgs, u.Parts, u.Part)
-		if err != nil {
-			failed = append(failed, unitFailure{idxs: u.Idxs, shard: shard, gid: u.Gid + 1, cause: err})
-			continue
-		}
-		units = append(units, &simUnit{stack: e, idxs: u.Idxs, pts: unitPoints(points, u.Idxs), gid: u.Gid + 1})
-	}
-	return units, failed
-}
-
-// planUnits realises one shard plan's families and fallback caches as
-// simUnits, attributing construction failures to the given shard.
-func planUnits(plan multipass.ShardPlan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
-	for _, idxs := range plan.Families {
-		fcfgs := make([]cache.Config, len(idxs))
-		for j, k := range idxs {
-			fcfgs[j] = cfgs[k]
-		}
-		fam, err := multipass.New(fcfgs)
-		if err != nil {
-			failed = append(failed, unitFailure{idxs: idxs, shard: shard, cause: err})
-			continue
-		}
-		units = append(units, &simUnit{fam: fam, idxs: idxs, pts: unitPoints(points, idxs)})
-	}
-	for _, k := range plan.Rest {
-		c, err := cache.New(cfgs[k])
-		if err != nil {
-			failed = append(failed, unitFailure{idxs: []int{k}, shard: shard, cause: err})
-			continue
-		}
-		units = append(units, &simUnit{cache: c, idxs: []int{k}, pts: unitPoints(points, []int{k})})
-	}
-	return units, failed
-}
-
-// unitPoints resolves the points a unit carries; nil when the caller
-// has no point vocabulary (RunConfigs).
-func unitPoints(points []Point, idxs []int) []Point {
-	if points == nil {
-		return nil
-	}
-	pts := make([]Point, len(idxs))
-	for j, k := range idxs {
-		pts[j] = points[k]
-	}
-	return pts
-}
-
-// simulateOnePass evaluates every requested point over one workload in
-// a single iteration of its materialised word trace, planned by eng:
-// stack-distance engines (StackDist), shared-tag-engine families
-// (MultiPass, and StackDist's fallback for refused configurations), and
-// individual reference caches for the rest, all fed from the same loop.
-// A panicking unit is retired with its points attributed; surviving
-// units consume the complete trace and stay bit-identical.
-func simulateOnePass(ctx context.Context, prof synth.Profile, req Request, eng Engine) (map[Point]metrics.Run, []*PointError) {
-	rec := telemetry.OrNop(req.Recorder)
-	parent := telemetry.SpanFromContext(ctx)
-	tsp := telemetry.StartSpan(rec, telemetry.Span{Name: "trace-read", Parent: parent, Workload: prof.Name})
-	accesses, err := wordTrace(prof, req)
-	if err != nil {
-		tsp.EndErr(err.Error())
-		return nil, workloadError(prof.Name, -1, err)
-	}
-	tsp.End()
-
-	units, failed := buildUnits(req, eng)
-	if len(failed) > 0 && !req.ContinueOnError {
-		return nil, pointErrors(prof.Name, req.Points, failed[:1])
-	}
-
-	enabled := rec.Enabled()
-	var simStart time.Time
-	var simRefs uint64
-	if enabled {
-		simStart = time.Now()
-	}
-	ssp := telemetry.StartSpan(rec, telemetry.Span{Name: "simulate", Parent: parent, Workload: prof.Name})
-	defer ssp.End()
-
-	// The single pass: every live unit sees each access once, fed in
-	// trace.ChunkRefs-sized batches.  A cancelled sweep (sibling
-	// failure or caller abort) is noticed at every chunk boundary.
-	live := len(units)
-	chunk := 0
-	packs := newPackSet(units)
-	for off := 0; off < len(accesses) && live > 0; off += trace.ChunkRefs {
-		if ctx.Err() != nil {
-			return nil, pointErrors(prof.Name, req.Points, failed)
-		}
-		end := off + trace.ChunkRefs
-		if end > len(accesses) {
-			end = len(accesses)
-		}
-		batch := accesses[off:end]
-		packs.next()
-		for _, u := range units {
-			if u.dead {
-				continue
-			}
-			if uerr := u.accessBatch(batch, packs.forUnit(u, batch), req.Hooks, prof.Name, -1, chunk); uerr != nil {
-				u.dead = true
-				live--
-				failed = append(failed, unitFailure{idxs: u.idxs, shard: -1, gid: u.gid, cause: uerr})
-				if !req.ContinueOnError {
-					return nil, pointErrors(prof.Name, req.Points, failed[len(failed)-1:])
-				}
-				continue
-			}
-			simRefs += uint64(len(batch))
-		}
-		chunk++
-	}
-	if enabled {
-		rec.Observe(telemetry.StageSimulate, time.Since(simStart))
-		rec.Add(telemetry.RefsSimulated, simRefs)
-	}
-	ssp.End()
-
-	var flushStart time.Time
-	var families, stacks uint64
-	if enabled {
-		flushStart = time.Now()
-	}
-	fsp := telemetry.StartSpan(rec, telemetry.Span{Name: "flush", Parent: parent, Workload: prof.Name})
-	defer fsp.End()
-	out := make(map[Point]metrics.Run, len(req.Points))
-	runs := make([]metrics.Run, len(req.Points))
-	for _, u := range units {
-		if u.dead {
-			continue
-		}
-		if uerr := u.collect(prof.Name, runs); uerr != nil {
-			failed = append(failed, unitFailure{idxs: u.idxs, shard: -1, gid: u.gid, cause: uerr})
-			if !req.ContinueOnError {
-				return nil, pointErrors(prof.Name, req.Points, failed[len(failed)-1:])
-			}
-			continue
-		}
-		switch {
-		case u.fam != nil:
-			families++
-		case u.stack != nil:
-			stacks++
-		}
-		for _, k := range u.idxs {
-			out[req.Points[k]] = runs[k]
-		}
-	}
-	if enabled {
-		rec.Observe(telemetry.StageFlush, time.Since(flushStart))
-		rec.Add(telemetry.FamiliesFlushed, families)
-		rec.Add(telemetry.StackUnitsFlushed, stacks)
-	}
-	return out, pointErrors(prof.Name, req.Points, failed)
-}
-
 // selectWorkloads resolves the request's workload list.
 func selectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
 	all := synth.Workloads(arch)
@@ -885,162 +588,6 @@ func selectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// wordTrace materialises a profile's trace, pre-split to word accesses,
-// so every configuration replays identical input.  The request's
-// WrapSource hook (if any) wraps the word stream, and a panicking
-// source is recovered into an error.
-func wordTrace(prof synth.Profile, req Request) (refs []trace.Ref, err error) {
-	src, err := synth.NewWordSource(prof, req.Refs, req.Arch.WordSize())
-	if err != nil {
-		return nil, err
-	}
-	rec := telemetry.OrNop(req.Recorder)
-	var readStart time.Time
-	if rec.Enabled() {
-		readStart = time.Now()
-	}
-	wrapped := req.Hooks.wrapSource(prof.Name, src)
-	ferr := safeCall(func() {
-		buf := make([]trace.Ref, trace.ChunkRefs)
-		for {
-			n, rerr := trace.ReadChunk(wrapped, buf)
-			refs = append(refs, buf[:n]...)
-			if rerr != nil {
-				if rerr != io.EOF {
-					err = rerr
-				}
-				return
-			}
-		}
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if rec.Enabled() {
-		rec.Observe(telemetry.StageTraceRead, time.Since(readStart))
-		rec.Add(telemetry.RefsRead, uint64(len(refs)))
-		if bc, ok := wrapped.(trace.ByteCounter); ok {
-			rec.Add(telemetry.BytesRead, bc.Bytes())
-		}
-	}
-	return refs, nil
-}
-
-// simulatePoints runs every point over one workload's accesses, with
-// bounded parallelism: the Reference engine's materialised path.
-// Under fail-fast the first error cancels the remaining work (workers
-// drain the job queue without simulating and abort an in-flight replay
-// at the next chunk boundary); with ContinueOnError failed points are
-// reported and the rest complete.  Worker panics are recovered and
-// attributed to their exact point.
-func simulatePoints(ctx context.Context, name string, accesses []trace.Ref, req Request, par int) (map[Point]metrics.Run, []*PointError) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type job struct {
-		point Point
-		run   metrics.Run
-		err   error
-	}
-	jobs := make(chan Point)
-	results := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				run, completed, jerr := simulateOnePoint(ctx, name, accesses, p, req)
-				if jerr != nil {
-					results <- job{point: p, err: jerr}
-					continue
-				}
-				if completed {
-					results <- job{point: p, run: run}
-				}
-			}
-		}()
-	}
-	go func() {
-		for _, p := range req.Points {
-			jobs <- p
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	out := make(map[Point]metrics.Run, len(req.Points))
-	var failed []*PointError
-	for j := range results {
-		if j.err != nil {
-			failed = append(failed, &PointError{Workload: name, Point: j.point, Shard: -1, Cause: j.err})
-			if !req.ContinueOnError {
-				cancel()
-			}
-			continue
-		}
-		out[j.point] = j.run
-	}
-	// Completion order is scheduling-dependent; report errors in the
-	// deterministic Table 7 point order.
-	sort.Slice(failed, func(i, j int) bool {
-		return pointLess(failed[i].Point, failed[j].Point)
-	})
-	return out, failed
-}
-
-// simulateOnePoint replays one workload's accesses through one point's
-// cache inside a recovery boundary.  completed is false when the
-// replay was abandoned at a chunk boundary due to cancellation.
-func simulateOnePoint(ctx context.Context, name string, accesses []trace.Ref, p Point, req Request) (run metrics.Run, completed bool, err error) {
-	rec := telemetry.OrNop(req.Recorder)
-	var simStart time.Time
-	if rec.Enabled() {
-		simStart = time.Now()
-	}
-	ferr := safeCall(func() {
-		cfg := pointConfig(p, req)
-		c, cerr := cache.New(cfg)
-		if cerr != nil {
-			err = cerr
-			return
-		}
-		pts := []Point{p}
-		chunk := 0
-		for off := 0; off < len(accesses); off += trace.ChunkRefs {
-			if ctx.Err() != nil {
-				return
-			}
-			if req.Hooks != nil && req.Hooks.BeforeUnit != nil {
-				req.Hooks.BeforeUnit(name, -1, pts, chunk)
-			}
-			end := off + trace.ChunkRefs
-			if end > len(accesses) {
-				end = len(accesses)
-			}
-			c.AccessBatch(accesses[off:end])
-			chunk++
-		}
-		c.FlushUsage()
-		run = metrics.NewRun(name, cfg, c.Stats())
-		completed = true
-	})
-	if completed && rec.Enabled() {
-		rec.Observe(telemetry.StageSimulate, time.Since(simStart))
-		rec.Add(telemetry.RefsSimulated, uint64(len(accesses)))
-	}
-	if ferr != nil {
-		return metrics.Run{}, false, ferr
-	}
-	return run, completed, err
 }
 
 // RunOne simulates a single workload through a single configuration:

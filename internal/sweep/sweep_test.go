@@ -150,6 +150,10 @@ func TestRunValidatesRequest(t *testing.T) {
 	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100}); err == nil {
 		t.Error("accepted empty points")
 	}
+	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100, Shards: -1,
+		Points: []Point{{Net: 64, Block: 8, Sub: 2}}}); err == nil {
+		t.Error("accepted a negative shard count")
+	}
 }
 
 func TestRunOverride(t *testing.T) {

@@ -78,10 +78,10 @@ type Event struct {
 type RunStart struct {
 	// Arch names the architecture suite being swept.
 	Arch string `json:"arch"`
-	// Engine is the simulation strategy ("multipass" or "reference").
+	// Engine is the simulation strategy ("multipass", "stackdist" or
+	// "reference").
 	Engine string `json:"engine"`
-	// Shards is the requested intra-workload shard count (0 = auto,
-	// <0 = materialised baseline).
+	// Shards is the requested intra-workload shard count (0 = auto).
 	Shards int `json:"shards"`
 	// Points is the number of grid points per workload.
 	Points int `json:"points"`
@@ -130,8 +130,8 @@ type ErrorAttributed struct {
 	// Point is the lost grid point, empty for a workload-scope
 	// failure (which loses every point of the workload).
 	Point string `json:"point,omitempty"`
-	// Shard is the shard worker that hosted the failure, -1 when the
-	// failing path was not sharded.
+	// Shard is the shard worker that hosted the failure, -1 for a
+	// workload-scope failure, which no shard owns.
 	Shard int `json:"shard"`
 	// Cause is the error text; Panic marks a recovered panic.
 	Cause string `json:"cause"`
@@ -150,8 +150,7 @@ type Span struct {
 	// non-empty parent must be open when the child starts.
 	Parent string `json:"parent,omitempty"`
 	// Name is the span's kind: "job", "queue", "attempt", "workload",
-	// "trace-read", "simulate", "produce", "shard", "flush",
-	// "cache-write"...
+	// "produce", "shard", "flush", "cache-write"...
 	Name string `json:"name"`
 	// Workload names the workload a sweep-level span serves, when
 	// there is one; point-done events reconcile against it.

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// maxShards bounds the per-shard aggregate array.  Shard counts come
+// MaxShards bounds the per-shard aggregate array.  Shard counts come
 // from GOMAXPROCS, so 256 is far beyond any real machine this runs on;
 // higher indexes are clamped into the last cell rather than dropped.
-const maxShards = 256
+// The sweep service refuses requests for more shards than this.
+const MaxShards = 256
 
 // shardCell is one shard's atomics.
 type shardCell struct {
@@ -45,7 +46,7 @@ type Run struct {
 	stageN     [numStages]atomic.Uint64
 	stageHists [numStages]Histogram
 	hists      [numHists]Histogram
-	shards     [maxShards]shardCell
+	shards     [MaxShards]shardCell
 	nshards    atomic.Int64 // highest shard index observed + 1
 	seq        atomic.Uint64
 
@@ -112,8 +113,8 @@ func (r *Run) ShardObserve(shard int, refs uint64, busy time.Duration) {
 	if shard < 0 {
 		return
 	}
-	if shard >= maxShards {
-		shard = maxShards - 1
+	if shard >= MaxShards {
+		shard = MaxShards - 1
 	}
 	r.shards[shard].refs.Add(refs)
 	r.shards[shard].busyNanos.Add(int64(busy))

@@ -86,9 +86,9 @@ func TestRunSnapshot(t *testing.T) {
 	r.Add(numCounters, 1)
 	r.Observe(numStages, time.Second)
 	r.ShardObserve(-1, 9, 0)
-	r.ShardObserve(maxShards+10, 9, 0) // clamps into the last cell
-	if got := len(r.Snapshot().Shards); got != maxShards {
-		t.Errorf("after clamped observe, shards = %d, want %d", got, maxShards)
+	r.ShardObserve(MaxShards+10, 9, 0) // clamps into the last cell
+	if got := len(r.Snapshot().Shards); got != MaxShards {
+		t.Errorf("after clamped observe, shards = %d, want %d", got, MaxShards)
 	}
 }
 
