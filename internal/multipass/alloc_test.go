@@ -5,6 +5,7 @@ package multipass_test
 // heap, or each simulated reference in a sweep pays for it.
 
 import (
+	"runtime"
 	"testing"
 
 	"subcache/internal/cache"
@@ -45,7 +46,7 @@ func TestFamilyAccessNoAllocs(t *testing.T) {
 	// The multipass-safe configuration axes -- write-through and
 	// copy-back, write-ignore, and the FIFO/Random allocate fallback of
 	// the batch loop -- must stay 0-alloc on both entry points, batch
-	// included (its packed scratch is preallocated).
+	// included (it packs through a stack buffer).
 	variants := []struct {
 		name   string
 		mutate func(*cache.Config)
@@ -75,4 +76,59 @@ func TestFamilyAccessNoAllocs(t *testing.T) {
 			t.Errorf("%s batch path allocates %.1f per chunk, want 0", v.name, n)
 		}
 	}
+}
+
+// TestNewAllocatesNoChunkBuffer: a family's memory is its tag and lane
+// state, not trace scratch -- the executor broadcasts packed chunks and
+// AccessBatch packs on the stack -- so building any Table 7 family
+// allocates less than one packed chunk.
+func TestNewAllocatesNoChunkBuffer(t *testing.T) {
+	var cfgs []cache.Config
+	for _, ws := range []int{2, 4} {
+		for _, net := range []int{64, 256, 1024} {
+			for block := 64; block >= 2; block /= 2 {
+				for sub := block; sub >= ws && sub >= 2; sub /= 2 {
+					if block > net || sub > 32 || (block == 64 && sub > 16) {
+						continue
+					}
+					cfgs = append(cfgs, cache.Config{NetSize: net, BlockSize: block, SubBlockSize: sub,
+						Assoc: min(4, net/block), WordSize: ws, Write: cache.WriteAllocate})
+				}
+			}
+		}
+	}
+	families, rest := multipass.Group(cfgs)
+	if len(rest) != 0 || len(families) == 0 {
+		t.Fatalf("Table 7 grid grouped into %d families and %d fallbacks", len(families), len(rest))
+	}
+	const limit = trace.ChunkRefs * 8
+	for _, idxs := range families {
+		fcfgs := make([]cache.Config, len(idxs))
+		for j, k := range idxs {
+			fcfgs[j] = cfgs[k]
+		}
+		if n := allocBytes(func() {
+			if _, err := multipass.New(fcfgs); err != nil {
+				t.Fatal(err)
+			}
+		}); n >= limit {
+			t.Errorf("multipass.New(%v, %d lanes) allocates %d bytes, want < %d", fcfgs[0], len(fcfgs), n, limit)
+		}
+	}
+}
+
+// allocBytes reports the heap bytes one call of f allocates, averaged
+// over a few calls on one P, the way testing.AllocsPerRun counts
+// allocations.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / runs
 }

@@ -137,12 +137,6 @@ type Family struct {
 	missWords  []int32
 	missLoaded []int32
 
-	// packBuf is AccessBatch's scratch for the packed form of the
-	// chunk (see trace.PackRefs): the hot loops read one word per
-	// reference.  AccessBatchPacked callers supply the packed chunk
-	// themselves and share one packing pass across sibling families.
-	packBuf []uint64
-
 	// memoI/memoD are per-stream same-block memos: the frame the last
 	// instruction-fetch (data) reference touched, or -1.  Split traces
 	// interleave the two streams, so a single memo would thrash.  No
@@ -336,7 +330,6 @@ func New(cfgs []cache.Config) (*Family, error) {
 	f.bitMiss = make([]uint64, 64)
 	f.bitMissW = make([]uint64, 64)
 	f.blkMissHist = make([]uint64, words)
-	f.packBuf = make([]uint64, trace.ChunkRefs)
 	f.vcTouch = make([]uint64, f.nPlanes*vcDepth)
 	f.vcSpill = make([]uint64, f.nPlanes*64)
 	return f, nil
@@ -606,8 +599,10 @@ func (f *Family) subMiss(pj, wi int, off uint, missing uint64, counted, count bo
 }
 
 // AccessBatch presents a chunk of word accesses to every lane, the
-// batched equivalent of calling Access per reference.  The sweep
-// executors feed trace.ChunkRefs-sized chunks through it.
+// batched equivalent of calling Access per reference.  It packs the
+// chunk (trace.PackRefs) through a small stack buffer, batchPackRefs
+// references at a time, and runs the packed batch loop on each piece,
+// so a family owns no chunk-sized scratch.
 //
 // The batch loop inlines the whole warm-phase protocol -- reads and
 // writes, memo or probe, hit and sub-miss -- on a single-plane family,
@@ -616,46 +611,50 @@ func (f *Family) subMiss(pj, wi int, off uint, missing uint64, counted, count bo
 // is a handful of L1 loads with no call overhead.  On an all-demand
 // family a sub-block miss is one OR plus a bit-peeled histogram
 // deferral (see bitMiss); block misses share Access's allocate path.
-// Warm-up-phase references and multi-plane families drop to Access
-// itself, so the observable state transitions are identical to calling
-// Access per reference.
+// Warm-up-phase references, multi-plane families and LRU sets wider
+// than four ways decode the packed word and drop to Access itself, so
+// the observable state transitions are identical to calling Access per
+// reference.
 func (f *Family) AccessBatch(refs []trace.Ref) {
-	if len(refs) > len(f.packBuf) {
-		f.packBuf = make([]uint64, len(refs))
+	var buf [batchPackRefs]uint64
+	for len(refs) > 0 {
+		n := min(len(refs), len(buf))
+		trace.PackRefs(buf[:n], refs[:n], f.wordShift)
+		f.accessPacked(buf[:n])
+		refs = refs[n:]
 	}
-	packed := f.packBuf[:len(refs)]
-	trace.PackRefs(packed, refs, f.wordShift)
-	f.accessPacked(refs, packed)
 }
+
+// batchPackRefs is AccessBatch's packing granularity: 8 KiB of stack,
+// small enough to stay in L1 beside the family's hot state, large
+// enough that the batch loop's per-call set-up is a sliver of each
+// piece.
+const batchPackRefs = 1024
 
 // AccessBatchPacked is AccessBatch for a caller that already holds the
 // chunk in trace.PackRefs form at this family's word granularity
 // (packed[i] = uint64(refs[i].Addr)>>log2(WordSize)<<2 |
-// uint64(refs[i].Kind)).  The sweep executors pack each broadcast
-// chunk once and share it across every family of the workload.
+// uint64(refs[i].Kind)).  Only packed is read; refs may be nil.  The
+// sweep executor packs each broadcast chunk once and hands the same
+// words to every family and stack engine of the workload.
 func (f *Family) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
-	f.accessPacked(refs, packed)
+	f.accessPacked(packed)
 }
 
-// WordSize returns the family's word size in bytes, the granularity
-// AccessBatchPacked's packed form must be built with.
-func (f *Family) WordSize() int { return f.base.WordSize }
-
-func (f *Family) accessPacked(refs []trace.Ref, packed []uint64) {
+func (f *Family) accessPacked(packed []uint64) {
 	if f.nPlanes != 1 || (f.base.Replacement == cache.LRU && f.assoc > 4) {
 		// Multi-plane families and LRU sets wider than the packed order
 		// byte run the per-reference protocol.
-		for i := range refs {
-			f.Access(refs[i])
+		for _, v := range packed {
+			f.Access(trace.UnpackRef(v, f.wordShift))
 		}
 		return
 	}
 	// Warm-up-phase references carry fill accounting the fast loop
 	// omits, and warm never reverts once set, so they peel off the front
 	// through Access and the main loop runs branch-free on the flag.
-	for len(refs) > 0 && !f.warm {
-		f.Access(refs[0])
-		refs = refs[1:]
+	for len(packed) > 0 && !f.warm {
+		f.Access(trace.UnpackRef(packed[0], f.wordShift))
 		packed = packed[1:]
 	}
 	tags, valid, touched, dirty := f.tags, f.valid, f.touched, f.dirty

@@ -91,6 +91,9 @@ func PartitionShards(cfgs []cache.Config, shards int) []ShardPlan {
 		units = append(units, shardUnit{idxs: u.idxs[mid:], family: true})
 	}
 
+	// More shards than units would only be dropped below as empty plans.
+	shards = min(shards, len(units))
+
 	// Longest-processing-time greedy: heaviest units first, each to the
 	// least-loaded shard.  Ties break on lowest first index and lowest
 	// shard number, keeping the plan deterministic.

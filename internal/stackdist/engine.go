@@ -1023,16 +1023,12 @@ func (e *Engine) AccessBatch(refs []trace.Ref) {
 	}
 }
 
-// WordSize returns the group's shared word size in bytes, the
-// granularity for trace.PackRefs.
-func (e *Engine) WordSize() int { return e.lanes[0].cfg.WordSize }
-
-// AccessBatchPacked is AccessBatch taking the chunk's packed form
-// (trace.PackRefs at the engine's word granularity) alongside, so the
-// per-reference decode is one load and two shifts; the sweep executors
-// share one packing pass across every engine of a workload.
+// AccessBatchPacked is AccessBatch on the chunk's packed form
+// (trace.PackRefs at the group's word size), so the per-reference
+// decode is one load and two shifts.  Only packed is read; refs may be
+// nil.  The sweep executor packs each broadcast chunk once and hands
+// the same words to every stack engine and family of the workload.
 func (e *Engine) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
-	_ = packed[:len(refs)]
 	baShift := 2 + e.blockShift - e.wordShift
 	woMask := uint64(e.blkWords - 1)
 	wIgnore := e.write == cache.WriteIgnore

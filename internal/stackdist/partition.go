@@ -138,6 +138,9 @@ func Partition(cfgs []cache.Config, shards int) ([]Plan, []int) {
 		}
 	}
 
+	// More shards than units would only be dropped below as empty plans.
+	shards = min(shards, len(units))
+
 	// Longest-processing-time greedy, deterministic: heaviest first,
 	// ties on lowest group then lowest partition, each to the
 	// least-loaded shard.

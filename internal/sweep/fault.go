@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"subcache/internal/addr"
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
 	"subcache/internal/multipass"
@@ -189,10 +188,10 @@ type simUnit struct {
 
 // accessBatch feeds one chunk to the unit inside a recovery boundary,
 // calling the BeforeUnit hook (if any) inside the same boundary.
-// packed, when non-nil, is the chunk in trace.PackRefs form at the
-// unit's word granularity (see packSet); units that cannot consume it
-// receive nil and fall back to the plain batch entry point.
-func (u *simUnit) accessBatch(refs []trace.Ref, packed []uint64, hooks *Hooks, workload string, shard, chunk int) (err error) {
+// Families and stack engines read the packed words as broadcast;
+// reference caches read refs, the same chunk decoded by the owning
+// shard.
+func (u *simUnit) accessBatch(packed []uint64, refs []trace.Ref, hooks *Hooks, workload string, shard, chunk int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -203,115 +202,11 @@ func (u *simUnit) accessBatch(refs []trace.Ref, packed []uint64, hooks *Hooks, w
 	}
 	switch {
 	case u.fam != nil:
-		if packed != nil {
-			u.fam.AccessBatchPacked(refs, packed)
-		} else {
-			u.fam.AccessBatch(refs)
-		}
+		u.fam.AccessBatchPacked(nil, packed)
 	case u.stack != nil:
-		if packed != nil {
-			u.stack.AccessBatchPacked(refs, packed)
-		} else {
-			u.stack.AccessBatch(refs)
-		}
+		u.stack.AccessBatchPacked(nil, packed)
 	default:
 		u.cache.AccessBatch(refs)
-	}
-	return nil
-}
-
-// packSet shares one trace.PackRefs pass per broadcast chunk across
-// every multipass family and stack engine an executor drives: the
-// engines spend a real share of their per-reference budget re-deriving
-// the word index and access kind from the 16-byte Ref, and the packed
-// form is geometry-free, so one buffer per word granularity (in
-// practice one per workload) serves all of them.  Not safe for
-// concurrent use; each shard runner owns its own.
-type packSet struct {
-	shifts []uint
-	bufs   [][]uint64
-	done   []bool
-}
-
-// unitWordShift returns the unit's packing granularity, or -1 if the
-// unit does not consume packed chunks.
-func unitWordShift(u *simUnit) int {
-	switch {
-	case u.fam != nil:
-		return int(addr.Log2(uint64(u.fam.WordSize())))
-	case u.stack != nil:
-		return int(addr.Log2(uint64(u.stack.WordSize())))
-	}
-	return -1
-}
-
-// newPackSet returns a packSet covering the word granularities of the
-// units' multipass families and stack engines, or nil if none can
-// consume packed chunks.
-func newPackSet(units []*simUnit) *packSet {
-	var ps *packSet
-	for _, u := range units {
-		ws := unitWordShift(u)
-		if ws < 0 {
-			continue
-		}
-		shift := uint(ws)
-		if ps == nil {
-			ps = &packSet{}
-		}
-		if !ps.has(shift) {
-			ps.shifts = append(ps.shifts, shift)
-			ps.bufs = append(ps.bufs, make([]uint64, trace.ChunkRefs))
-			ps.done = append(ps.done, false)
-		}
-	}
-	return ps
-}
-
-func (ps *packSet) has(shift uint) bool {
-	for _, s := range ps.shifts {
-		if s == shift {
-			return true
-		}
-	}
-	return false
-}
-
-// next invalidates every cached buffer; the executors call it at each
-// chunk boundary before re-feeding the units.
-func (ps *packSet) next() {
-	if ps == nil {
-		return
-	}
-	for i := range ps.done {
-		ps.done[i] = false
-	}
-}
-
-// forUnit returns the shared packed form of refs for u, packing it on
-// first use within the current chunk, or nil if u does not consume one.
-func (ps *packSet) forUnit(u *simUnit, refs []trace.Ref) []uint64 {
-	if ps == nil {
-		return nil
-	}
-	ws := unitWordShift(u)
-	if ws < 0 {
-		return nil
-	}
-	shift := uint(ws)
-	for i, s := range ps.shifts {
-		if s != shift {
-			continue
-		}
-		if len(refs) > len(ps.bufs[i]) {
-			ps.bufs[i] = make([]uint64, len(refs))
-			ps.done[i] = false
-		}
-		if !ps.done[i] {
-			trace.PackRefs(ps.bufs[i], refs, shift)
-			ps.done[i] = true
-		}
-		return ps.bufs[i][:len(refs)]
 	}
 	return nil
 }

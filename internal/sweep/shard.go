@@ -1,8 +1,9 @@
 // The sweep executor, for every engine: one workload's simulation
 // units are partitioned across shard workers, all fed from a single
 // trace generation by broadcasting fixed-size chunks of the word
-// stream through a ring of reusable buffers.  A one-shard run is the
-// degenerate case, not a separate path.
+// stream, packed once (trace.PackRefs), through a ring of reusable
+// buffers.  A one-shard run is the degenerate case, not a separate
+// path.
 //
 // Sharding is across configurations (or, for stack-distance groups,
 // across disjoint set partitions), never across the trace: every
@@ -31,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subcache/internal/addr"
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
 	"subcache/internal/multipass"
@@ -42,27 +44,38 @@ import (
 
 // chunkRefs is the broadcast granularity, shared with every other
 // batched access path in the harness (see trace.ChunkRefs for the
-// sizing rationale).
+// sizing rationale).  Chunk indices count in these units, which is
+// what Hooks.BeforeChunk and fault-injection plans target.
 const chunkRefs = trace.ChunkRefs
 
-// chunk is one slice of the word trace in flight to every shard.  left
-// counts shards that have yet to finish it; the last one returns the
-// backing buffer to the free ring.
+// stageRefs sizes the producer's staging buffer: the word source is
+// read this many references at a time and packed straight into the
+// ring chunk, so the 16-byte trace.Ref form of the stream is only ever
+// 16 KiB deep.
+const stageRefs = 1024
+
+// chunk is one slice of the word trace in flight to every shard, in
+// trace.PackRefs form at the trace's word size.  left counts shards
+// that have yet to finish it; the last one returns the backing buffer
+// to the free ring.
 type chunk struct {
-	refs []trace.Ref
-	left atomic.Int32
+	words []uint64
+	left  atomic.Int32
 }
 
 // shardRunner is one worker's owned simulation state: the units its
 // plan assigned, plus its inbound chunk queue.  Only the owning
-// goroutine touches units/live/chunk and the telemetry fields.
+// goroutine touches units/live/chunk/refs and the telemetry fields.
 type shardRunner struct {
 	shard int
 	units []*simUnit
 	live  int // units not yet dead
 	chunk int // next chunk index (identical across shards)
 	in    chan *chunk
-	packs *packSet // per-runner shared packed-chunk cache
+	// refs receives each chunk decoded back to trace.Ref form for the
+	// shard's reference caches; nil when the shard owns none.
+	refs      []trace.Ref
+	wordShift uint
 
 	// Telemetry, accumulated locally (single-writer) and published
 	// once at end of pass: references fed to the shard, references
@@ -297,9 +310,17 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 
 	runners := make([]*shardRunner, len(lists))
 	nbuf := 2*len(lists) + 2
+	wordShift := addr.Log2(uint64(wordSize))
 	total := 0
 	for si, units := range lists {
-		runners[si] = &shardRunner{shard: si, units: units, live: len(units), in: make(chan *chunk, nbuf), estCost: costs[si], packs: newPackSet(units)}
+		rn := &shardRunner{shard: si, units: units, live: len(units), in: make(chan *chunk, nbuf), wordShift: wordShift, estCost: costs[si]}
+		for _, u := range units {
+			if u.cache != nil {
+				rn.refs = make([]trace.Ref, chunkRefs)
+				break
+			}
+		}
+		runners[si] = rn
 		total += len(units)
 	}
 	if total == 0 {
@@ -333,9 +354,9 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	// chunks are ever in flight, so the per-shard queues (capacity
 	// nbuf) never block the producer -- backpressure comes solely from
 	// an empty ring, i.e. from the slowest shard.
-	free := make(chan []trace.Ref, nbuf)
+	free := make(chan []uint64, nbuf)
 	for i := 0; i < nbuf; i++ {
-		free <- make([]trace.Ref, chunkRefs)
+		free <- make([]uint64, chunkRefs)
 	}
 
 	var produceErr error
@@ -351,14 +372,16 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		}()
 		psp := telemetry.StartSpan(rec, telemetry.Span{Name: "produce", Parent: parentSpan, Workload: prof.Name})
 		defer psp.End()
-		// Producer-side stage accounting, at chunk granularity: time
-		// decoding the stream is trace-read; time waiting for a free
-		// buffer (backpressure from the slowest shard) plus time
-		// handing chunks to shard queues is broadcast.
-		var readTime, castTime time.Duration
+		// Producer-side stage accounting, at staging-buffer granularity:
+		// time decoding the stream is trace-read; time packing it into
+		// the ring chunk is pack; time waiting for a free buffer
+		// (backpressure from the slowest shard) plus time handing chunks
+		// to shard queues is broadcast.
+		var readTime, packTime, castTime time.Duration
 		if enabled {
 			defer func() {
 				rec.Observe(telemetry.StageTraceRead, readTime)
+				rec.Observe(telemetry.StagePack, packTime)
 				rec.Observe(telemetry.StageBroadcast, castTime)
 				if bc, ok := wrapped.(trace.ByteCounter); ok {
 					rec.Add(telemetry.BytesRead, bc.Bytes())
@@ -368,9 +391,10 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		// A panicking trace source (or source wrapper) is recovered
 		// into a workload-scope error, like any other stream failure.
 		perr := safeCall(func() {
+			stage := make([]trace.Ref, stageRefs)
 			var t0 time.Time
 			for {
-				var buf []trace.Ref
+				var buf []uint64
 				if enabled {
 					t0 = time.Now()
 				}
@@ -380,13 +404,28 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 					return
 				}
 				if enabled {
-					now := time.Now()
-					castTime += now.Sub(t0)
-					t0 = now
+					castTime += time.Since(t0)
 				}
-				n, rerr := trace.ReadChunk(wrapped, buf[:chunkRefs])
-				if enabled {
-					readTime += time.Since(t0)
+				// Fill the chunk a staging buffer at a time; a read
+				// error ends it early, after packing what was read.
+				n := 0
+				var rerr error
+				for n < chunkRefs && rerr == nil {
+					if enabled {
+						t0 = time.Now()
+					}
+					var m int
+					m, rerr = trace.ReadChunk(wrapped, stage[:min(stageRefs, chunkRefs-n)])
+					if enabled {
+						now := time.Now()
+						readTime += now.Sub(t0)
+						t0 = now
+					}
+					trace.PackRefs(buf[n:], stage[:m], wordShift)
+					if enabled {
+						packTime += time.Since(t0)
+					}
+					n += m
 				}
 				if n > 0 {
 					if enabled {
@@ -394,7 +433,7 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 						rec.SetGauge(telemetry.FreeRingOccupancy, int64(len(free)))
 						t0 = time.Now()
 					}
-					ck := &chunk{refs: buf[:n]}
+					ck := &chunk{words: buf[:n]}
 					ck.left.Store(int32(len(runners)))
 					for _, rn := range runners {
 						select {
@@ -436,15 +475,15 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 				if ictx.Err() == nil && rn.live > 0 {
 					if enabled {
 						t0 := time.Now()
-						rn.processChunk(ck.refs, prof.Name, hooks, fail)
+						rn.processChunk(ck.words, prof.Name, hooks, fail)
 						rn.busy += time.Since(t0)
-						rn.refsFed += uint64(len(ck.refs))
+						rn.refsFed += uint64(len(ck.words))
 					} else {
-						rn.processChunk(ck.refs, prof.Name, hooks, fail)
+						rn.processChunk(ck.words, prof.Name, hooks, fail)
 					}
 				}
 				if ck.left.Add(-1) == 0 {
-					free <- ck.refs[:chunkRefs]
+					free <- ck.words[:chunkRefs]
 				}
 			}
 		}(rn)
@@ -596,12 +635,13 @@ func dedupGroupFailures(failed []unitFailure) []unitFailure {
 	return kept
 }
 
-// processChunk feeds one broadcast chunk to every live unit the shard
-// owns.  The BeforeChunk hook runs in its own recovery boundary; a
-// panic there is shard-scope and kills every unit the shard still has.
-// A panic inside one unit (or its BeforeUnit hook) kills only that
-// unit.
-func (rn *shardRunner) processChunk(refs []trace.Ref, workload string, hooks *Hooks, fail func(unitFailure, int)) {
+// processChunk feeds one broadcast chunk of packed words to every live
+// unit the shard owns, decoding it once first if the shard hosts
+// reference caches.  The BeforeChunk hook runs in its own recovery
+// boundary; a panic there is shard-scope and kills every unit the
+// shard still has.  A panic inside one unit (or its BeforeUnit hook)
+// kills only that unit.
+func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hooks, fail func(unitFailure, int)) {
 	if hooks != nil && hooks.BeforeChunk != nil {
 		if herr := safeCall(func() { hooks.BeforeChunk(workload, rn.shard, rn.chunk) }); herr != nil {
 			for _, u := range rn.units {
@@ -616,18 +656,22 @@ func (rn *shardRunner) processChunk(refs []trace.Ref, workload string, hooks *Ho
 			return
 		}
 	}
-	rn.packs.next()
+	var refs []trace.Ref
+	if rn.refs != nil {
+		refs = rn.refs[:len(words)]
+		trace.UnpackRefs(refs, words, rn.wordShift)
+	}
 	for _, u := range rn.units {
 		if u.dead {
 			continue
 		}
-		if uerr := u.accessBatch(refs, rn.packs.forUnit(u, refs), hooks, workload, rn.shard, rn.chunk); uerr != nil {
+		if uerr := u.accessBatch(words, refs, hooks, workload, rn.shard, rn.chunk); uerr != nil {
 			u.dead = true
 			rn.live--
 			fail(unitFailure{idxs: u.idxs, shard: rn.shard, gid: u.gid, cause: uerr}, 1)
 			continue
 		}
-		rn.simRefs += uint64(len(refs))
+		rn.simRefs += uint64(len(words))
 	}
 	rn.chunk++
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -66,6 +67,100 @@ func TestShardedDifferential(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestShardedDecodePaths: the executor broadcasts packed words only,
+// so every path that decodes them back -- the multipass per-reference
+// fallbacks (warm-up, LRU wider than four ways, multi-plane families)
+// and the shard-side decode for reference caches hosted beside
+// families -- must still match the RunOne oracle bit for bit, for every
+// engine at one and two shards.
+func TestShardedDecodePaths(t *testing.T) {
+	var twoPlane []Point
+	for _, sub := range []int{16, 8, 4, 2} {
+		twoPlane = append(twoPlane,
+			Point{Net: 1024, Block: 64, Sub: sub},
+			Point{Net: 1024, Block: 64, Sub: sub, Fetch: cache.LoadForward})
+	}
+	cases := []struct {
+		name string
+		req  Request
+	}{
+		// Z8000 warm start: on the 4096-byte cache the warm-up phase
+		// crosses chunk boundaries.
+		{"z8000-warmup", Request{Arch: synth.Z8000, Refs: 3*trace.ChunkRefs + 123,
+			Points: []Point{{Net: 64, Block: 8, Sub: 2}, {Net: 1024, Block: 16, Sub: 4}, {Net: 1024, Block: 16, Sub: 16}, {Net: 4096, Block: 32, Sub: 8}}}},
+		{"lru-8way", Request{Arch: synth.PDP11, Refs: 2*trace.ChunkRefs + 7,
+			Points:   []Point{{Net: 256, Block: 8, Sub: 2}, {Net: 256, Block: 8, Sub: 8}, {Net: 1024, Block: 16, Sub: 4}, {Net: 1024, Block: 16, Sub: 16}},
+			Override: func(c *cache.Config) { c.Assoc = 8 }}},
+		// 64-byte blocks with demand and load-forward lanes at every
+		// sub-block size need 120 lane bits: two planes.
+		{"two-plane", Request{Arch: synth.PDP11, Refs: 2*trace.ChunkRefs + 7, Points: twoPlane}},
+		// OBL prefetch on the 2-byte sub-blocks only: those points
+		// fall back to reference caches beside the families.
+		{"families-and-fallbacks", Request{Arch: synth.PDP11, Refs: 2*trace.ChunkRefs + 7,
+			Points: []Point{{Net: 256, Block: 8, Sub: 2}, {Net: 256, Block: 8, Sub: 4}, {Net: 256, Block: 8, Sub: 8}, {Net: 64, Block: 16, Sub: 2}, {Net: 64, Block: 16, Sub: 8}},
+			Override: func(c *cache.Config) {
+				if c.SubBlockSize == 2 {
+					c.PrefetchOBL = true
+				}
+			}}},
+	}
+	for _, tc := range cases {
+		profs := synth.Workloads(tc.req.Arch)[:2]
+		tc.req.Workloads = []string{profs[0].Name, profs[1].Name}
+		want := make(map[Point][]metrics.Run)
+		for _, p := range tc.req.Points {
+			for _, prof := range profs {
+				run, err := RunOne(prof, pointConfig(p, tc.req), tc.req.Refs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[p] = append(want[p], run)
+			}
+		}
+		for _, eng := range []Engine{Reference, MultiPass, StackDist} {
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%v/shards=%d", tc.name, eng, shards), func(t *testing.T) {
+					req := tc.req
+					req.Engine = eng
+					req.Shards = shards
+					got, err := Run(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range req.Points {
+						if !reflect.DeepEqual(got.Runs[p], want[p]) {
+							t.Fatalf("%v: runs differ from per-point RunOne\n got:  %v\n want: %v",
+								p, got.Runs[p], want[p])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestHugeShardCount: a shard count far beyond the unit count is
+// clamped by the planners -- it used to size one plan per requested
+// shard and run the process out of memory -- and changes no result.
+func TestHugeShardCount(t *testing.T) {
+	for _, eng := range []Engine{Reference, MultiPass, StackDist} {
+		req := Request{Arch: synth.PDP11, Points: Grid([]int{64}, 2), Refs: 3000,
+			Workloads: []string{"ED"}, Engine: eng}
+		want, err := Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Shards = 1 << 40
+		got, err := Run(req)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if !reflect.DeepEqual(got.Runs, want.Runs) {
+			t.Errorf("%v: Shards 1<<40 changed the runs", eng)
 		}
 	}
 }

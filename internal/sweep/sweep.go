@@ -316,6 +316,13 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("sweep: unknown engine %v", req.Engine)
 	}
+	// Every point replays one trace split to the architecture's data
+	// path, so an Override may not change the word size.
+	for _, p := range req.Points {
+		if ws := pointConfig(p, req).WordSize; ws != req.Arch.WordSize() {
+			return nil, fmt.Errorf("sweep: point %v: WordSize %d, want %v's %d (points share one word-split trace)", p, ws, req.Arch, req.Arch.WordSize())
+		}
+	}
 	profiles, err := selectWorkloads(req.Arch, req.Workloads)
 	if err != nil {
 		return nil, err

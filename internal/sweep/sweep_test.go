@@ -154,6 +154,11 @@ func TestRunValidatesRequest(t *testing.T) {
 		Points: []Point{{Net: 64, Block: 8, Sub: 2}}}); err == nil {
 		t.Error("accepted a negative shard count")
 	}
+	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100,
+		Points:   []Point{{Net: 64, Block: 8, Sub: 4}},
+		Override: func(c *cache.Config) { c.WordSize = 4 }}); err == nil {
+		t.Error("accepted an Override that changes the word size")
+	}
 }
 
 func TestRunOverride(t *testing.T) {

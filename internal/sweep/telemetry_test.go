@@ -137,6 +137,13 @@ func TestTelemetryCountersDeterministic(t *testing.T) {
 	if s1.Counter(telemetry.BytesRead) != 0 {
 		t.Errorf("synthetic run counted bytes_read = %d", s1.Counter(telemetry.BytesRead))
 	}
+	// Each workload's producer observes its read, pack and broadcast
+	// stages once, at end of stream.
+	for _, st := range []telemetry.Stage{telemetry.StageTraceRead, telemetry.StagePack, telemetry.StageBroadcast} {
+		if got := s1.StagesN[st.String()]; got != uint64(workloads) {
+			t.Errorf("stage %s observed %d times, want once per workload (%d)", st, got, workloads)
+		}
+	}
 	// Shard aggregates cover the fed references exactly once per shard.
 	var shardRefs uint64
 	for _, sh := range s1.Shards {

@@ -166,6 +166,9 @@ type Stage int
 const (
 	// StageTraceRead is time generating or decoding trace references.
 	StageTraceRead Stage = iota
+	// StagePack is producer time packing references into the
+	// broadcast chunk's word form (trace.PackRefs).
+	StagePack
 	// StageBroadcast is producer time distributing chunks to shard
 	// queues, including time blocked on an empty free ring.
 	StageBroadcast
@@ -181,6 +184,7 @@ const (
 
 var stageNames = [numStages]string{
 	StageTraceRead:  "trace_read",
+	StagePack:       "pack",
 	StageBroadcast:  "broadcast",
 	StageSimulate:   "simulate",
 	StageFlush:      "flush",

@@ -76,11 +76,12 @@ func CountWords(r Ref, wordSize int) int {
 }
 
 // ChunkRefs is the standard batching granularity of the simulation
-// harness: 8192 references (~128 KiB of trace.Ref) keeps a chunk inside
-// L2 while amortising per-chunk overhead (channel traffic, cancellation
-// checks, interface dispatch) to a few operations per hundred thousand
-// accesses.  Cache.Run, multipass.Family.Run and the sweep executors
-// all feed the access kernels in chunks of this size.
+// harness: 8192 references (~128 KiB of trace.Ref, 64 KiB packed by
+// PackRefs) keeps a chunk inside L2 while amortising per-chunk
+// overhead (channel traffic, cancellation checks, interface dispatch)
+// to a few operations per hundred thousand accesses.  Cache.Run,
+// multipass.Family.Run and the sweep executor all feed the access
+// kernels in chunks of this size.
 const ChunkRefs = 8192
 
 // ReadChunk fills buf with the next references from src, returning how
