@@ -167,20 +167,56 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
+// TestIntnPinnedSequence pins one stream's Intn draws across bounds
+// that take every path of the multiply-shift method: the trivial bound,
+// small and power-of-two bounds, a bound whose rejection zone is a
+// quarter of the range (3<<61), and the largest int.  Every synthetic
+// trace is built from these draws, so any change to them is a change
+// to every workload.
+func TestIntnPinnedSequence(t *testing.T) {
+	want := []struct {
+		n    int
+		vals []int
 	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 1, 0, math.MaxUint64},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
+		{1, []int{0, 0, 0, 0, 0, 0}},
+		{3, []int{2, 1, 2, 1, 0, 1}},
+		{7, []int{1, 4, 0, 0, 5, 5}},
+		{1000, []int{304, 721, 345, 413, 335, 113}},
+		{1 << 31, []int{1856466125, 1312065037, 1846016324, 842157451, 426240533, 2038400408}},
+		{3 << 61, []int{948411750761821893, 6270680924470119198, 1232277748802727603, 3646033461264484967, 1419019905952707146, 1066504397512736496}},
+		{math.MaxInt64, []int{6153751930670807635, 7481402689364730655, 4562656288197273133, 6707874249639748198, 4405104653932100142, 2120584818855951849}},
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+	r := New(1984)
+	for _, c := range want {
+		for i, v := range c.vals {
+			if got := r.Intn(c.n); got != v {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", c.n, i, got, v)
+			}
+		}
+	}
+}
+
+// TestGeometricPinnedSequence pins one stream's Geometric draws at the
+// success probabilities the workload catalog uses (p = 1 draws
+// nothing).
+func TestGeometricPinnedSequence(t *testing.T) {
+	want := []struct {
+		p    float64
+		vals []int
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0}},
+		{0.5, []int{0, 0, 0, 0, 1, 0}},
+		{1.0 / 3, []int{1, 0, 2, 2, 2, 4}},
+		{0.1, []int{2, 3, 7, 6, 0, 14}},
+		{1.0 / 48, []int{34, 43, 26, 7, 50, 98}},
+		{1.0 / 3000, []int{437, 4451, 2989, 3173, 73, 8125}},
+	}
+	r := New(1985)
+	for _, c := range want {
+		for i, v := range c.vals {
+			if got := r.Geometric(c.p); got != v {
+				t.Fatalf("Geometric(%g) draw %d = %d, want %d", c.p, i, got, v)
+			}
 		}
 	}
 }
