@@ -80,11 +80,14 @@ bench-check:
 
 # Keep the repository benchmark building and running: perfbench/ is its
 # own Go module, so the root `go build ./...` never compiles it.  Vets
-# it, then runs a short table7-grid run and a traced sweepd-mix run
-# (see perfbench/README.md); each must end on a "correct":true line.
+# it, then runs a short table7-grid run, a traced paper-point run (the
+# only workload streaming full 1M-reference traces; its serial replay
+# reads synth.WordSource.Next) and a traced sweepd-mix run (see
+# perfbench/README.md); each must end on a "correct":true line.
 bench-smoke:
 	cd perfbench && $(GO) vet ./...
 	@for args in "--workload table7-grid --seed 1 --seconds 5 --trace 0" \
+		"--workload paper-point --seed 1 --seconds 5 --trace 1" \
 		"--workload sweepd-mix --seed 1 --seconds 5 --trace 1"; do \
 		last=$$(bash perfbench/run.sh $$args | tail -n 1); \
 		echo "$$last" | cut -c1-160; \

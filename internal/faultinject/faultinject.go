@@ -72,51 +72,61 @@ func (f Fault) String() string {
 // errors.Is their way to it through the sweep's attribution layers.
 var ErrInjected = errors.New("faultinject: injected fault")
 
-// Source wraps an inner trace source with a fault that fires after a
-// given number of references.  Errors are latched: once the source has
-// failed it keeps failing, like the production trace readers.
+// Source wraps a sweep's packed word source with a fault that fires
+// after a given number of words.  Errors are latched: once the source
+// has failed it keeps failing, like the production trace readers.
 type Source struct {
-	inner trace.Source
+	inner sweep.PackedSource
 	fault Fault
 	left  int
 	err   error
 }
 
 // NewSource arms fault to fire after the inner source has yielded
-// after references.  Only the source-level faults (ShortRead,
-// ParseError, SourcePanic) are meaningful here.
-func NewSource(inner trace.Source, fault Fault, after int) *Source {
+// after words.  Only the source-level faults (ShortRead, ParseError,
+// SourcePanic) are meaningful here.
+func NewSource(inner sweep.PackedSource, fault Fault, after int) *Source {
 	return &Source{inner: inner, fault: fault, left: after}
 }
 
-// Next implements trace.Source.
-func (s *Source) Next() (trace.Ref, error) {
+// ReadPacked implements sweep.PackedSource: it passes words through
+// until after of them have been read, then fails -- within the same
+// call when the fill crosses that point, after the words before it.
+func (s *Source) ReadPacked(dst []uint64) (int, error) {
 	if s.err != nil {
-		return trace.Ref{}, s.err
+		return 0, s.err
 	}
-	if s.left <= 0 {
-		switch s.fault {
-		case ShortRead:
-			s.err = fmt.Errorf("%w: %w", ErrInjected, io.ErrUnexpectedEOF)
-		case ParseError:
-			s.err = fmt.Errorf("%w: corrupt record", ErrInjected)
-		case SourcePanic:
-			s.err = fmt.Errorf("%w: source panicked", ErrInjected)
-			panic("faultinject: injected source panic")
-		default:
-			s.err = fmt.Errorf("%w: %v misused as a source fault", ErrInjected, s.fault)
-		}
-		return trace.Ref{}, s.err
+	if len(dst) <= s.left {
+		n, err := s.inner.ReadPacked(dst)
+		s.left -= n
+		return n, err
 	}
-	s.left--
-	return s.inner.Next()
+	n, err := s.inner.ReadPacked(dst[:s.left])
+	s.left -= n
+	if err != nil && (err != io.EOF || s.left > 0) {
+		return n, err
+	}
+	// The fault fires on the word after the armed count, whether or not
+	// the stream had more; a stream that ends sooner ends cleanly.
+	switch s.fault {
+	case ShortRead:
+		s.err = fmt.Errorf("%w: %w", ErrInjected, io.ErrUnexpectedEOF)
+	case ParseError:
+		s.err = fmt.Errorf("%w: corrupt record", ErrInjected)
+	case SourcePanic:
+		s.err = fmt.Errorf("%w: source panicked", ErrInjected)
+		panic("faultinject: injected source panic")
+	default:
+		s.err = fmt.Errorf("%w: %v misused as a source fault", ErrInjected, s.fault)
+	}
+	return n, s.err
 }
 
 // SourceHooks returns sweep hooks that arm a source-level fault on the
-// named workload, after the given number of references.
+// named workload, after the given number of words.
 func SourceHooks(workload string, fault Fault, after int) *sweep.Hooks {
 	return &sweep.Hooks{
-		WrapSource: func(w string, src trace.Source) trace.Source {
+		WrapSource: func(w string, src sweep.PackedSource) sweep.PackedSource {
 			if w != workload {
 				return src
 			}

@@ -234,20 +234,37 @@ func TestWorkloadScopeNoPartialCounters(t *testing.T) {
 	}
 }
 
-// TestSourceFaultsLatch: an injected source keeps returning its error,
-// matching the latched contract of the production trace readers.
+// TestSourceFaultsLatch: an injected source fails on the word after its
+// armed count -- inside the fill that crosses it, after the words
+// before it -- and keeps returning its error, matching the latched
+// contract of the production trace readers.  A stream that ends before
+// the armed count ends cleanly.
 func TestSourceFaultsLatch(t *testing.T) {
-	refs := []trace.Ref{{Kind: trace.Read, Size: 2}, {Kind: trace.Read, Size: 2}}
-	src := NewSource(trace.NewSliceSource(refs), ShortRead, 1)
-	if _, err := src.Next(); err != nil {
-		t.Fatalf("ref before the fault: %v", err)
+	prof := synth.Workloads(synth.PDP11)[0]
+	inner, err := synth.NewWordSource(prof, 100, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err1 := src.Next()
-	if !errors.Is(err1, io.ErrUnexpectedEOF) || !errors.Is(err1, ErrInjected) {
-		t.Fatalf("fault error = %v, want injected unexpected EOF", err1)
+	src := NewSource(inner, ShortRead, 5)
+	dst := make([]uint64, 3)
+	if n, err := src.ReadPacked(dst); n != 3 || err != nil {
+		t.Fatalf("fill before the fault = (%d, %v), want (3, nil)", n, err)
 	}
-	if _, err2 := src.Next(); err2 != err1 {
-		t.Errorf("error not latched: %v then %v", err1, err2)
+	n, err1 := src.ReadPacked(dst)
+	if n != 2 || !errors.Is(err1, io.ErrUnexpectedEOF) || !errors.Is(err1, ErrInjected) {
+		t.Fatalf("fill across the fault = (%d, %v), want 2 words and an injected unexpected EOF", n, err1)
+	}
+	if n, err2 := src.ReadPacked(dst); n != 0 || err2 != err1 {
+		t.Errorf("error not latched: %v then (%d, %v)", err1, n, err2)
+	}
+
+	short, err := synth.NewWordSource(prof, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]uint64, 64)
+	if n, err := NewSource(short, ShortRead, 50).ReadPacked(big); n == 0 || n >= 50 || err != io.EOF {
+		t.Errorf("stream shorter than the armed count = (%d, %v), want its words and io.EOF", n, err)
 	}
 }
 

@@ -13,7 +13,10 @@
 // domain algorithms by Blackman and Vigna.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a deterministic random number stream.  The zero value is not
 // valid; use New or Split.
@@ -91,23 +94,11 @@ func (r *Stream) Intn(n int) int {
 	// integers without division in the common case.
 	bound := uint64(n)
 	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(r.Uint64(), bound)
 		if lo >= bound || lo >= -bound%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := ah*bl + (al*bl)>>32
-	lo = a * b
-	hi = ah*bh + t>>32 + (t&mask+al*bh)>>32
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -120,20 +111,49 @@ func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
 
 // Geometric returns a sample from a geometric distribution with success
 // probability p: the number of failures before the first success, in
-// {0, 1, 2, ...}.  Mean (1-p)/p.  p must be in (0, 1].
-func (r *Stream) Geometric(p float64) int {
+// {0, 1, 2, ...}.  Mean (1-p)/p.  p must be in (0, 1].  It is
+// NewGeom(r, p).Next(); a caller drawing many samples at one p should
+// keep the Geom.
+func (r *Stream) Geometric(p float64) int { return NewGeom(r, p).Next() }
+
+// Geom samples a geometric distribution by inverse CDF, with the
+// logarithm of the failure probability taken once.
+type Geom struct {
+	r *Stream
+	// logq is log(1-p) < 0, or 0 for p == 1, which draws nothing.
+	logq float64
+}
+
+// NewGeom builds a geometric sampler with success probability p in
+// (0, 1] drawing from stream r.
+func NewGeom(r *Stream, p float64) Geom {
 	if p <= 0 || p > 1 {
 		panic("rng.Geometric: p out of (0,1]")
 	}
 	if p == 1 {
+		return Geom{r: r}
+	}
+	logq := math.Log(1 - p)
+	if logq == 0 {
+		// 1-p rounds to 1 below p ~ 1.1e-16; without Log1p every draw
+		// would be log(u)/0 = -Inf, clamped to 0 instead of the cap.
+		logq = math.Log1p(-p)
+	}
+	return Geom{r: r, logq: logq}
+}
+
+// Next returns the next sample, consuming one uniform draw unless
+// p == 1.
+func (g Geom) Next() int {
+	if g.logq == 0 {
 		return 0
 	}
-	u := r.Float64()
+	u := g.r.Float64()
 	// Inverse CDF; guard the log argument away from 0.
 	if u == 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	k := math.Floor(math.Log(u) / math.Log(1-p))
+	k := math.Floor(math.Log(u) / g.logq)
 	if k < 0 {
 		k = 0
 	}

@@ -119,6 +119,20 @@ func TestGeometricPOne(t *testing.T) {
 	}
 }
 
+// TestGeometricTinyP: below p ~ 1.1e-16, 1-p rounds to 1 in float64.
+// The sampler must still return the 1<<30 cap there, as it does just
+// above the threshold, not 0 on every draw.
+func TestGeometricTinyP(t *testing.T) {
+	for _, p := range []float64{1e-16, 1e-17, 1e-18, 1e-300, math.SmallestNonzeroFloat64} {
+		r := New(7)
+		for i := 0; i < 100; i++ {
+			if got := r.Geometric(p); got != 1<<30 {
+				t.Fatalf("Geometric(%g) draw %d = %d, want the 1<<30 cap", p, i, got)
+			}
+		}
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	r := New(17)
 	const mean, trials = 5.0, 50000

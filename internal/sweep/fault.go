@@ -141,12 +141,12 @@ func safeCall(fn func()) (err error) {
 // boundaries as the simulation itself, so an injected panic is
 // attributed exactly like a real one.  All hooks may be nil.
 type Hooks struct {
-	// WrapSource, if set, wraps each workload's word-split trace
-	// source before the executor starts streaming it -- after every
+	// WrapSource, if set, wraps each workload's packed word source
+	// before the executor starts streaming it -- after every
 	// simulation unit is built, so a fail-fast construction error
 	// streams nothing.  Faults injected here surface as workload-scope
 	// trace errors.
-	WrapSource func(workload string, src trace.Source) trace.Source
+	WrapSource func(workload string, src PackedSource) PackedSource
 	// BeforeChunk is called by each shard worker before it simulates a
 	// chunk.  A panic here kills every unit the shard owns
 	// (shard-scope).
@@ -159,7 +159,7 @@ type Hooks struct {
 	BeforeUnit func(workload string, shard int, points []Point, chunk int)
 }
 
-func (h *Hooks) wrapSource(workload string, src trace.Source) trace.Source {
+func (h *Hooks) wrapSource(workload string, src PackedSource) PackedSource {
 	if h == nil || h.WrapSource == nil {
 		return src
 	}

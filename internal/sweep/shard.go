@@ -1,9 +1,10 @@
 // The sweep executor, for every engine: one workload's simulation
 // units are partitioned across shard workers, all fed from a single
 // trace generation by broadcasting fixed-size chunks of the word
-// stream, packed once (trace.PackRefs), through a ring of reusable
-// buffers.  A one-shard run is the degenerate case, not a separate
-// path.
+// stream, in trace.PackRefs form, through a ring of reusable buffers.
+// The producer fills each chunk with one ReadPacked call; the synthetic
+// word source generates straight into that form.  A one-shard run is
+// the degenerate case, not a separate path.
 //
 // Sharding is across configurations (or, for stack-distance groups,
 // across disjoint set partitions), never across the trace: every
@@ -48,11 +49,17 @@ import (
 // what Hooks.BeforeChunk and fault-injection plans target.
 const chunkRefs = trace.ChunkRefs
 
-// stageRefs sizes the producer's staging buffer: the word source is
-// read this many references at a time and packed straight into the
-// ring chunk, so the 16-byte trace.Ref form of the stream is only ever
-// 16 KiB deep.
-const stageRefs = 1024
+// PackedSource is the executor's trace input: a workload's word
+// stream in trace.PackRefs form at the request's word size.
+// ReadPacked fills dst and returns how many words it stored.  It stops
+// short only at end of stream, where the error is io.EOF (possibly
+// alongside n > 0), or on a failed read, whose error it returns after
+// the n good words -- the contract of trace.ReadChunk, so every chunk
+// but the last is full and chunk indices count whole chunks.
+// *synth.WordSource is the implementation every sweep streams from.
+type PackedSource interface {
+	ReadPacked(dst []uint64) (int, error)
+}
 
 // chunk is one slice of the word trace in flight to every shard, in
 // trace.PackRefs form at the trace's word size.  left counts shards
@@ -78,12 +85,15 @@ type shardRunner struct {
 	wordShift uint
 
 	// Telemetry, accumulated locally (single-writer) and published
-	// once at end of pass: references fed to the shard, references
-	// consumed by its live units, wall time inside processChunk, and
-	// the partitioner's cost estimate for its plan.
+	// once at end of pass when timed: references fed to the shard,
+	// references consumed by its live units, wall time inside
+	// processChunk and, of that, decoding chunks for reference caches,
+	// and the partitioner's cost estimate for its plan.
+	timed   bool
 	refsFed uint64
 	simRefs uint64
 	busy    time.Duration
+	decode  time.Duration
 	estCost int
 }
 
@@ -313,7 +323,7 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	wordShift := addr.Log2(uint64(wordSize))
 	total := 0
 	for si, units := range lists {
-		rn := &shardRunner{shard: si, units: units, live: len(units), in: make(chan *chunk, nbuf), wordShift: wordShift, estCost: costs[si]}
+		rn := &shardRunner{shard: si, units: units, live: len(units), in: make(chan *chunk, nbuf), wordShift: wordShift, timed: enabled, estCost: costs[si]}
 		for _, u := range units {
 			if u.cache != nil {
 				rn.refs = make([]trace.Ref, chunkRefs)
@@ -372,16 +382,15 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		}()
 		psp := telemetry.StartSpan(rec, telemetry.Span{Name: "produce", Parent: parentSpan, Workload: prof.Name})
 		defer psp.End()
-		// Producer-side stage accounting, at staging-buffer granularity:
-		// time decoding the stream is trace-read; time packing it into
-		// the ring chunk is pack; time waiting for a free buffer
-		// (backpressure from the slowest shard) plus time handing chunks
-		// to shard queues is broadcast.
-		var readTime, packTime, castTime time.Duration
+		// Producer-side stage accounting, per chunk: time filling it
+		// from the word source (generating or decoding the stream) is
+		// trace-read; time waiting for a free buffer (backpressure from
+		// the slowest shard) plus time handing chunks to shard queues is
+		// broadcast.
+		var readTime, castTime time.Duration
 		if enabled {
 			defer func() {
 				rec.Observe(telemetry.StageTraceRead, readTime)
-				rec.Observe(telemetry.StagePack, packTime)
 				rec.Observe(telemetry.StageBroadcast, castTime)
 				if bc, ok := wrapped.(trace.ByteCounter); ok {
 					rec.Add(telemetry.BytesRead, bc.Bytes())
@@ -391,7 +400,6 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		// A panicking trace source (or source wrapper) is recovered
 		// into a workload-scope error, like any other stream failure.
 		perr := safeCall(func() {
-			stage := make([]trace.Ref, stageRefs)
 			var t0 time.Time
 			for {
 				var buf []uint64
@@ -404,28 +412,15 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 					return
 				}
 				if enabled {
-					castTime += time.Since(t0)
+					now := time.Now()
+					castTime += now.Sub(t0)
+					t0 = now
 				}
-				// Fill the chunk a staging buffer at a time; a read
-				// error ends it early, after packing what was read.
-				n := 0
-				var rerr error
-				for n < chunkRefs && rerr == nil {
-					if enabled {
-						t0 = time.Now()
-					}
-					var m int
-					m, rerr = trace.ReadChunk(wrapped, stage[:min(stageRefs, chunkRefs-n)])
-					if enabled {
-						now := time.Now()
-						readTime += now.Sub(t0)
-						t0 = now
-					}
-					trace.PackRefs(buf[n:], stage[:m], wordShift)
-					if enabled {
-						packTime += time.Since(t0)
-					}
-					n += m
+				// One fill per chunk; a read error ends it early, after
+				// the words read before it.
+				n, rerr := wrapped.ReadPacked(buf)
+				if enabled {
+					readTime += time.Since(t0)
 				}
 				if n > 0 {
 					if enabled {
@@ -490,14 +485,17 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	}
 	wg.Wait()
 
-	// Publish per-shard telemetry: the aggregates, the simulate-stage
-	// time, and one shard-stat event per worker.  Emitted even for
-	// failed or cancelled passes -- a stalled shard is exactly what an
-	// observer wants to see attributed.
+	// Publish per-shard telemetry: the aggregates, the simulate- and
+	// decode-stage times, and one shard-stat event per worker.  Emitted
+	// even for failed or cancelled passes -- a stalled shard is exactly
+	// what an observer wants to see attributed.
 	if enabled {
 		for _, rn := range runners {
 			rec.ShardObserve(rn.shard, rn.refsFed, rn.busy)
-			rec.Observe(telemetry.StageSimulate, rn.busy)
+			rec.Observe(telemetry.StageSimulate, rn.busy-rn.decode)
+			if rn.refs != nil {
+				rec.Observe(telemetry.StageDecode, rn.decode)
+			}
 			rec.Add(telemetry.RefsSimulated, rn.simRefs)
 			lanes := 0
 			for _, u := range rn.units {
@@ -658,8 +656,15 @@ func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hook
 	}
 	var refs []trace.Ref
 	if rn.refs != nil {
+		var t0 time.Time
+		if rn.timed {
+			t0 = time.Now()
+		}
 		refs = rn.refs[:len(words)]
 		trace.UnpackRefs(refs, words, rn.wordShift)
+		if rn.timed {
+			rn.decode += time.Since(t0)
+		}
 	}
 	for _, u := range rn.units {
 		if u.dead {

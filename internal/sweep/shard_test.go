@@ -353,7 +353,7 @@ func TestReferenceShortCircuit(t *testing.T) {
 		Arch: synth.PDP11, Points: pts, Refs: 2000,
 		Workloads: []string{"ED"}, Engine: Reference, Parallelism: 1,
 		Override: func(c *cache.Config) { c.Assoc = 999 },
-		Hooks: &Hooks{WrapSource: func(_ string, src trace.Source) trace.Source {
+		Hooks: &Hooks{WrapSource: func(_ string, src PackedSource) PackedSource {
 			wrapped.Add(1)
 			return src
 		}},

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"subcache/internal/cache"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
@@ -137,12 +138,16 @@ func TestTelemetryCountersDeterministic(t *testing.T) {
 	if s1.Counter(telemetry.BytesRead) != 0 {
 		t.Errorf("synthetic run counted bytes_read = %d", s1.Counter(telemetry.BytesRead))
 	}
-	// Each workload's producer observes its read, pack and broadcast
-	// stages once, at end of stream.
-	for _, st := range []telemetry.Stage{telemetry.StageTraceRead, telemetry.StagePack, telemetry.StageBroadcast} {
+	// Each workload's producer observes its read and broadcast stages
+	// once, at end of stream.  The word source generates packed words
+	// directly, so there is no separate pack stage.
+	for _, st := range []telemetry.Stage{telemetry.StageTraceRead, telemetry.StageBroadcast} {
 		if got := s1.StagesN[st.String()]; got != uint64(workloads) {
 			t.Errorf("stage %s observed %d times, want once per workload (%d)", st, got, workloads)
 		}
+	}
+	if n, ok := s1.StagesN["pack"]; ok {
+		t.Errorf("retired stage pack observed %d times", n)
 	}
 	// Shard aggregates cover the fed references exactly once per shard.
 	var shardRefs uint64
@@ -173,6 +178,42 @@ func TestTelemetryCountersDeterministic(t *testing.T) {
 		t.Errorf("clean run emitted %d error events", st.ByType[telemetry.EventErrorAttributed])
 	}
 	_ = res
+}
+
+// TestTelemetryDecodeStage: a shard decodes broadcast chunks only for
+// the reference caches it hosts, so the decode stage is observed once
+// per workload by each such shard and never on a run with none.
+func TestTelemetryDecodeStage(t *testing.T) {
+	oblOnSub2 := func(c *cache.Config) {
+		if c.SubBlockSize == 2 {
+			c.PrefetchOBL = true
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		engine   Engine
+		shards   int
+		override func(*cache.Config)
+		want     uint64 // decode observations per workload
+	}{
+		{"families only", MultiPass, 2, nil, 0},
+		{"reference caches on both shards", Reference, 2, nil, 2},
+		{"families beside fallback caches", MultiPass, 1, oblOnSub2, 1},
+	} {
+		rec := telemetry.NewRun(telemetry.Options{})
+		req := telemetryRequest()
+		req.Engine, req.Shards, req.Override, req.Recorder = tc.engine, tc.shards, tc.override, rec
+		if _, err := Run(req); err != nil {
+			t.Fatal(err)
+		}
+		rec.Close()
+		s := rec.Snapshot()
+		want := tc.want * uint64(len(synth.Workloads(req.Arch)))
+		got, ok := s.StagesN[telemetry.StageDecode.String()]
+		if got != want || (want == 0 && ok) {
+			t.Errorf("%s: decode observed %d times (present %v), want %d", tc.name, got, ok, want)
+		}
+	}
 }
 
 // TestTelemetryCheckpointCounters: the first run journals one record
@@ -240,22 +281,20 @@ func TestTelemetryCheckpointCounters(t *testing.T) {
 	}
 }
 
-// byteCountingSource wraps a source, implementing trace.ByteCounter
-// with a synthetic 4 bytes per reference, and mirrors every increment
-// into a shared total the test can compare against.
+// byteCountingSource wraps a packed source, implementing
+// trace.ByteCounter with a synthetic 4 bytes per word, and mirrors
+// every increment into a shared total the test can compare against.
 type byteCountingSource struct {
-	src   trace.Source
+	src   PackedSource
 	n     uint64
 	total *atomic.Uint64
 }
 
-func (b *byteCountingSource) Next() (trace.Ref, error) {
-	r, err := b.src.Next()
-	if err == nil {
-		b.n += 4
-		b.total.Add(4)
-	}
-	return r, err
+func (b *byteCountingSource) ReadPacked(dst []uint64) (int, error) {
+	n, err := b.src.ReadPacked(dst)
+	b.n += 4 * uint64(n)
+	b.total.Add(4 * uint64(n))
+	return n, err
 }
 
 func (b *byteCountingSource) Bytes() uint64 { return b.n }
@@ -270,7 +309,7 @@ func TestTelemetryBytesRead(t *testing.T) {
 	req := telemetryRequest()
 	req.Shards = 2
 	req.Recorder = rec
-	req.Hooks = &Hooks{WrapSource: func(workload string, src trace.Source) trace.Source {
+	req.Hooks = &Hooks{WrapSource: func(workload string, src PackedSource) PackedSource {
 		return &byteCountingSource{src: src, total: &total}
 	}}
 	if _, err := Run(req); err != nil {

@@ -23,6 +23,8 @@ package synth
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
 	"subcache/internal/addr"
 	"subcache/internal/rng"
@@ -174,6 +176,13 @@ type Generator struct {
 	locusZipf *rng.Zipf
 	scalarZ   *rng.Zipf
 
+	// Per-profile constants, derived once: geometric samplers for run,
+	// loop, phase and stack-offset lengths, the stream restart
+	// probability, and the divide-free instruction-length remainder.
+	runGeom, loopGeom, phaseGeom, backGeom rng.Geom
+	pStreamEnd                             float64
+	lenMod                                 modulus
+
 	loci    []addr.Addr // hot code locations
 	scalars []addr.Addr // hot variable addresses
 
@@ -194,15 +203,15 @@ type Generator struct {
 	stackTop int // byte offset within the stack region
 	streams  []addr.Addr
 
-	// Interleaving: data references owed before the next ifetch.
-	// pending[pendHead:] is the drain queue; the backing array is
-	// reused across refills so steady-state generation never allocates.
+	// Interleaving: owedData accrues DataRefsPerInstr per instruction,
+	// and each whole unit of it is one data reference owed before the
+	// next ifetch.  dataLeft counts them; each is generated when it is
+	// emitted, still before the next instruction step, so every stream
+	// draws in the order an eager queue would.
 	owedData float64
-	pending  []trace.Ref
-	pendHead int
+	dataLeft int
 
-	emitted int
-	limit   int // <= 0: unlimited
+	refsLeft int // references still to emit before EOF
 }
 
 // NewGenerator builds a generator for p.  limit bounds the number of
@@ -217,7 +226,10 @@ func NewGenerator(p Profile, limit int) (*Generator, error) {
 		ctlRand:  root.Split(),
 		dataRand: root.Split(),
 		lenRand:  root.Split(),
-		limit:    limit,
+		refsLeft: limit,
+	}
+	if limit <= 0 {
+		g.refsLeft = math.MaxInt
 	}
 	layout := root.Split()
 	g.loci = make([]addr.Addr, p.HotLoci)
@@ -234,6 +246,14 @@ func NewGenerator(p Profile, limit int) (*Generator, error) {
 	}
 	g.locusZipf = rng.NewZipf(g.ctlRand.Split(), p.HotLoci, p.CodeZipf)
 	g.scalarZ = rng.NewZipf(g.dataRand.Split(), p.HotScalars, p.ScalarZipf)
+	g.runGeom = rng.NewGeom(g.lenRand, 1/float64(p.MeanRunLen))
+	g.loopGeom = rng.NewGeom(g.lenRand, 1/float64(p.MeanLoopIter))
+	if p.PhaseLoci > 0 || p.PhaseScalars > 0 {
+		g.phaseGeom = rng.NewGeom(g.lenRand, 1/float64(p.MeanPhaseLen))
+	}
+	g.backGeom = rng.NewGeom(g.dataRand, 0.5)
+	g.pStreamEnd = 1 / float64(p.MeanStreamLen)
+	g.lenMod = newModulus(uint64((p.InstrMax-p.InstrMin)/p.InstrGrain) + 1)
 	g.stackTop = p.StackSize / 2
 	g.newPhase()
 	g.newRun()
@@ -264,7 +284,7 @@ func (g *Generator) newPhase() {
 	}
 	g.activeLoci = pick(g.loci, g.locusZipf, p.PhaseLoci)
 	g.activeScalars = pick(g.scalars, g.scalarZ, p.PhaseScalars)
-	g.phaseLeft = 1 + g.lenRand.Geometric(1/float64(p.MeanPhaseLen))
+	g.phaseLeft = 1 + g.phaseGeom.Next()
 }
 
 // Profile returns the generator's profile.
@@ -273,8 +293,7 @@ func (g *Generator) Profile() Profile { return g.p }
 // instrLen returns the deterministic instruction length at a, so loop
 // re-walks refetch identical addresses: static code has static layout.
 func (g *Generator) instrLen(a addr.Addr) int {
-	span := (g.p.InstrMax - g.p.InstrMin) / g.p.InstrGrain
-	if span == 0 {
+	if g.lenMod.d == 1 {
 		return g.p.InstrMin
 	}
 	// SplitMix-style avalanche of the address and seed.
@@ -282,13 +301,35 @@ func (g *Generator) instrLen(a addr.Addr) int {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return g.p.InstrMin + int(h%uint64(span+1))*g.p.InstrGrain
+	return g.p.InstrMin + int(g.lenMod.mod(h))*g.p.InstrGrain
+}
+
+// modulus computes h % d without a divide (Barrett reduction): with
+// m = floor((2^64-1)/d), the quotient estimate hi64(h*m) is exact or
+// one short for every 64-bit h, so one conditional subtraction fixes
+// the remainder.
+type modulus struct {
+	d, m uint64
+}
+
+func newModulus(d uint64) modulus {
+	return modulus{d: d, m: math.MaxUint64 / d}
+}
+
+// mod returns h % x.d.
+func (x modulus) mod(h uint64) uint64 {
+	q, _ := bits.Mul64(h, x.m)
+	r := h - q*x.d
+	if r >= x.d {
+		r -= x.d
+	}
+	return r
 }
 
 // newRun chooses the next control-flow target and run shape.
 func (g *Generator) newRun() {
 	p := &g.p
-	g.runLeft = 1 + g.lenRand.Geometric(1/float64(p.MeanRunLen))
+	g.runLeft = 1 + g.runGeom.Next()
 	var target addr.Addr
 	if g.pc != 0 && g.ctlRand.Bool(p.PNearJump) {
 		// Short forward skip: the forward bias of real code.
@@ -305,7 +346,7 @@ func (g *Generator) newRun() {
 	if g.ctlRand.Bool(p.PLoop) {
 		g.loopHead = target
 		g.loopLen = g.runLeft
-		g.loopLeft = g.lenRand.Geometric(1 / float64(p.MeanLoopIter))
+		g.loopLeft = g.loopGeom.Next()
 	} else {
 		g.loopLeft = 0
 	}
@@ -372,7 +413,7 @@ func (g *Generator) stepData() trace.Ref {
 		if g.stackTop >= p.StackSize {
 			g.stackTop = p.StackSize - p.AccessSize
 		}
-		back := g.dataRand.Geometric(0.5) * p.AccessSize
+		back := g.backGeom.Next() * p.AccessSize
 		off := g.stackTop - back
 		if off < 0 {
 			off = 0
@@ -386,7 +427,7 @@ func (g *Generator) stepData() trace.Ref {
 		g.streams[i] += addr.Addr(p.AccessSize)
 		end := addr.Addr(dataBase + p.DataSize)
 		restart := g.streams[i] >= end ||
-			g.dataRand.Bool(1/float64(p.MeanStreamLen))
+			g.dataRand.Bool(g.pStreamEnd)
 		if restart {
 			g.streams[i] = dataBase + addr.AlignDown(
 				addr.Addr(g.dataRand.Intn(p.DataSize)), uint64(p.AccessSize))
@@ -404,37 +445,104 @@ func (g *Generator) stepData() trace.Ref {
 
 // Next implements trace.Source.
 func (g *Generator) Next() (trace.Ref, error) {
-	if g.limit > 0 && g.emitted >= g.limit {
+	r, ok := g.next()
+	if !ok {
 		return trace.Ref{}, io.EOF
 	}
-	g.emitted++
-	if g.pendHead < len(g.pending) {
-		r := g.pending[g.pendHead]
-		g.pendHead++
-		return r, nil
-	}
-	ref := g.stepInstr()
-	g.owedData += g.p.DataRefsPerInstr
-	g.pending = g.pending[:0]
-	g.pendHead = 0
-	for g.owedData >= 1 {
-		g.owedData--
-		g.pending = append(g.pending, g.stepData())
-	}
-	return ref, nil
+	return r, nil
 }
 
-// NewWordSource returns the profile's reference stream pre-split to
-// word accesses on a data path of the given width: the exact input a
-// cache simulation replays, as a stream.  limit bounds the generated
-// references before splitting, so the emitted accesses match
+// next is Next for in-package callers: ok is false once limit
+// references have been emitted.
+func (g *Generator) next() (ref trace.Ref, ok bool) {
+	if g.refsLeft == 0 {
+		return trace.Ref{}, false
+	}
+	g.refsLeft--
+	if g.dataLeft > 0 {
+		g.dataLeft--
+		return g.stepData(), true
+	}
+	ref = g.stepInstr()
+	g.owedData += g.p.DataRefsPerInstr
+	for g.owedData >= 1 {
+		g.owedData--
+		g.dataLeft++
+	}
+	return ref, true
+}
+
+// WordSource is a profile's reference stream split to word accesses on
+// a data path of one width: the exact input a cache simulation replays.
+// It serves the stream two ways over one carried state, so the views
+// may be mixed: ReadPacked writes words straight into trace.PackRefs
+// form, the sweep executor's chunk format; Next returns them one at a
+// time as a trace.Source.  Either way the words are those of
+// trace.NewSplitter over the Generator, in the same order.
+type WordSource struct {
+	g         *Generator
+	wordShift uint
+	// The reference being split: its next word in PackRefs form and
+	// how many of its words are still to come.  A reference may
+	// straddle two ReadPacked calls.
+	word uint64
+	left int
+}
+
+// NewWordSource returns the word source for profile p on a data path
+// of wordSize bytes (a power of two).  limit bounds the generated
+// references before splitting (<= 0 for unlimited), so the words match
 // Generate(p, limit) expanded through trace.SplitAll.
-func NewWordSource(p Profile, limit, wordSize int) (trace.Source, error) {
+func NewWordSource(p Profile, limit, wordSize int) (*WordSource, error) {
+	if wordSize <= 0 || !addr.IsPow2(uint64(wordSize)) {
+		return nil, fmt.Errorf("synth %s: word size %d is not a positive power of two", p.Name, wordSize)
+	}
 	g, err := NewGenerator(p, limit)
 	if err != nil {
 		return nil, err
 	}
-	return trace.NewSplitter(g, wordSize), nil
+	return &WordSource{g: g, wordShift: addr.Log2(uint64(wordSize))}, nil
+}
+
+// ReadPacked fills dst with the next words in trace.PackRefs form at
+// the source's word size, returning how many it stored.  It stops
+// short only at end of stream, where the error is io.EOF -- possibly
+// alongside n > 0 -- exactly as trace.ReadChunk does.
+func (w *WordSource) ReadPacked(dst []uint64) (int, error) {
+	word, left := w.word, w.left
+	for n := range dst {
+		if left == 0 {
+			r, ok := w.g.next()
+			if !ok {
+				w.left = 0
+				return n, io.EOF
+			}
+			first, words := trace.WordSpan(r, w.wordShift)
+			word, left = first<<2|uint64(r.Kind), words
+		}
+		dst[n] = word
+		word += 4
+		left--
+	}
+	w.word, w.left = word, left
+	return len(dst), nil
+}
+
+// Next implements trace.Source: the next word access, every one
+// word-sized and word-aligned.
+func (w *WordSource) Next() (trace.Ref, error) {
+	if w.left == 0 {
+		r, ok := w.g.next()
+		if !ok {
+			return trace.Ref{}, io.EOF
+		}
+		first, words := trace.WordSpan(r, w.wordShift)
+		w.word, w.left = first<<2|uint64(r.Kind), words
+	}
+	v := w.word
+	w.word += 4
+	w.left--
+	return trace.UnpackRef(v, w.wordShift), nil
 }
 
 // Generate materialises n references of the profile into memory,

@@ -164,15 +164,19 @@ func (g Gauge) String() string {
 type Stage int
 
 const (
-	// StageTraceRead is time generating or decoding trace references.
+	// StageTraceRead is producer time filling broadcast chunks from
+	// the word source: generating (or decoding) the trace straight
+	// into packed words.
 	StageTraceRead Stage = iota
-	// StagePack is producer time packing references into the
-	// broadcast chunk's word form (trace.PackRefs).
-	StagePack
+	// StageDecode is shard time unpacking broadcast chunks back to
+	// references for the shard's reference caches (trace.UnpackRefs);
+	// only shards that host reference caches record it.
+	StageDecode
 	// StageBroadcast is producer time distributing chunks to shard
 	// queues, including time blocked on an empty free ring.
 	StageBroadcast
-	// StageSimulate is shard/unit time inside the access kernels.
+	// StageSimulate is shard/unit time inside the access kernels,
+	// excluding decode.
 	StageSimulate
 	// StageFlush is time finalising usage counters at end of pass.
 	StageFlush
@@ -184,7 +188,7 @@ const (
 
 var stageNames = [numStages]string{
 	StageTraceRead:  "trace_read",
-	StagePack:       "pack",
+	StageDecode:     "decode",
 	StageBroadcast:  "broadcast",
 	StageSimulate:   "simulate",
 	StageFlush:      "flush",

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"subcache/internal/addr"
 )
@@ -19,8 +20,8 @@ import (
 // baseline both consume, so the traffic ratio denominator is exactly the
 // number of countable accesses emitted here.
 type Splitter struct {
-	src      Source
-	wordSize uint64
+	src       Source
+	wordShift uint
 
 	// pending words of the reference currently being expanded.
 	cur     Ref
@@ -33,46 +34,51 @@ func NewSplitter(src Source, wordSize int) *Splitter {
 	if wordSize <= 0 || !addr.IsPow2(uint64(wordSize)) {
 		panic(fmt.Sprintf("trace.NewSplitter: word size %d is not a positive power of two", wordSize))
 	}
-	return &Splitter{src: src, wordSize: uint64(wordSize)}
+	return &Splitter{src: src, wordShift: addr.Log2(uint64(wordSize))}
 }
 
 // WordSize returns the data-path width in bytes.
-func (s *Splitter) WordSize() int { return int(s.wordSize) }
+func (s *Splitter) WordSize() int { return 1 << s.wordShift }
 
 // Next implements Source.  Every returned Ref has Size == WordSize() and
 // an address aligned to the word size.
 func (s *Splitter) Next() (Ref, error) {
-	for s.pending == 0 {
+	if s.pending == 0 {
 		r, err := s.src.Next()
 		if err != nil {
 			return Ref{}, err
 		}
-		size := uint64(r.Size)
-		if size == 0 {
-			size = 1
-		}
-		first := addr.AlignDown(r.Addr, s.wordSize)
-		last := addr.AlignDown(r.Addr+addr.Addr(size-1), s.wordSize)
-		s.cur = Ref{Addr: first, Kind: r.Kind, Size: uint8(s.wordSize)}
-		s.pending = int((last-first)/addr.Addr(s.wordSize)) + 1
+		first, n := WordSpan(r, s.wordShift)
+		s.cur = Ref{Addr: addr.Addr(first << s.wordShift), Kind: r.Kind, Size: uint8(1 << s.wordShift)}
+		s.pending = n
 	}
 	out := s.cur
 	s.pending--
-	s.cur.Addr += addr.Addr(s.wordSize)
+	s.cur.Addr += 1 << s.wordShift
 	return out, nil
+}
+
+// WordSpan returns the word index (address >> wordShift) of the first
+// word r touches on a data path of 1<<wordShift bytes, and how many
+// consecutive words it touches.  A zero Size counts as one byte.  It is
+// the split arithmetic of Splitter and CountWords, and of any source
+// that emits split words directly in PackRefs form.
+func WordSpan(r Ref, wordShift uint) (first uint64, words int) {
+	size := uint64(r.Size)
+	if size == 0 {
+		size = 1
+	}
+	mask := addr.Addr(1)<<wordShift - 1
+	lo := r.Addr &^ mask
+	hi := (r.Addr + addr.Addr(size-1)) &^ mask
+	return uint64(lo) >> wordShift, int((hi-lo)>>wordShift) + 1
 }
 
 // CountWords reports how many word-sized accesses a reference expands to
 // on a data path of the given width.
 func CountWords(r Ref, wordSize int) int {
-	w := uint64(wordSize)
-	size := uint64(r.Size)
-	if size == 0 {
-		size = 1
-	}
-	first := addr.AlignDown(r.Addr, w)
-	last := addr.AlignDown(r.Addr+addr.Addr(size-1), w)
-	return int((last-first)/addr.Addr(w)) + 1
+	_, n := WordSpan(r, uint(bits.TrailingZeros64(uint64(wordSize))))
+	return n
 }
 
 // ChunkRefs is the standard batching granularity of the simulation
