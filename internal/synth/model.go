@@ -482,10 +482,10 @@ func (g *Generator) next() (ref trace.Ref, ok bool) {
 type WordSource struct {
 	g         *Generator
 	wordShift uint
-	// The reference being split: its next word in PackRefs form and
-	// how many of its words are still to come.  A reference may
-	// straddle two ReadPacked calls.
-	word uint64
+	// The reference being split: its next word access and how many of
+	// its words are still to come.  A reference may straddle two
+	// ReadPacked calls, or a ReadPacked call and Next.
+	cur  trace.Ref
 	left int
 }
 
@@ -509,7 +509,8 @@ func NewWordSource(p Profile, limit, wordSize int) (*WordSource, error) {
 // short only at end of stream, where the error is io.EOF -- possibly
 // alongside n > 0 -- exactly as trace.ReadChunk does.
 func (w *WordSource) ReadPacked(dst []uint64) (int, error) {
-	word, left := w.word, w.left
+	shift := w.wordShift
+	word, left := trace.PackRef(w.cur, shift), w.left
 	for n := range dst {
 		if left == 0 {
 			r, ok := w.g.next()
@@ -517,14 +518,14 @@ func (w *WordSource) ReadPacked(dst []uint64) (int, error) {
 				w.left = 0
 				return n, io.EOF
 			}
-			first, words := trace.WordSpan(r, w.wordShift)
+			first, words := trace.WordSpan(r, shift)
 			word, left = first<<2|uint64(r.Kind), words
 		}
 		dst[n] = word
 		word += 4
 		left--
 	}
-	w.word, w.left = word, left
+	w.cur, w.left = trace.UnpackRef(word, shift), left
 	return len(dst), nil
 }
 
@@ -537,12 +538,13 @@ func (w *WordSource) Next() (trace.Ref, error) {
 			return trace.Ref{}, io.EOF
 		}
 		first, words := trace.WordSpan(r, w.wordShift)
-		w.word, w.left = first<<2|uint64(r.Kind), words
+		w.cur = trace.UnpackRef(first<<2|uint64(r.Kind), w.wordShift)
+		w.left = words
 	}
-	v := w.word
-	w.word += 4
+	out := w.cur
+	w.cur.Addr += 1 << w.wordShift
 	w.left--
-	return trace.UnpackRef(v, w.wordShift), nil
+	return out, nil
 }
 
 // Generate materialises n references of the profile into memory,

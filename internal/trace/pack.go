@@ -16,8 +16,13 @@ import "subcache/internal/addr"
 func PackRefs(dst []uint64, refs []Ref, wordShift uint) {
 	_ = dst[:len(refs)]
 	for i := range refs {
-		dst[i] = uint64(refs[i].Addr)>>wordShift<<2 | uint64(refs[i].Kind)
+		dst[i] = PackRef(refs[i], wordShift)
 	}
+}
+
+// PackRef is the packed form of one reference, as PackRefs writes it.
+func PackRef(r Ref, wordShift uint) uint64 {
+	return uint64(r.Addr)>>wordShift<<2 | uint64(r.Kind)
 }
 
 // UnpackRef decodes one PackRefs word: the word-aligned, word-sized
