@@ -518,8 +518,8 @@ func (w *WordSource) ReadPacked(dst []uint64) (int, error) {
 				w.left = 0
 				return n, io.EOF
 			}
-			first, words := trace.WordSpan(r, shift)
-			word, left = first<<2|uint64(r.Kind), words
+			first, words := trace.SplitRef(r, shift)
+			word, left = trace.PackRef(first, shift), words
 		}
 		dst[n] = word
 		word += 4
@@ -537,9 +537,7 @@ func (w *WordSource) Next() (trace.Ref, error) {
 		if !ok {
 			return trace.Ref{}, io.EOF
 		}
-		first, words := trace.WordSpan(r, w.wordShift)
-		w.cur = trace.UnpackRef(first<<2|uint64(r.Kind), w.wordShift)
-		w.left = words
+		w.cur, w.left = trace.SplitRef(r, w.wordShift)
 	}
 	out := w.cur
 	w.cur.Addr += 1 << w.wordShift

@@ -48,9 +48,7 @@ func (s *Splitter) Next() (Ref, error) {
 		if err != nil {
 			return Ref{}, err
 		}
-		first, n := WordSpan(r, s.wordShift)
-		s.cur = Ref{Addr: addr.Addr(first << s.wordShift), Kind: r.Kind, Size: uint8(1 << s.wordShift)}
-		s.pending = n
+		s.cur, s.pending = SplitRef(r, s.wordShift)
 	}
 	out := s.cur
 	s.pending--
@@ -58,12 +56,12 @@ func (s *Splitter) Next() (Ref, error) {
 	return out, nil
 }
 
-// WordSpan returns the word index (address >> wordShift) of the first
-// word r touches on a data path of 1<<wordShift bytes, and how many
-// consecutive words it touches.  A zero Size counts as one byte.  It is
-// the split arithmetic of Splitter and CountWords, and of any source
-// that emits split words directly in PackRefs form.
-func WordSpan(r Ref, wordShift uint) (first uint64, words int) {
+// SplitRef returns the first word access r splits into on a data path
+// of 1<<wordShift bytes -- word-aligned, word-sized, of r's kind --
+// and how many consecutive words r touches; a zero Size counts as one
+// byte.  It is the split arithmetic of Splitter, CountWords and any
+// source that splits references itself.
+func SplitRef(r Ref, wordShift uint) (first Ref, words int) {
 	size := uint64(r.Size)
 	if size == 0 {
 		size = 1
@@ -71,13 +69,13 @@ func WordSpan(r Ref, wordShift uint) (first uint64, words int) {
 	mask := addr.Addr(1)<<wordShift - 1
 	lo := r.Addr &^ mask
 	hi := (r.Addr + addr.Addr(size-1)) &^ mask
-	return uint64(lo) >> wordShift, int((hi-lo)>>wordShift) + 1
+	return Ref{Addr: lo, Kind: r.Kind, Size: uint8(1) << wordShift}, int((hi-lo)>>wordShift) + 1
 }
 
 // CountWords reports how many word-sized accesses a reference expands to
 // on a data path of the given width.
 func CountWords(r Ref, wordSize int) int {
-	_, n := WordSpan(r, uint(bits.TrailingZeros64(uint64(wordSize))))
+	_, n := SplitRef(r, uint(bits.TrailingZeros64(uint64(wordSize))))
 	return n
 }
 
