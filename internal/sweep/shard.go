@@ -383,10 +383,9 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		psp := telemetry.StartSpan(rec, telemetry.Span{Name: "produce", Parent: parentSpan, Workload: prof.Name})
 		defer psp.End()
 		// Producer-side stage accounting, per chunk: time filling it
-		// from the word source (generating or decoding the stream) is
-		// trace-read; time waiting for a free buffer (backpressure from
-		// the slowest shard) plus time handing chunks to shard queues is
-		// broadcast.
+		// from the word source is trace-read; time waiting for a free
+		// buffer (backpressure from the slowest shard) plus time
+		// handing chunks to shard queues is broadcast.
 		var readTime, castTime time.Duration
 		if enabled {
 			defer func() {

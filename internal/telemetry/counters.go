@@ -165,8 +165,8 @@ type Stage int
 
 const (
 	// StageTraceRead is producer time filling broadcast chunks from
-	// the word source: generating (or decoding) the trace straight
-	// into packed words.
+	// the word source, which generates the trace straight into packed
+	// words.
 	StageTraceRead Stage = iota
 	// StageDecode is shard time unpacking broadcast chunks back to
 	// references for the shard's reference caches (trace.UnpackRefs);
