@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"subcache/internal/cache"
@@ -223,42 +224,49 @@ func TestCheckpointResumeByteForByte(t *testing.T) {
 
 // TestCheckpointAcrossStrategies: the fingerprint deliberately excludes
 // engine, shards, parallelism and the workload subset, so a journal
-// written by a partial-suite multipass run seeds a full-suite sharded
-// reference run -- and the restored entries are byte-identical.
+// written by a partial-suite multipass run seeds a full-suite reference
+// run at NumCPU shards -- and the merged results are identical to an
+// uninterrupted sweep.  Every architecture checkpoints its Table 7 grid
+// into the one journal, so the fingerprint must also keep them apart.
 func TestCheckpointAcrossStrategies(t *testing.T) {
-	pts := Grid([]int{64}, 2)
 	path := tmpJournal(t)
-	profiles := synth.Workloads(synth.PDP11)
-	if len(profiles) < 3 {
-		t.Skip("suite too small for a subset run")
-	}
-	subset := []string{profiles[0].Name, profiles[2].Name}
+	for _, a := range synth.AllArchs() {
+		base := Request{Arch: a, Points: Grid([]int{64, 256, 1024}, a.WordSize()),
+			Refs: 15000, Engine: MultiPass}
+		want, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	first, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 15000,
-		Engine: MultiPass, Shards: 2, Workloads: subset, Checkpoint: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Resumed != 0 {
-		t.Fatalf("fresh run resumed %d workloads", first.Resumed)
-	}
+		suite := synth.Workloads(a)
+		half := max(len(suite)/2, 1)
+		partial := base
+		partial.Checkpoint = path
+		for _, p := range suite[:half] {
+			partial.Workloads = append(partial.Workloads, p.Name)
+		}
+		first, err := Run(partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Resumed != 0 {
+			t.Fatalf("%v: fresh run resumed %d workloads", a, first.Resumed)
+		}
 
-	full := Request{Arch: synth.PDP11, Points: pts, Refs: 15000,
-		Engine: Reference, Shards: 0, Checkpoint: path}
-	got, err := Run(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Resumed != len(subset) {
-		t.Errorf("Resumed = %d, want %d", got.Resumed, len(subset))
-	}
-	clean := Request{Arch: synth.PDP11, Points: pts, Refs: 15000, Engine: Reference}
-	want, err := Run(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(marshalRuns(t, got)) != string(marshalRuns(t, want)) {
-		t.Error("cross-strategy resume differs from a clean run")
+		resumed := base
+		resumed.Checkpoint = path
+		resumed.Engine = Reference
+		resumed.Shards = runtime.NumCPU()
+		got, err := Run(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Resumed != half {
+			t.Errorf("%v: Resumed = %d, want %d", a, got.Resumed, half)
+		}
+		if !reflect.DeepEqual(got.Runs, want.Runs) || !reflect.DeepEqual(got.Summaries, want.Summaries) {
+			t.Errorf("%v: cross-strategy resume differs from an uninterrupted sweep", a)
+		}
 	}
 }
 

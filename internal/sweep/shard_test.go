@@ -20,50 +20,65 @@ import (
 // an oracle that does not use it -- RunOne, one cache.Cache fed straight
 // from the generator per (workload, point) -- bit for bit, every run
 // and every summary, for every engine at every shard count, because
-// sharding partitions configurations, never the trace.
+// sharding partitions configurations, never the trace.  It covers the
+// whole Table 7 grid of every architecture: the 4-byte words of the
+// VAX-11 and System/370, the Z8000 warm start and net 1024.  PDP-11
+// runs every shard setting; the other architectures run shards 1 and
+// NumCPU, which keeps the race-detector run short.
 func TestShardedDifferential(t *testing.T) {
-	pts := Grid([]int{64, 256}, 2)
-	base := Request{Arch: synth.PDP11, Points: pts, Refs: 20000}
-	workloads := synth.Workloads(synth.PDP11)
-
-	want := make(map[Point][]metrics.Run, len(pts))
-	for _, p := range pts {
-		for _, prof := range workloads {
-			run, err := RunOne(prof, p.Config(base.Arch), base.Refs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[p] = append(want[p], run)
-		}
+	const refs = 20000
+	type oracle struct {
+		pts    []Point
+		passes int // trace passes of a single-pass engine
+		runs   map[Point][]metrics.Run
 	}
-
-	for _, eng := range []Engine{Reference, MultiPass, StackDist} {
-		passes := len(workloads)
-		if eng == Reference {
-			passes *= len(pts)
-		}
-		for _, sc := range []struct {
-			name   string
-			shards int
-		}{{"auto", 0}, {"shards=1", 1}, {"shards=2", 2}, {"shards=3", 3}, {"shards=ncpu", runtime.NumCPU()}} {
-			t.Run(eng.String()+"/"+sc.name, func(t *testing.T) {
-				req := base
-				req.Engine = eng
-				req.Shards = sc.shards
-				got, err := Run(req)
+	want := make(map[synth.Arch]oracle)
+	for _, a := range synth.AllArchs() {
+		o := oracle{pts: Grid([]int{64, 256, 1024}, a.WordSize()), runs: make(map[Point][]metrics.Run)}
+		for _, prof := range synth.Workloads(a) {
+			o.passes++
+			for _, p := range o.pts {
+				run, err := RunOne(prof, p.Config(a), refs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.TracePasses != passes {
-					t.Errorf("TracePasses = %d, want %d", got.TracePasses, passes)
-				}
-				for _, p := range pts {
-					if !reflect.DeepEqual(got.Runs[p], want[p]) {
-						t.Fatalf("%v: runs differ from per-point RunOne\n got:  %v\n want: %v",
-							p, got.Runs[p], want[p])
+				o.runs[p] = append(o.runs[p], run)
+			}
+		}
+		want[a] = o
+	}
+
+	for _, eng := range []Engine{Reference, MultiPass, StackDist} {
+		for _, sc := range []struct {
+			name     string
+			shards   int
+			allArchs bool
+		}{{"auto", 0, false}, {"shards=1", 1, true}, {"shards=2", 2, false}, {"shards=3", 3, false}, {"shards=ncpu", runtime.NumCPU(), true}} {
+			t.Run(eng.String()+"/"+sc.name, func(t *testing.T) {
+				for _, a := range synth.AllArchs() {
+					if a != synth.PDP11 && !sc.allArchs {
+						continue
 					}
-					if got.Summaries[p] != metrics.Average(want[p]) {
-						t.Errorf("%v: summaries differ", p)
+					o := want[a]
+					got, err := Run(Request{Arch: a, Points: o.pts, Refs: refs, Engine: eng, Shards: sc.shards})
+					if err != nil {
+						t.Fatalf("%v: %v", a, err)
+					}
+					passes := o.passes
+					if eng == Reference {
+						passes *= len(o.pts)
+					}
+					if got.TracePasses != passes {
+						t.Errorf("%v: TracePasses = %d, want %d", a, got.TracePasses, passes)
+					}
+					for _, p := range o.pts {
+						if !reflect.DeepEqual(got.Runs[p], o.runs[p]) {
+							t.Fatalf("%v %v: runs differ from per-point RunOne\n got:  %v\n want: %v",
+								a, p, got.Runs[p], o.runs[p])
+						}
+						if got.Summaries[p] != metrics.Average(o.runs[p]) {
+							t.Errorf("%v %v: summaries differ", a, p)
+						}
 					}
 				}
 			})
