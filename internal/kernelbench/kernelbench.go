@@ -1,7 +1,8 @@
 // Package kernelbench times the three sweep engines' access kernels on
-// two extreme reference streams, shared by cmd/benchsweep (which
-// records the figures in BENCH_sweep.json) and cmd/benchcheck (which
-// gates them against the committed BENCH_baseline.json).
+// two extreme reference streams.  perfbench's traced run reports the
+// figures as its *.hit_ns and *.miss_ns rows, which the layer record
+// (BENCH_layers.json, written by scripts/bench-layers.sh) commits and
+// checks against the previous record.
 //
 //   - hit: a steady-state resident block is referenced word by word --
 //     after the first touch every access is a full hit, the same-block
@@ -128,7 +129,7 @@ func Bench(eng sweep.Engine) (hitNs, missNs float64, err error) {
 // branch behaviour.  Shared-machine CI clocks swing by 2x between runs;
 // dividing a fresh calibration by the baseline's gives the scale factor
 // that separates a genuine kernel regression from the machine simply
-// running slower today (see cmd/benchcheck).
+// running slower today (see scripts/bench-layers.sh).
 func Calibrate() float64 {
 	const iters = 50_000_000
 	s := uint64(1)

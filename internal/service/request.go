@@ -1,7 +1,7 @@
 // Wire vocabulary of the sweep service: the JSON request a client
 // POSTs, its validation limits, and the JSON result a finished sweep
-// serves.  The request deliberately mirrors the benchsweep/experiments
-// flag vocabulary (arch, nets, refs, workloads, engine, shards) so a
+// serves.  The request deliberately mirrors the experiments flag
+// vocabulary (arch, nets, refs, workloads, engine, shards) so a
 // CLI invocation translates 1:1 into a service call, and the result is
 // a flattened, self-describing rendering of sweep.Result.
 package service

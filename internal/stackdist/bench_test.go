@@ -1,8 +1,10 @@
 // Benchmarks comparing the one-pass stack engine against the multipass
 // family kernel on a realistic Table 7 slice: one stack group per block
 // size spanning the paper's three net sizes, driven by a synthetic
-// workload trace.  These are the numbers behind benchsweep's per-engine
-// ns_per_ref column; run them when touching the Access walk.
+// workload trace.  perfbench's traced run reports the same comparison
+// per block size (stackdist.block<B>_ns_per_ref against
+// multipass.block<B>_ns_per_ref, committed in BENCH_layers.json); run
+// these when touching the Access walk.
 package stackdist_test
 
 import (

@@ -8,7 +8,8 @@ import (
 
 // benchRefs keeps the benchmark grid representative (warm caches, real
 // contention) while fast enough for -bench=.; the full-scale numbers are
-// produced by cmd/benchsweep and recorded in BENCH_sweep.json.
+// perfbench's table7-grid workload, whose per-layer figures are
+// committed in BENCH_layers.json.
 const benchRefs = 20000
 
 // BenchmarkSweepTable7 regenerates one architecture's full Table 7 grid

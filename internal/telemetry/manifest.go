@@ -22,7 +22,7 @@ const ManifestVersion = 1
 type Manifest struct {
 	// V is the manifest schema version (ManifestVersion).
 	V int `json:"v"`
-	// Tool names the command that ran ("benchsweep", "experiments", ...).
+	// Tool names the command that ran ("experiments", "sweepd", ...).
 	Tool string `json:"tool"`
 	// Fingerprint is a short hash of the run's effective configuration
 	// (see Fingerprint); runs with equal fingerprints simulated the

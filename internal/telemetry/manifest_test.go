@@ -15,7 +15,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	r.Add(RefsRead, 42)
 	r.Add(PointsCompleted, 19)
 
-	m := NewManifest("benchsweep", Fingerprint("refs=1000", "nets=[64]"))
+	m := NewManifest("experiments", Fingerprint("refs=1000", "nets=[64]"))
 	m.Engine = "multipass"
 	m.Shards = 4
 	m.Finish(time.Now().Add(-time.Second), r)
@@ -28,7 +28,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if got.Tool != "benchsweep" || got.Engine != "multipass" || got.Shards != 4 {
+	if got.Tool != "experiments" || got.Engine != "multipass" || got.Shards != 4 {
 		t.Errorf("run description mangled: %+v", got)
 	}
 	if got.Fingerprint != m.Fingerprint {

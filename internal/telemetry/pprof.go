@@ -12,7 +12,7 @@ import (
 
 // Profiling hooks: the net/http/pprof endpoint for live inspection of
 // a running sweep, and the start/stop CPU- and heap-profile helpers
-// every command shares (previously duplicated in benchsweep).
+// every command shares.
 
 // ServePprof starts an HTTP server exposing the standard
 // /debug/pprof/ endpoints on addr (e.g. "localhost:6060"; ":0" picks
