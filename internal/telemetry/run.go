@@ -36,14 +36,12 @@ type Options struct {
 }
 
 // Run is the live Recorder: pre-sized atomic arrays for counters,
-// gauges, stage times and shard aggregates, plus an optional event
+// gauges, stage histograms and shard aggregates, plus an optional event
 // sink and heartbeat.  All methods are safe for concurrent use.
 type Run struct {
 	start      time.Time
 	counters   [numCounters]atomic.Uint64
 	gauges     [numGauges]atomic.Int64
-	stages     [numStages]atomic.Int64 // nanoseconds
-	stageN     [numStages]atomic.Uint64
 	stageHists [numStages]Histogram
 	hists      [numHists]Histogram
 	shards     [MaxShards]shardCell
@@ -90,13 +88,11 @@ func (r *Run) SetGauge(g Gauge, v int64) {
 	}
 }
 
-// Observe implements Recorder: the duration accumulates into the
-// stage's total, bumps its observation count, and lands in its latency
-// histogram, all atomically.
+// Observe implements Recorder: the duration lands in the stage's
+// latency histogram, whose count and sum are the stage's observation
+// count and total time.
 func (r *Run) Observe(s Stage, d time.Duration) {
 	if s >= 0 && s < numStages {
-		r.stages[s].Add(int64(d))
-		r.stageN[s].Add(1)
 		r.stageHists[s].ObserveDur(d)
 	}
 }
@@ -177,21 +173,21 @@ func (r *Run) Snapshot() *Snapshot {
 		}
 	}
 	for st := Stage(0); st < numStages; st++ {
-		if v := r.stages[st].Load(); v != 0 {
-			s.StagesMS[st.String()] = float64(v) / 1e6
+		hs := r.stageHists[st].Snap()
+		if hs == nil {
+			continue
 		}
-		if n := r.stageN[st].Load(); n != 0 {
-			if s.StagesN == nil {
-				s.StagesN = make(map[string]uint64, numStages)
-			}
-			s.StagesN[st.String()] = n
+		if hs.SumNanos != 0 {
+			s.StagesMS[st.String()] = float64(hs.SumNanos) / 1e6
 		}
-		if hs := r.stageHists[st].Snap(); hs != nil {
-			if s.Hists == nil {
-				s.Hists = make(map[string]*HistSnap)
-			}
-			s.Hists["stage_"+st.String()] = hs
+		if s.StagesN == nil {
+			s.StagesN = make(map[string]uint64, numStages)
 		}
+		s.StagesN[st.String()] = hs.Count
+		if s.Hists == nil {
+			s.Hists = make(map[string]*HistSnap)
+		}
+		s.Hists["stage_"+st.String()] = hs
 	}
 	for h := Hist(0); h < numHists; h++ {
 		if hs := r.hists[h].Snap(); hs != nil {

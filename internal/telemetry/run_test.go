@@ -50,6 +50,7 @@ func TestRunSnapshot(t *testing.T) {
 	r.SetGauge(FreeRingOccupancy, 3)
 	r.Observe(StageSimulate, 2*time.Millisecond)
 	r.Observe(StageSimulate, 1*time.Millisecond)
+	r.Observe(StageFlush, 0)
 	r.ShardObserve(0, 50, time.Millisecond)
 	r.ShardObserve(2, 73, 2*time.Millisecond)
 
@@ -68,6 +69,17 @@ func TestRunSnapshot(t *testing.T) {
 	}
 	if got := s.StagesMS["simulate"]; got != 3.0 {
 		t.Errorf("simulate stage = %vms, want 3ms", got)
+	}
+	// Stage totals and counts come from the stage histograms: a stage
+	// observed only at zero duration has a count but no total.
+	if got := s.StagesN["simulate"]; got != 2 {
+		t.Errorf("simulate observations = %d, want 2", got)
+	}
+	if _, ok := s.StagesMS["flush"]; ok || s.StagesN["flush"] != 1 {
+		t.Errorf("zero-duration flush: stages_ms %v, stages_n %v; want no total and one observation", s.StagesMS, s.StagesN)
+	}
+	if _, ok := s.StagesN["decode"]; ok {
+		t.Error("unobserved stage decode present in stages_n")
 	}
 	// Shard 1 was never observed but sits inside the observed range, so
 	// it appears with zeros; the range ends at the highest shard seen.
