@@ -58,18 +58,3 @@ func TestSimulateWorkloadManyErrors(t *testing.T) {
 		t.Error("accepted invalid geometry")
 	}
 }
-
-func TestParseEngineFacade(t *testing.T) {
-	for want, name := range map[Engine]string{
-		ReferenceEngine: "reference",
-		MultiPassEngine: "multipass",
-	} {
-		got, err := ParseEngine(name)
-		if err != nil || got != want {
-			t.Errorf("ParseEngine(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseEngine("bogus"); err == nil {
-		t.Error("ParseEngine accepted junk")
-	}
-}

@@ -248,23 +248,6 @@ func SimulateSuite(a Arch, cfg Config, refs int) ([]Run, Summary, error) {
 	return runs, metrics.Average(runs), nil
 }
 
-// Engine selects how multi-configuration simulations replay traces:
-// ReferenceEngine makes one trace pass per configuration,
-// MultiPassEngine evaluates whole configuration families in a single
-// pass with bit-identical counters (docs/MODEL.md, "Single-pass
-// multi-configuration sweeps").
-type Engine = sweep.Engine
-
-// Sweep engines.
-const (
-	ReferenceEngine = sweep.Reference
-	MultiPassEngine = sweep.MultiPass
-)
-
-// ParseEngine converts an engine name ("reference", "multipass") to an
-// Engine, for command-line flags.
-func ParseEngine(s string) (Engine, error) { return sweep.ParseEngine(s) }
-
 // SimulateWorkloadMany measures every configuration against the named
 // workload in a single pass over its trace.  Configurations that share
 // tag geometry and policies, differing only in SubBlockSize and Fetch,
