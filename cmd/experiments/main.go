@@ -42,6 +42,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -158,14 +159,36 @@ func main() {
 	}
 }
 
-// writeIndex records what was generated and with what parameters, so a
-// results directory is self-describing.
+// writeIndex records what the output directory holds and with what
+// parameters, so a results directory is self-describing.  It lists, in
+// registry order, every experiment whose text artifact is present:
+// those this run wrote, at refs, and those an earlier run wrote, at the
+// length the earlier index gives them.  A partial run therefore adds to
+// the index instead of truncating it.
 func writeIndex(dir string, refs int, ran []experiment) error {
+	lengths := indexedRefs(filepath.Join(dir, "INDEX.md"))
+	for _, e := range ran {
+		lengths[e.id] = refs
+	}
+	var rows []experiment
+	uniform := true
+	for _, e := range experiments {
+		n, ok := lengths[e.id]
+		if _, err := os.Stat(filepath.Join(dir, e.id+".txt")); !ok || err != nil {
+			continue
+		}
+		uniform = uniform && (len(rows) == 0 || n == lengths[rows[0].id])
+		rows = append(rows, e)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Results index\n\n")
-	fmt.Fprintf(&b, "Generated by `cmd/experiments` with %d references per workload.\n\n", refs)
-	fmt.Fprintf(&b, "| id | artifact | files |\n|---|---|---|\n")
-	for _, e := range ran {
+	if uniform && len(rows) > 0 {
+		fmt.Fprintf(&b, "Generated by `cmd/experiments` with %d references per workload.\n\n", lengths[rows[0].id])
+	} else {
+		fmt.Fprintf(&b, "Generated by `cmd/experiments` in runs of different lengths; `refs` is each artifact's references per workload.\n\n")
+	}
+	fmt.Fprintf(&b, "| id | artifact | refs | files |\n|---|---|---|---|\n")
+	for _, e := range rows {
 		files := fmt.Sprintf("`%s.txt`", e.id)
 		if _, err := os.Stat(filepath.Join(dir, e.id+".csv")); err == nil {
 			files += fmt.Sprintf(", `%s.csv`", e.id)
@@ -173,9 +196,36 @@ func writeIndex(dir string, refs int, ran []experiment) error {
 		if _, err := os.Stat(filepath.Join(dir, e.id+".svg")); err == nil {
 			files += fmt.Sprintf(", `%s.svg`", e.id)
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s |\n", e.id, e.title, files)
+		fmt.Fprintf(&b, "| %s | %s | %d | %s |\n", e.id, e.title, lengths[e.id], files)
 	}
 	return os.WriteFile(filepath.Join(dir, "INDEX.md"), []byte(b.String()), 0o644)
+}
+
+// indexedRefs reads the references per workload that an existing index
+// gives each artifact: its row's refs cell or, in an index without that
+// column, the length in the header.  A missing index gives none.
+func indexedRefs(path string) map[string]int {
+	lengths := make(map[string]int)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return lengths
+	}
+	header := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		fmt.Sscanf(line, "Generated by `cmd/experiments` with %d references", &header)
+		cells := strings.Split(line, " | ")
+		if len(cells) < 3 || !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		n, err := strconv.Atoi(cells[len(cells)-2])
+		if err != nil {
+			n = header
+		}
+		if n > 0 {
+			lengths[strings.TrimPrefix(cells[0], "| ")] = n
+		}
+	}
+	return lengths
 }
 
 // artifact is one experiment's output: human text plus optional CSV

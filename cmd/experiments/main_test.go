@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,6 +101,59 @@ func TestExperimentsRunAtTinyScale(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("experiment %q not found", id)
+		}
+	}
+}
+
+// TestIndexKeepsEarlierRuns: partial runs into one directory add to its
+// INDEX.md instead of truncating it, and the index gives every artifact
+// the trace length it was generated at.
+func TestIndexKeepsEarlierRuns(t *testing.T) {
+	dir := t.TempDir()
+	partial := func(refs int, ids ...string) {
+		t.Helper()
+		var ran []experiment
+		for _, e := range experiments {
+			if slices.Contains(ids, e.id) {
+				if err := writeArtifact(dir, e.id, artifact{text: e.title + "\n", csv: "x\n"}, false); err != nil {
+					t.Fatal(err)
+				}
+				ran = append(ran, e)
+			}
+		}
+		if err := writeIndex(dir, refs, ran); err != nil {
+			t.Fatal(err)
+		}
+	}
+	index := func() string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, "INDEX.md"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	partial(1000, "table7", "compare")
+	partial(1000, "stackcache")
+	got := index()
+	for _, id := range []string{"table7", "compare", "stackcache"} {
+		if !strings.Contains(got, "| "+id+" |") {
+			t.Errorf("index lacks %s after two partial runs:\n%s", id, got)
+		}
+	}
+	if !strings.Contains(got, "with 1000 references per workload") {
+		t.Errorf("index does not give the runs' one length:\n%s", got)
+	}
+
+	partial(2000, "table8")
+	got = index()
+	if strings.Contains(got, "`cmd/experiments` with ") {
+		t.Errorf("index claims one length for runs of 1000 and 2000 refs:\n%s", got)
+	}
+	for id, refs := range map[string]string{"table7": "1000", "stackcache": "1000", "table8": "2000"} {
+		if !strings.Contains(got, "| "+id+" |") || !strings.Contains(got, " | "+refs+" | `"+id+".txt`") {
+			t.Errorf("index lacks %s at %s refs:\n%s", id, refs, got)
 		}
 	}
 }
