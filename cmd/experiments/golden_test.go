@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"subcache/internal/sweep"
@@ -69,5 +71,36 @@ func TestEngineGoldenArtifacts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHeadlineMatchesCompare: EXPERIMENTS.md's headline row quotes
+// results/compare.txt -- anchors, geometric-mean miss ratio and
+// ordering agreement -- rounded as the prose rounds them.  make golden
+// pins compare.txt to the simulator, so the prose cannot drift from
+// either.
+func TestHeadlineMatchesCompare(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := os.ReadFile("../../results/compare.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var anchors int
+	var geoMiss, agreePct float64
+	for _, line := range strings.Split(string(cmp), "\n") {
+		fmt.Sscanf(line, "anchors: %d", &anchors)
+		fmt.Sscanf(line, "geometric mean got/paper: miss %f", &geoMiss)
+		fmt.Sscanf(line, "pairwise miss-ratio ordering agreement with paper: %f%%", &agreePct)
+	}
+	if anchors == 0 || geoMiss == 0 || agreePct == 0 {
+		t.Fatalf("results/compare.txt lacks its summary lines (anchors %d, geo-mean %v, agreement %v%%)",
+			anchors, geoMiss, agreePct)
+	}
+	want := fmt.Sprintf("| **all** | **%d** | **%.2f×** | **%.1f%%** |", anchors, geoMiss, agreePct)
+	if !strings.Contains(string(doc), want) {
+		t.Errorf("EXPERIMENTS.md lacks the headline row results/compare.txt gives:\n%s", want)
 	}
 }
