@@ -28,6 +28,7 @@ cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 logs=.bench_build/layers
 mkdir -p "$logs"
 seeds="1 2 3 4 5"
+commit=$(git describe --always --dirty --abbrev=12)
 workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 for w in $workloads; do
 	for s in $seeds; do
@@ -40,7 +41,7 @@ for w in $workloads; do
 	done
 done
 
-python3 - "$logs" "$seeds" "$(go env GOVERSION)" "$(git describe --always --dirty --abbrev=12)" <<'EOF'
+python3 - "$logs" "$seeds" "$(go env GOVERSION)" "$commit" <<'EOF'
 import json, os, re, statistics, sys
 
 logs, seeds, go_version, commit = sys.argv[1], [int(s) for s in sys.argv[2].split()], sys.argv[3], sys.argv[4]
