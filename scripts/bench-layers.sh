@@ -41,12 +41,12 @@ for w in $workloads; do
 	done
 done
 
-python3 - "$logs" "$seeds" "$(go env GOVERSION)" "$commit" <<'EOF'
+python3 - "$logs" "$seeds" "$workloads" "$(go env GOVERSION)" "$commit" <<'EOF'
 import json, os, re, statistics, sys
 
-logs, seeds, go_version, commit = sys.argv[1], [int(s) for s in sys.argv[2].split()], sys.argv[3], sys.argv[4]
+logs, seeds, workloads, go_version, commit = sys.argv[1:]
+seeds, workloads = [int(s) for s in seeds.split()], workloads.split()
 path, tolerance = "BENCH_layers.json", 0.25
-workloads = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]
 
 record = {
     "description": "perfbench per-layer metrics (bash perfbench/run.sh --workload W --seed S "
