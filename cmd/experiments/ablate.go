@@ -29,7 +29,6 @@ func runAblateReplacement(ctx *runCtx) (artifact, error) {
 		pol := pol
 		res, err := ctx.run(sweep.Request{
 			Arch: synth.PDP11, Points: points, Refs: ctx.refs,
-			Engine: ctx.engine, Shards: ctx.shards,
 			Override: func(c *cache.Config) {
 				c.Replacement = pol
 				c.RandomSeed = 1984
@@ -74,7 +73,6 @@ func runAblateAssoc(ctx *runCtx) (artifact, error) {
 		assoc := assoc
 		res, err := ctx.run(sweep.Request{
 			Arch: synth.PDP11, Points: []sweep.Point{point}, Refs: ctx.refs,
-			Engine: ctx.engine, Shards: ctx.shards,
 			Override: func(c *cache.Config) { c.Assoc = assoc },
 		})
 		if err != nil {
@@ -103,7 +101,6 @@ func runAblateLF(ctx *runCtx) (artifact, error) {
 	opt.Fetch = cache.LoadForwardOptimized
 	res, err := ctx.run(sweep.Request{
 		Arch: synth.Z8000, Points: []sweep.Point{base, opt}, Refs: ctx.refs,
-		Engine: ctx.engine, Shards: ctx.shards,
 		Workloads: []string{"CCP", "C1", "C2"},
 	})
 	if err != nil {
@@ -142,13 +139,12 @@ func runAblateWarm(ctx *runCtx) (artifact, error) {
 	}
 	t := report.NewTable("Warm-start vs cold-start accounting (Z8000 suite)",
 		"config", "warm miss", "cold miss", "cold/warm")
-	warmRes, err := ctx.run(sweep.Request{Arch: synth.Z8000, Points: points, Refs: ctx.refs, Engine: ctx.engine, Shards: ctx.shards})
+	warmRes, err := ctx.run(sweep.Request{Arch: synth.Z8000, Points: points, Refs: ctx.refs})
 	if err != nil {
 		return artifact{}, err
 	}
 	coldRes, err := ctx.run(sweep.Request{
 		Arch: synth.Z8000, Points: points, Refs: ctx.refs,
-		Engine: ctx.engine, Shards: ctx.shards,
 		Override: func(c *cache.Config) { c.WarmStart = false },
 	})
 	if err != nil {

@@ -10,39 +10,42 @@ import (
 	"subcache/internal/telemetry"
 )
 
-// runCtx carries shared state across experiments: the trace length, the
-// simulation engine and a memoised sweep cache, so Table 7 and the
-// figures that share its grid simulate each (architecture, net-size set)
-// only once.
+// runCtx carries shared state across experiments: the trace length and
+// a memoised sweep cache, so Table 7 and the figures that share its grid
+// simulate each (architecture, net-size set) only once.
 type runCtx struct {
 	// ctx cancels every sweep at its next chunk boundary; main wires
 	// it to SIGINT/SIGTERM so an interrupted run leaves flushed event
 	// streams and a clean checkpoint journal, not torn artifacts.
 	ctx        context.Context
 	refs       int
-	engine     sweep.Engine
-	shards     int
 	checkpoint string
 	// recorder is threaded into every sweep request; nil means off
 	// (sweep normalises it to the no-op recorder).
 	recorder telemetry.Recorder
+	// engine runs every sweep.  It is left at the default except by
+	// TestEngineGoldenArtifacts, which regenerates artifacts under each
+	// engine and compares them.
+	engine sweep.Engine
 
 	mu     sync.Mutex
 	sweeps map[string]*sweep.Result
 }
 
-func newRunCtx(ctx context.Context, refs int, engine sweep.Engine, shards int, checkpoint string) *runCtx {
-	return &runCtx{ctx: ctx, refs: refs, engine: engine, shards: shards, checkpoint: checkpoint,
+func newRunCtx(ctx context.Context, refs int, checkpoint string) *runCtx {
+	return &runCtx{ctx: ctx, refs: refs, checkpoint: checkpoint,
 		sweeps: make(map[string]*sweep.Result)}
 }
 
-// run executes req, attaching the shared checkpoint journal when the
-// request is checkpointable.  Requests with a config Override cannot be
-// fingerprinted (the journal refuses them), so they always re-run.
+// run executes req on the context's engine, attaching the shared
+// checkpoint journal when the request is checkpointable.  Requests with
+// a config Override cannot be fingerprinted (the journal refuses them),
+// so they always re-run.
 func (c *runCtx) run(req sweep.Request) (*sweep.Result, error) {
 	if req.Override == nil {
 		req.Checkpoint = c.checkpoint
 	}
+	req.Engine = c.engine
 	req.Recorder = c.recorder
 	return sweep.RunContext(c.ctx, req)
 }
@@ -62,8 +65,6 @@ func (c *runCtx) gridSweep(arch synth.Arch, nets []int) (*sweep.Result, error) {
 		Arch:   arch,
 		Points: sweep.Grid(nets, arch.WordSize()),
 		Refs:   c.refs,
-		Engine: c.engine,
-		Shards: c.shards,
 	})
 	if err != nil {
 		return nil, err

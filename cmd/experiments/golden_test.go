@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"subcache/internal/sweep"
+	"subcache/internal/telemetry"
 )
 
 // TestEngineGoldenArtifacts is the golden regression gate for the
@@ -20,6 +23,8 @@ import (
 // compared byte for byte.  If the multipass or stack-distance kernel
 // drifts from the reference simulator by even one counter anywhere in
 // the grid, some cell of these artifacts changes and this test fails.
+// The command itself always runs the default engine, multipass; the
+// test picks each engine through runCtx.engine.
 func TestEngineGoldenArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates five artifacts three times")
@@ -31,7 +36,10 @@ func TestEngineGoldenArtifacts(t *testing.T) {
 	for _, eng := range []sweep.Engine{sweep.Reference, sweep.MultiPass, sweep.StackDist} {
 		dir := t.TempDir()
 		dirs[eng] = dir
-		ctx := newRunCtx(context.Background(), refs, eng, 0, "")
+		var events bytes.Buffer
+		rec := telemetry.NewRun(telemetry.Options{Sink: telemetry.NewJSONLSink(&events)})
+		ctx := newRunCtx(context.Background(), refs, "")
+		ctx.engine, ctx.recorder = eng, rec
 		for _, id := range ids {
 			var ran bool
 			for _, e := range experiments {
@@ -50,6 +58,26 @@ func TestEngineGoldenArtifacts(t *testing.T) {
 			if !ran {
 				t.Fatalf("experiment %q not in registry", id)
 			}
+		}
+		// Every sweep must have run on the engine under test.
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		starts := 0
+		for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+			var ev telemetry.Event
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.RunStart != nil {
+				starts++
+				if ev.RunStart.Engine != eng.String() {
+					t.Errorf("%s engine: a sweep ran on %s", eng, ev.RunStart.Engine)
+				}
+			}
+		}
+		if starts == 0 {
+			t.Errorf("%s engine: no sweep emitted run-start", eng)
 		}
 	}
 

@@ -4,23 +4,16 @@
 //
 // Usage:
 //
-//	experiments [-refs N] [-out DIR] [-run LIST] [-engine ENGINE] [-shards N] [-list] [-ascii]
+//	experiments [-refs N] [-out DIR] [-run LIST] [-checkpoint FILE] [-list] [-ascii]
 //	            [-pprof ADDR] [-cpuprofile FILE] [-memprofile FILE]
 //	            [-events FILE] [-manifest FILE] [-progress]
 //
 // where LIST is a comma-separated subset of the experiment ids printed
 // by -list (default "all").  The paper's runs use one million references
-// per trace (-refs 1000000, the default).  ENGINE selects the sweep
-// simulation engine: "multipass" (default) evaluates each workload's
-// whole configuration family in a single trace pass, "stackdist"
-// collapses further to one stack-distance recency list per block size
-// (still one pass, fewest simulated lanes), "reference" gives every
-// configuration its own cache on the same pass; all three produce
-// byte-identical artifacts (a regression test enforces it).  -shards
-// sets the intra-workload shard count of the streaming executor that
-// every engine runs on (0, the default, picks a machine-appropriate
-// value; the shard count never changes the artifacts, only the wall
-// clock and memory).
+// per trace (-refs 1000000, the default).  Sweeps run on the multipass
+// engine with a shard count picked from the machine; neither choice
+// changes the artifacts, which TestEngineGoldenArtifacts checks
+// against the other engines byte for byte.
 //
 // The shared observability bundle (internal/telemetry) adds profiling
 // (-pprof, -cpuprofile, -memprofile), a structured JSONL event stream
@@ -47,34 +40,21 @@ import (
 	"syscall"
 	"time"
 
-	"subcache/internal/sweep"
 	"subcache/internal/telemetry"
 )
 
 func main() {
 	var (
-		refs   = flag.Int("refs", 1000000, "references per workload trace")
-		out    = flag.String("out", "results", "output directory")
-		run    = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		engine = flag.String("engine", "multipass", "sweep engine: multipass, stackdist or reference")
-		shards = flag.Int("shards", 0, "shard workers per workload (0 = auto)")
-		ckpt   = flag.String("checkpoint", "", "journal `file`: record each finished workload sweep and, on a rerun, resume past the recorded ones (ablations with config overrides always re-run)")
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-		ascii  = flag.Bool("ascii", false, "also print ASCII renderings of figures")
+		refs  = flag.Int("refs", 1000000, "references per workload trace")
+		out   = flag.String("out", "results", "output directory")
+		run   = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
+		ckpt  = flag.String("checkpoint", "", "journal `file`: record each finished workload sweep and, on a rerun, resume past the recorded ones (ablations with config overrides always re-run)")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		ascii = flag.Bool("ascii", false, "also print ASCII renderings of figures")
 	)
 	tf := telemetry.RegisterFlags(flag.CommandLine)
 	tf.RegisterSweepFlags(flag.CommandLine)
 	flag.Parse()
-
-	eng, err := sweep.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -shards %d: want 0 (auto) or a positive count\n", *shards)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, e := range experiments {
@@ -88,14 +68,11 @@ func main() {
 	}
 
 	sess, err := tf.Start("experiments", telemetry.Fingerprint(
-		fmt.Sprint("refs=", *refs), fmt.Sprint("run=", *run),
-		fmt.Sprint("engine=", eng)))
+		fmt.Sprint("refs=", *refs), fmt.Sprint("run=", *run)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	sess.Manifest.Engine = eng.String()
-	sess.Manifest.Shards = *shards
 
 	want := map[string]bool{}
 	all := *run == "all"
@@ -112,7 +89,7 @@ func main() {
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ctx := newRunCtx(sigCtx, *refs, eng, *shards, *ckpt)
+	ctx := newRunCtx(sigCtx, *refs, *ckpt)
 	ctx.recorder = sess.Recorder()
 	failed := false
 	var ran []experiment

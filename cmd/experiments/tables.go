@@ -43,7 +43,6 @@ func runTable6(ctx *runCtx) (artifact, error) {
 			Arch:   synth.S370,
 			Points: []sweep.Point{o.point},
 			Refs:   ctx.refs,
-			Engine: ctx.engine, Shards: ctx.shards,
 			Override: func(c *cache.Config) {
 				c.Assoc = assoc
 			},
@@ -117,10 +116,9 @@ func (c *runCtx) lfSweep() (*sweep.Result, error) {
 	}
 	c.mu.Unlock()
 	res, err := c.run(sweep.Request{
-		Arch:   synth.Z8000,
-		Points: table8Points(),
-		Refs:   c.refs,
-		Engine: c.engine, Shards: c.shards,
+		Arch:      synth.Z8000,
+		Points:    table8Points(),
+		Refs:      c.refs,
 		Workloads: []string{"CCP", "C1", "C2"},
 	})
 	if err != nil {

@@ -4,6 +4,10 @@
 // quotas, and serves results from a cache keyed by the checkpoint
 // request fingerprint -- identical requests never simulate twice, and
 // concurrent identical requests simulate exactly once (singleflight).
+// A request names the sweep (arch, nets, refs, optional workloads) and
+// its admission context (tenant, timeout_sec); the daemon picks the
+// engine and shard count itself, and a request that names either gets
+// 400.
 //
 // Usage:
 //

@@ -22,6 +22,7 @@ import (
 
 	"subcache/internal/faultinject"
 	"subcache/internal/sweep"
+	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 )
 
@@ -77,8 +78,12 @@ func TestCrashRecoveryReplay(t *testing.T) {
 
 	// Forge the crash: an admitted record with no terminal transition,
 	// as submit would have journaled it just before the power went out.
+	raw, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
 	appendAll(t, filepath.Join(dir, "jobs.jsonl"),
-		JournalRecord{Kind: KindAdmitted, FP: fp, Tenant: "crashed", Req: &wire},
+		JournalRecord{Kind: KindAdmitted, FP: fp, Tenant: "crashed", Req: raw},
 		JournalRecord{Kind: KindStarted, FP: fp},
 	)
 
@@ -141,6 +146,52 @@ func TestCrashRecoveryReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resultOf(t, resp.Result).Points, resultOf(t, clean.Result).Points) {
 		t.Fatal("recovered result differs from an uninterrupted run")
+	}
+}
+
+// TestJournalReplaysLegacyRequest: a job journal written before sweepd
+// dropped its engine and shards request fields still replays.  The
+// admitted record below is verbatim what such a server wrote, checksum
+// included; it must validate, and its job must recover and complete on
+// the default engine, one trace pass per workload.
+func TestJournalReplaysLegacyRequest(t *testing.T) {
+	const fp = "eed81e8557f0a524"
+	legacy := `{"v":1,"kind":"admitted","fp":"eed81e8557f0a524","tenant":"legacy",` +
+		`"req":{"arch":"PDP-11","nets":[64],"refs":3000,"engine":"reference","shards":2},` +
+		`"unix_ms":1760000000000,"sum":"02160e66c6f98962cd766464ed0d969d497338866ad099c52f0dc5c708f0de37"}` + "\n"
+	if _, err := ValidateJournal(strings.NewReader(legacy)); err != nil {
+		t.Fatalf("legacy record invalid: %v", err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.jsonl")
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Options{Dir: dir, Workers: 1})
+	if got := s.Stats().Counter(telemetry.JobsRecovered); got != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", got)
+	}
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + fp + "?wait=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out SubmitResponse
+	json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("recovered job: code %d (%s %s), want 200", resp.StatusCode, out.Status, out.Error)
+	}
+	if got, want := resultOf(t, out.Result).TracePasses, len(synth.Workloads(synth.PDP11)); got != want {
+		t.Errorf("trace_passes = %d, want %d (the default engine, not the record's reference)", got, want)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := ValidateJournal(f); err != nil {
+		t.Errorf("journal after replay invalid: %v", err)
 	}
 }
 

@@ -6,7 +6,8 @@
 // version, a per-record SHA-256 checksum over the serialised payload,
 // one fsynced append per record, and torn-tail tolerance on load (a
 // record killed mid-write fails its checksum and is skipped, never
-// half-trusted).  The admitted record carries the full wire request, so
+// half-trusted).  The admitted record carries the full wire request
+// (as raw JSON, so its checksum covers the bytes as written), so
 // startup replay can reconstruct and re-admit every job that never
 // reached a terminal state: the crash-recovery half of the service's
 // "every admitted job reaches a terminal state exactly once" contract.
@@ -82,9 +83,12 @@ type JournalRecord struct {
 	Kind string `json:"kind"`
 	FP   string `json:"fp"`
 	// Tenant and Req ride the admitted record so replay can re-admit
-	// with the original quota attribution and request.
-	Tenant string        `json:"tenant,omitempty"`
-	Req    *SweepRequest `json:"req,omitempty"`
+	// with the original quota attribution and request.  Req is the
+	// SweepRequest as raw JSON: re-marshalling it reproduces the bytes
+	// the checksum covers even when it holds fields this server no
+	// longer takes, such as the engine and shards of older servers.
+	Tenant string          `json:"tenant,omitempty"`
+	Req    json.RawMessage `json:"req,omitempty"`
 	// Error carries the failure or cancellation text on terminal
 	// records.
 	Error string `json:"error,omitempty"`
@@ -115,7 +119,7 @@ func (r *JournalRecord) verify() error {
 	if r.FP == "" {
 		return fmt.Errorf("%s record missing fp", r.Kind)
 	}
-	if r.Kind == KindAdmitted && r.Req == nil {
+	if r.Kind == KindAdmitted && (len(r.Req) == 0 || r.Req[0] != '{') {
 		return fmt.Errorf("admitted record for %s missing request", r.FP)
 	}
 	if r.Sum == "" {
@@ -137,7 +141,7 @@ type jobState struct {
 	fp     string
 	kind   string
 	tenant string
-	req    *SweepRequest
+	req    json.RawMessage
 }
 
 // terminal reports whether the state needs no recovery.

@@ -6,6 +6,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,8 +14,8 @@ import (
 )
 
 // journalWire is a minimal valid wire request for admitted records.
-func journalWire(refs int) *SweepRequest {
-	return &SweepRequest{Arch: "PDP-11", Nets: []int{64}, Refs: refs}
+func journalWire(refs int) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(`{"arch":"PDP-11","nets":[64],"refs":%d}`, refs))
 }
 
 // appendAll opens the journal at path and appends the given records.

@@ -1,8 +1,8 @@
 // Wire vocabulary of the sweep service: the JSON request a client
 // POSTs, its validation limits, and the JSON result a finished sweep
-// serves.  The request deliberately mirrors the experiments flag
-// vocabulary (arch, nets, refs, workloads, engine, shards) so a
-// CLI invocation translates 1:1 into a service call, and the result is
+// serves.  The request names only what determines the results (arch,
+// nets, refs, workloads) plus admission context (tenant, deadline);
+// the service picks the engine and shard count itself.  The result is
 // a flattened, self-describing rendering of sweep.Result.
 package service
 
@@ -13,7 +13,6 @@ import (
 
 	"subcache/internal/sweep"
 	"subcache/internal/synth"
-	"subcache/internal/telemetry"
 )
 
 // SweepRequest is the POST /v1/sweeps body.
@@ -28,20 +27,13 @@ type SweepRequest struct {
 	Refs int `json:"refs"`
 	// Workloads optionally restricts the suite (empty = all).
 	Workloads []string `json:"workloads,omitempty"`
-	// Engine selects the simulation strategy ("multipass" default,
-	// "stackdist", "reference").  Results are bit-identical across
-	// engines, so it does not contribute to the fingerprint.
-	Engine string `json:"engine,omitempty"`
-	// Shards is the intra-workload shard count: 0 = auto, else
-	// 1-telemetry.MaxShards.  Like Engine, execution-only.
-	Shards int `json:"shards,omitempty"`
 	// Tenant attributes the request for quota accounting; empty maps
 	// to "default".
 	Tenant string `json:"tenant,omitempty"`
 	// TimeoutSec bounds the job's execution wall-clock (0 = no
-	// deadline).  Execution-only, like Engine: it does not contribute
-	// to the fingerprint, so identical sweeps with different deadlines
-	// still dedup and share one result.
+	// deadline).  Execution-only: it does not contribute to the
+	// fingerprint, so identical sweeps with different deadlines still
+	// dedup and share one result.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
@@ -71,9 +63,6 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 	if wire.Refs <= 0 || wire.Refs > s.opts.MaxRefs {
 		return sweep.Request{}, "", fmt.Errorf("refs %d out of range [1, %d]", wire.Refs, s.opts.MaxRefs)
 	}
-	if wire.Shards < 0 || wire.Shards > telemetry.MaxShards {
-		return sweep.Request{}, "", fmt.Errorf("shards %d out of range [0, %d]", wire.Shards, telemetry.MaxShards)
-	}
 	if wire.TimeoutSec < 0 || wire.TimeoutSec > maxTimeoutSec {
 		return sweep.Request{}, "", fmt.Errorf("timeout_sec %g out of range [0, %d]", wire.TimeoutSec, maxTimeoutSec)
 	}
@@ -88,12 +77,6 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 	points := sweep.Grid(wire.Nets, arch.WordSize())
 	if len(points) == 0 {
 		return sweep.Request{}, "", fmt.Errorf("net sizes %v produce an empty grid", wire.Nets)
-	}
-	engine := sweep.MultiPass
-	if wire.Engine != "" {
-		if engine, err = sweep.ParseEngine(wire.Engine); err != nil {
-			return sweep.Request{}, "", err
-		}
 	}
 	if len(wire.Workloads) > 0 {
 		known := make(map[string]bool)
@@ -111,8 +94,6 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 		Points:    points,
 		Refs:      wire.Refs,
 		Workloads: wire.Workloads,
-		Engine:    engine,
-		Shards:    wire.Shards,
 	}
 	fp, err := sweep.RequestFingerprint(req)
 	if err != nil {
@@ -126,6 +107,19 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 		fp = fmt.Sprintf("%s-w%d", fp, hashStrings(wire.Workloads))
 	}
 	return req, fp, nil
+}
+
+// resolveJournaled decodes and resolves the request of a journaled
+// admission.  The decode is lenient, unlike a POST's: a record that an
+// older server wrote may carry request fields this one no longer takes
+// (engine, shards), and replay must still recover its job.
+func (s *Server) resolveJournaled(raw json.RawMessage) (*SweepRequest, sweep.Request, string, error) {
+	var wire SweepRequest
+	if err := json.Unmarshal(raw, &wire); err != nil {
+		return nil, sweep.Request{}, "", err
+	}
+	req, fp, err := s.resolve(&wire)
+	return &wire, req, fp, err
 }
 
 // hashStrings folds a name list into a short stable id (FNV-1a).

@@ -53,6 +53,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -285,7 +286,7 @@ func New(opts Options) (*Server, error) {
 		cancelRuns: cancel,
 	}
 	for _, st := range recovered {
-		req, fp, rerr := s.resolve(st.req)
+		wire, req, fp, rerr := s.resolveJournaled(st.req)
 		if rerr != nil {
 			// The request no longer resolves (e.g. limits tightened);
 			// terminalise it so replay stops resurrecting it.
@@ -298,7 +299,7 @@ func New(opts Options) (*Server, error) {
 		}
 		j := &job{
 			fp: fp, tenant: tenant, req: req,
-			timeout:   timeoutOf(st.req),
+			timeout:   timeoutOf(wire),
 			recovered: true,
 			status:    StatusQueued,
 			done:      make(chan struct{}),
@@ -429,7 +430,11 @@ func (s *Server) submit(req sweep.Request, wire *SweepRequest, fp, tenant string
 	// Journal the admission before exposing it; if the record cannot be
 	// made durable the job is not admitted at all (the client sees 500
 	// and retries), preserving "journaled iff admitted".
-	if err := s.journal.append(JournalRecord{Kind: KindAdmitted, FP: fp, Tenant: tenant, Req: wire}); err != nil {
+	raw, err := json.Marshal(wire)
+	if err == nil {
+		err = s.journal.append(JournalRecord{Kind: KindAdmitted, FP: fp, Tenant: tenant, Req: raw})
+	}
+	if err != nil {
 		j.closeRecorder(true)
 		return submitOutcome{}, err
 	}

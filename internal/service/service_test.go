@@ -14,6 +14,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -164,14 +165,28 @@ func TestSubmitValidation(t *testing.T) {
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 0},                                 // refs out of range
 		{Arch: "PDP-11", Nets: nil, Refs: 1000},                                    // no nets
 		{Arch: "PDP-11", Nets: []int{96}, Refs: 1000},                              // not a power of two
-		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Engine: "warp"},              // unknown engine
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"nope"}}, // unknown workload
-		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Shards: -1},                  // negative shards
-		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Shards: 1 << 62},             // shards past the cap
 	}
 	for i, req := range bad {
 		if code, resp := post(t, ts, req, false); code != http.StatusBadRequest {
 			t.Errorf("bad request %d: code %d (%s), want 400", i, code, resp.Error)
+		}
+	}
+	// The service picks the engine and shard count itself.  A client
+	// written for a server that took them gets a 400 naming the field,
+	// because the body is decoded strictly.
+	for _, field := range []string{`"engine":"reference"`, `"shards":2`} {
+		body := `{"arch":"PDP-11","nets":[64],"refs":1000,` + field + `}`
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out SubmitResponse
+		json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		name := field[:strings.Index(field, ":")]
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, name) {
+			t.Errorf("POST with %s: code %d (%s), want 400 naming %s", field, resp.StatusCode, out.Error, name)
 		}
 	}
 	if got := s.Stats().Counter(telemetry.RequestsAdmitted); got != 0 {

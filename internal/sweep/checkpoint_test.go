@@ -353,7 +353,7 @@ func TestCheckpointSkipsFailedWorkloads(t *testing.T) {
 	if len(got.Errors) != 0 {
 		t.Fatalf("retry inherited errors: %v", got.Errors)
 	}
-	want, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 9000})
+	want, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 9000, Engine: Reference})
 	if err != nil {
 		t.Fatal(err)
 	}

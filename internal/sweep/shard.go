@@ -391,9 +391,6 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 			defer func() {
 				rec.Observe(telemetry.StageTraceRead, readTime)
 				rec.Observe(telemetry.StageBroadcast, castTime)
-				if bc, ok := wrapped.(trace.ByteCounter); ok {
-					rec.Add(telemetry.BytesRead, bc.Bytes())
-				}
 			}()
 		}
 		// A panicking trace source (or source wrapper) is recovered

@@ -29,23 +29,25 @@ import (
 	"subcache/internal/trace"
 )
 
-// Engine selects how a sweep simulates its points.
+// Engine selects how a sweep simulates its points.  Results are
+// bit-identical across engines, so production callers leave it at the
+// zero value, MultiPass; tests and benchmarks name the others.
 type Engine int
 
 const (
-	// Reference gives every point its own cache.Cache, which replays
-	// the whole trace: one pass per (workload, point) pair in
-	// Result.TracePasses, though every cache is fed from the workload's
-	// one streamed generation.  It is the oracle the single-pass engines
-	// are checked against.
-	Reference Engine = iota
 	// MultiPass makes a single pass over each workload's trace, feeding
 	// every point simultaneously: points whose tag dynamics are
 	// sub-block-invariant (cache.Config.MultiPassSafe) are grouped into
 	// multipass.Family kernels sharing one tag engine per (net, block)
 	// family, and the rest ride the same pass as individual reference
-	// caches.  Results are bit-identical to Reference.
-	MultiPass
+	// caches.  It is the zero value, the default.
+	MultiPass Engine = iota
+	// Reference gives every point its own cache.Cache, which replays
+	// the whole trace: one pass per (workload, point) pair in
+	// Result.TracePasses, though every cache is fed from the workload's
+	// one streamed generation.  It is the oracle the single-pass engines
+	// are checked against.
+	Reference
 	// StackDist also makes a single pass per workload, but collapses
 	// further: every LRU point of one block size -- all net sizes,
 	// associativities, sub-block sizes and fetch policies at once --
@@ -59,7 +61,7 @@ const (
 	StackDist
 )
 
-// String returns the engine name used by the -engine CLI flag.
+// String returns the engine's name, as the run-start event reports it.
 func (e Engine) String() string {
 	switch e {
 	case Reference:
@@ -70,20 +72,6 @@ func (e Engine) String() string {
 		return "stackdist"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine converts a CLI flag value into an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "reference":
-		return Reference, nil
-	case "multipass":
-		return MultiPass, nil
-	case "stackdist":
-		return StackDist, nil
-	default:
-		return 0, fmt.Errorf("sweep: unknown engine %q (want reference, multipass or stackdist)", s)
 	}
 }
 
@@ -185,9 +173,9 @@ type Request struct {
 	Override func(*cache.Config)
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
-	// Engine selects the simulation strategy; the zero value is the
-	// per-point Reference engine.  MultiPass produces bit-identical
-	// results in far fewer trace passes (see Result.TracePasses).
+	// Engine selects the simulation strategy; the zero value is
+	// MultiPass.  Every engine gives bit-identical results, so only
+	// tests and benchmarks set it (Reference is their oracle).
 	Engine Engine
 	// Shards selects intra-workload parallelism: each workload's
 	// simulation units are partitioned across that many shard workers,
@@ -195,7 +183,8 @@ type Request struct {
 	// cache still sees the complete ordered stream, so results stay
 	// bit-identical; the trace is streamed, never materialised).  0,
 	// the default, picks the parallelism budget spread over the suite's
-	// workloads, rounded up.  Negative is an error.
+	// workloads, rounded up; only tests and benchmarks set another
+	// count.  Negative is an error.
 	Shards int
 	// ContinueOnError selects the degraded-completion failure policy:
 	// instead of the first failing point aborting the sweep
@@ -328,13 +317,19 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 
+	par := req.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	outer, shards := shardLayout(req.Shards, par, len(profiles))
+
 	rec := telemetry.OrNop(req.Recorder)
 	if rec.Enabled() {
 		rec.Add(telemetry.PointsPlanned, uint64(len(req.Points)*len(profiles)))
 		rec.Emit(&telemetry.Event{Type: telemetry.EventRunStart, RunStart: &telemetry.RunStart{
 			Arch:       req.Arch.String(),
 			Engine:     req.Engine.String(),
-			Shards:     req.Shards,
+			Shards:     shards,
 			Points:     len(req.Points),
 			Workloads:  len(profiles),
 			Refs:       req.Refs,
@@ -357,11 +352,6 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 		ck = &ckState{j: j, fp: fp, points: req.Points}
 	}
 
-	par := req.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
 	// Every engine runs on the chunk-broadcast executor (shard.go).  A
 	// Reference point's cache replays the whole trace on its own, so it
 	// counts as one pass per point.
@@ -369,7 +359,9 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	if req.Engine == Reference {
 		passesPerWorkload = len(req.Points)
 	}
-	outer, fn := shardedExecutor(req, profiles, par)
+	fn := func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
+		return simulateSharded(ctx, prof, req, shards)
+	}
 	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, outer, fn)
 	if err != nil {
 		return nil, err
@@ -398,31 +390,20 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// shardedExecutor returns the outer (cross-workload) parallelism and
-// the per-workload function for the chunk-broadcast executor, which
-// plans configurations into units by req.Engine.
-func shardedExecutor(req Request, profiles []synth.Profile, par int) (int, func(context.Context, synth.Profile) (map[Point]metrics.Run, []*PointError)) {
-	shards := req.Shards
+// shardLayout resolves a sweep's parallelism budget into the number of
+// workloads to run at once (outer, which runWorkloads clamps to
+// [1, workloads]) and the shard workers each of them gets.  A requested
+// shard count of 0 means auto.
+func shardLayout(requested, par, workloads int) (outer, shards int) {
+	shards = requested
 	if shards == 0 {
 		// Auto: spread the cores over the suite's concurrent workloads,
 		// rounding up so a many-core box stays busy even when the suite
 		// is small.
-		shards = (par + len(profiles) - 1) / len(profiles)
+		shards = (par + workloads - 1) / workloads
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	outer := par / shards
-	if outer < 1 {
-		outer = 1
-	}
-	if outer > len(profiles) {
-		outer = len(profiles)
-	}
-	fn := func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-		return simulateSharded(ctx, prof, req, shards)
-	}
-	return outer, fn
+	shards = max(shards, 1)
+	return par / shards, shards
 }
 
 // runWorkloads executes fn once per profile with bounded parallelism,

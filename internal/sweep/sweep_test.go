@@ -243,7 +243,7 @@ func TestRunOne(t *testing.T) {
 func TestRunOverrideInvalidConfig(t *testing.T) {
 	_, err := Run(Request{
 		Arch: synth.PDP11, Points: []Point{{Net: 64, Block: 8, Sub: 2}},
-		Refs: 1000, Workloads: []string{"ED"},
+		Refs: 1000, Workloads: []string{"ED"}, Engine: Reference,
 		Override: func(c *cache.Config) { c.Assoc = 999 },
 	})
 	if err == nil {
@@ -254,12 +254,12 @@ func TestRunOverrideInvalidConfig(t *testing.T) {
 func TestRunParallelismOne(t *testing.T) {
 	pts := []Point{{Net: 64, Block: 8, Sub: 4}, {Net: 256, Block: 8, Sub: 4}}
 	seq, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 5000,
-		Workloads: []string{"ED"}, Parallelism: 1})
+		Workloads: []string{"ED"}, Parallelism: 1, Engine: Reference})
 	if err != nil {
 		t.Fatal(err)
 	}
 	par, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 5000,
-		Workloads: []string{"ED"}, Parallelism: 8})
+		Workloads: []string{"ED"}, Parallelism: 8, Engine: Reference})
 	if err != nil {
 		t.Fatal(err)
 	}

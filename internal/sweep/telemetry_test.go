@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"subcache/internal/cache"
@@ -134,9 +133,6 @@ func TestTelemetryCountersDeterministic(t *testing.T) {
 	}
 	if s1.Counter(telemetry.ChunksBroadcast) == 0 {
 		t.Error("sharded run broadcast no chunks")
-	}
-	if s1.Counter(telemetry.BytesRead) != 0 {
-		t.Errorf("synthetic run counted bytes_read = %d", s1.Counter(telemetry.BytesRead))
 	}
 	// Each workload's producer observes its read and broadcast stages
 	// once, at end of stream.  The word source generates packed words
@@ -281,47 +277,35 @@ func TestTelemetryCheckpointCounters(t *testing.T) {
 	}
 }
 
-// byteCountingSource wraps a packed source, implementing
-// trace.ByteCounter with a synthetic 4 bytes per word, and mirrors
-// every increment into a shared total the test can compare against.
-type byteCountingSource struct {
-	src   PackedSource
-	n     uint64
-	total *atomic.Uint64
-}
-
-func (b *byteCountingSource) ReadPacked(dst []uint64) (int, error) {
-	n, err := b.src.ReadPacked(dst)
-	b.n += 4 * uint64(n)
-	b.total.Add(4 * uint64(n))
-	return n, err
-}
-
-func (b *byteCountingSource) Bytes() uint64 { return b.n }
-
-// TestTelemetryBytesRead: when a workload's source reports decoded
-// bytes (the file readers do, via trace.ByteCounter), the sweep
-// publishes them as bytes_read; the hook layer is how a test source
-// gets into the pipeline.
-func TestTelemetryBytesRead(t *testing.T) {
-	var total atomic.Uint64
-	rec := telemetry.NewRun(telemetry.Options{})
-	req := telemetryRequest()
-	req.Shards = 2
-	req.Recorder = rec
-	req.Hooks = &Hooks{WrapSource: func(workload string, src PackedSource) PackedSource {
-		return &byteCountingSource{src: src, total: &total}
-	}}
-	if _, err := Run(req); err != nil {
-		t.Fatal(err)
-	}
-	rec.Close()
-	s := rec.Snapshot()
-	if got, want := s.Counter(telemetry.BytesRead), total.Load(); want == 0 || got != want {
-		t.Errorf("bytes_read = %d, want %d (>0)", got, want)
-	}
-	// The synthetic 4 bytes/ref makes the cross-check exact.
-	if got, want := s.Counter(telemetry.BytesRead), 4*s.Counter(telemetry.RefsRead); got != want {
-		t.Errorf("bytes_read = %d, want 4 x refs_read = %d", got, want)
+// TestTelemetryRunStartShards: run-start reports the shard workers each
+// workload ran on -- the count an auto request resolves to as much as an
+// explicit one -- never the 0 that asks for auto.
+func TestTelemetryRunStartShards(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		shards, par, ran int
+	}{
+		{"auto", 0, 3, 3},
+		{"explicit", 2, 3, 2},
+	} {
+		sink := &captureSink{}
+		rec := telemetry.NewRun(telemetry.Options{Sink: sink})
+		req := telemetryRequest()
+		req.Workloads = []string{"ED"}
+		req.Shards, req.Parallelism, req.Recorder = tc.shards, tc.par, rec
+		if _, err := Run(req); err != nil {
+			t.Fatal(err)
+		}
+		rec.Close()
+		starts := sink.byType(telemetry.EventRunStart)
+		if len(starts) != 1 {
+			t.Fatalf("%s: %d run-start events, want 1", tc.name, len(starts))
+		}
+		if got := starts[0].RunStart.Shards; got != tc.ran {
+			t.Errorf("%s: run-start shards = %d, want %d", tc.name, got, tc.ran)
+		}
+		if got := len(rec.Snapshot().Shards); got != tc.ran {
+			t.Errorf("%s: %d shard workers reported, want %d", tc.name, got, tc.ran)
+		}
 	}
 }

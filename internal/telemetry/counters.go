@@ -19,9 +19,6 @@ const (
 	// reference consumed by k units counts k.  This is the pipeline's
 	// work measure and the numerator of the progress line's refs/sec.
 	RefsSimulated
-	// BytesRead counts bytes decoded from on-disk trace files (.din
-	// text or .strc binary).  Zero for synthetic workloads.
-	BytesRead
 	// ChunksBroadcast counts trace chunks the sharded executor's
 	// producer handed to its shard workers.
 	ChunksBroadcast
@@ -94,7 +91,6 @@ const (
 var counterNames = [numCounters]string{
 	RefsRead:                "refs_read",
 	RefsSimulated:           "refs_simulated",
-	BytesRead:               "bytes_read",
 	ChunksBroadcast:         "chunks_broadcast",
 	FamiliesFlushed:         "families_flushed",
 	CheckpointRecords:       "checkpoint_records",

@@ -81,7 +81,8 @@ type RunStart struct {
 	// Engine is the simulation strategy ("multipass", "stackdist" or
 	// "reference").
 	Engine string `json:"engine"`
-	// Shards is the requested intra-workload shard count (0 = auto).
+	// Shards is the shard workers per workload that the sweep ran:
+	// the auto count it resolved, or the count a test asked for.
 	Shards int `json:"shards"`
 	// Points is the number of grid points per workload.
 	Points int `json:"points"`

@@ -58,9 +58,9 @@ func (f *Flags) RegisterSweepFlags(fs *flag.FlagSet) {
 // thread into the pipeline, plus the profiles, pprof server, event
 // sink, progress line and manifest that Close finalises.
 type Session struct {
-	// Manifest collects run metadata (engine, shards, seed);
-	// commands fill it in before Close, which writes it if -manifest
-	// was given.  Always non-nil.
+	// Manifest collects run metadata; commands mark it interrupted
+	// before Close, which writes it if -manifest was given.  Always
+	// non-nil.
 	Manifest *Manifest
 
 	flags     *Flags

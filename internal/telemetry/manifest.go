@@ -28,11 +28,6 @@ type Manifest struct {
 	// (see Fingerprint); runs with equal fingerprints simulated the
 	// same thing.
 	Fingerprint string `json:"config_fingerprint"`
-	// Engine and Shards echo the sweep strategy, when one applies.
-	Engine string `json:"engine,omitempty"`
-	Shards int    `json:"shards,omitempty"`
-	// Seed is the run's random seed, for commands that take one.
-	Seed uint64 `json:"seed,omitempty"`
 	// BuildVersion is the link-time version stamp (telemetry.Version);
 	// "dev" for unstamped builds.
 	BuildVersion string `json:"build_version,omitempty"`

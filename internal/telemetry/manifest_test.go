@@ -16,8 +16,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	r.Add(PointsCompleted, 19)
 
 	m := NewManifest("experiments", Fingerprint("refs=1000", "nets=[64]"))
-	m.Engine = "multipass"
-	m.Shards = 4
+	m.Interrupted = true
 	m.Finish(time.Now().Add(-time.Second), r)
 
 	path := filepath.Join(t.TempDir(), "out", "RUN.json")
@@ -28,7 +27,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if got.Tool != "experiments" || got.Engine != "multipass" || got.Shards != 4 {
+	if got.Tool != "experiments" || !got.Interrupted {
 		t.Errorf("run description mangled: %+v", got)
 	}
 	if got.Fingerprint != m.Fingerprint {
@@ -42,7 +41,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 
 	// Finish with a nil recorder still produces a valid (empty) snapshot.
-	m2 := NewManifest("calib", Fingerprint("tool=calib"))
+	m2 := NewManifest("traceinfo", Fingerprint("tool=traceinfo"))
 	m2.Finish(time.Now(), nil)
 	if err := m2.Validate(); err != nil {
 		t.Errorf("nil-recorder manifest invalid: %v", err)

@@ -9,7 +9,6 @@ import (
 // MaxShards bounds the per-shard aggregate array.  Shard counts come
 // from GOMAXPROCS, so 256 is far beyond any real machine this runs on;
 // higher indexes are clamped into the last cell rather than dropped.
-// The sweep service refuses requests for more shards than this.
 const MaxShards = 256
 
 // shardCell is one shard's atomics.

@@ -118,10 +118,6 @@ func (b *BinReader) Next() (Ref, error) {
 // offset is the byte position of the record being decoded.
 func (b *BinReader) offset() uint64 { return headerLen + b.rec*recordLen }
 
-// Bytes implements ByteCounter: the bytes of header and records decoded
-// so far, feeding the telemetry layer's bytes_read counter.
-func (b *BinReader) Bytes() uint64 { return b.offset() }
-
 func (b *BinReader) fail(err error) error {
 	b.err = err
 	return err

@@ -74,25 +74,6 @@ func TestTextReaderDefaultSize(t *testing.T) {
 	}
 }
 
-// TestTextReaderBytesExact: Bytes reports exactly the input size at
-// EOF, whether or not the final line has a trailing newline (the
-// per-line tally alone would overcount the latter by one).
-func TestTextReaderBytesExact(t *testing.T) {
-	for _, in := range []string{
-		"0 100 2\n2 1000 4\n",
-		"0 100 2\n2 1000 4", // no trailing newline
-		"# comment\n0 100 2",
-	} {
-		r := NewTextReader(strings.NewReader(in))
-		if _, err := Collect(r, 0); err != nil {
-			t.Fatalf("input %q: %v", in, err)
-		}
-		if got := r.Bytes(); got != uint64(len(in)) {
-			t.Errorf("input %q: Bytes() = %d, want %d", in, got, len(in))
-		}
-	}
-}
-
 func TestTextReaderErrors(t *testing.T) {
 	cases := []string{
 		"9 100 2\n",       // bad label

@@ -72,37 +72,18 @@ func (t *TextWriter) Write(r Ref) error {
 // Flush writes any buffered data to the underlying writer.
 func (t *TextWriter) Flush() error { return t.w.Flush() }
 
-// countingReader counts the bytes the scanner pulls from the
-// underlying reader.  The scanner reads ahead, so mid-stream this runs
-// ahead of the lines actually consumed; at EOF it equals the exact
-// input size, which Bytes uses to avoid overcounting a final line with
-// no trailing newline.
-type countingReader struct {
-	r io.Reader
-	n uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += uint64(n)
-	return n, err
-}
-
 // TextReader reads references in din text format and implements Source.
 type TextReader struct {
-	sc    *bufio.Scanner
-	cr    *countingReader
-	line  int
-	bytes uint64
-	err   error // first parse or scan error, latched
+	sc   *bufio.Scanner
+	line int
+	err  error // first parse or scan error, latched
 }
 
 // NewTextReader returns a Source reading din text from r.
 func NewTextReader(r io.Reader) *TextReader {
-	cr := &countingReader{r: r}
-	sc := bufio.NewScanner(cr)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &TextReader{sc: sc, cr: cr}
+	return &TextReader{sc: sc}
 }
 
 // fail latches the reader on its first error: every subsequent Next
@@ -121,7 +102,6 @@ func (t *TextReader) Next() (Ref, error) {
 	}
 	for t.sc.Scan() {
 		t.line++
-		t.bytes += uint64(len(t.sc.Bytes())) + 1 // +1 for the newline
 		line := strings.TrimSpace(t.sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -156,17 +136,4 @@ func (t *TextReader) Next() (Ref, error) {
 		return t.fail(err)
 	}
 	return Ref{}, io.EOF
-}
-
-// Bytes implements ByteCounter: the bytes of trace text consumed so far
-// (lines plus their newlines), feeding the telemetry layer's bytes_read
-// counter.  The per-line tally assumes a newline after every line, so
-// it is capped at the bytes actually read from the input, which makes
-// the count exact at EOF even when the final line has no trailing
-// newline.
-func (t *TextReader) Bytes() uint64 {
-	if t.cr.n < t.bytes {
-		return t.cr.n
-	}
-	return t.bytes
 }

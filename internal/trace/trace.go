@@ -77,15 +77,6 @@ type Source interface {
 	Next() (Ref, error)
 }
 
-// ByteCounter is implemented by byte-backed sources (the file readers)
-// that can report how many on-disk bytes they have decoded.  The sweep
-// executors publish it as the telemetry bytes_read counter once a
-// source's stream ends; synthetic sources do not implement it and
-// count zero.
-type ByteCounter interface {
-	Bytes() uint64
-}
-
 // SliceSource adapts an in-memory slice of references to a Source.
 type SliceSource struct {
 	refs []Ref
