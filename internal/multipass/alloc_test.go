@@ -43,6 +43,29 @@ func TestFamilyAccessNoAllocs(t *testing.T) {
 		t.Errorf("family access path allocates %.1f per round, want 0", n)
 	}
 
+	// An all-demand LRU family -- every Table 7 family's shape -- must
+	// stay 0-alloc through Access and through AccessBatch alike.
+	demand, err := multipass.New(cfgs[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	conflict := []trace.Ref{
+		{Addr: 0x0000, Kind: trace.Read, Size: 2},
+		{Addr: 0x0010, Kind: trace.Write, Size: 2},  // write sub-block miss
+		{Addr: 0x1000, Kind: trace.IFetch, Size: 2}, // conflicting block miss
+		{Addr: 0x1000, Kind: trace.Read, Size: 2},   // hit
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		for _, r := range conflict {
+			demand.Access(r)
+		}
+	}); n != 0 {
+		t.Errorf("all-demand family access path allocates %.1f per round, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { demand.AccessBatch(conflict) }); n != 0 {
+		t.Errorf("all-demand family batch path allocates %.1f per chunk, want 0", n)
+	}
+
 	// The multipass-safe configuration axes -- write-through and
 	// copy-back, write-ignore, and the FIFO/Random allocate fallback of
 	// the batch loop -- must stay 0-alloc on both entry points, batch

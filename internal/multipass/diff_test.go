@@ -67,23 +67,66 @@ func runReference(t *testing.T, cfg cache.Config, refs []trace.Ref) *cache.Stats
 	return c.Stats()
 }
 
-// diffFamily runs refs through a family kernel and per-lane reference
-// caches and reports any counter divergence.
+// batchPieces are the uneven chunk lengths the batch entry points are
+// driven with, cycled, so piece boundaries fall inside the warm-up,
+// across its end and in the steady state.
+var batchPieces = []int{1, 7, 512, 8192}
+
+// forPieces calls fn on consecutive pieces of refs cut by batchPieces.
+func forPieces(refs []trace.Ref, fn func([]trace.Ref)) {
+	for i := 0; len(refs) > 0; i++ {
+		n := min(batchPieces[i%len(batchPieces)], len(refs))
+		fn(refs[:n])
+		refs = refs[n:]
+	}
+}
+
+// entryPoints drive a family over a trace through each public entry
+// point: per-reference Access, AccessBatch in uneven pieces, and
+// AccessBatchPacked on the same pieces packed at the family's word size.
+var entryPoints = []struct {
+	name string
+	run  func(*multipass.Family, []trace.Ref)
+}{
+	{"Access", func(f *multipass.Family, refs []trace.Ref) {
+		for _, r := range refs {
+			f.Access(r)
+		}
+	}},
+	{"AccessBatch", func(f *multipass.Family, refs []trace.Ref) {
+		forPieces(refs, f.AccessBatch)
+	}},
+	{"AccessBatchPacked", func(f *multipass.Family, refs []trace.Ref) {
+		shift := addr.Log2(uint64(f.Config(0).WordSize))
+		forPieces(refs, func(p []trace.Ref) {
+			packed := make([]uint64, len(p))
+			trace.PackRefs(packed, p, shift)
+			f.AccessBatchPacked(nil, packed)
+		})
+	}},
+}
+
+// diffFamily runs refs through a family kernel, once per entry point,
+// and through per-lane reference caches, and reports any counter
+// divergence.
 func diffFamily(t *testing.T, cfgs []cache.Config, refs []trace.Ref) {
 	t.Helper()
-	fam, err := multipass.New(cfgs)
-	if err != nil {
-		t.Fatalf("multipass.New: %v", err)
-	}
-	for _, r := range refs {
-		fam.Access(r)
-	}
-	fam.FlushUsage()
+	want := make([]*cache.Stats, len(cfgs))
 	for i, cfg := range cfgs {
-		want := runReference(t, cfg, refs)
-		got := fam.Stats(i)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: multipass diverges from reference\n got:  %+v\n want: %+v", cfg, got, want)
+		want[i] = runReference(t, cfg, refs)
+	}
+	for _, ep := range entryPoints {
+		fam, err := multipass.New(cfgs)
+		if err != nil {
+			t.Fatalf("multipass.New: %v", err)
+		}
+		ep.run(fam, refs)
+		fam.FlushUsage()
+		for i, cfg := range cfgs {
+			if got := fam.Stats(i); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%v via %s: multipass diverges from reference on %d refs\n got:  %+v\n want: %+v",
+					cfg, ep.name, len(refs), got, want[i])
+			}
 		}
 	}
 }
@@ -110,10 +153,10 @@ func fetchLanes(base cache.Config, subs []int) []cache.Config {
 
 // TestDiffGridFamilies groups the paper's Table 1 grid into families
 // exactly as the sweep's MultiPass engine does and differentially tests
-// every family, for both 2-byte and 4-byte data paths.
+// every family of every architecture: 2-byte and 4-byte data paths,
+// with and without the Z8000's warm start.
 func TestDiffGridFamilies(t *testing.T) {
-	archs := []synth.Arch{synth.PDP11, synth.VAX11} // word sizes 2 and 4
-	for _, arch := range archs {
+	for _, arch := range synth.AllArchs() {
 		arch := arch
 		ws := arch.WordSize()
 		refs := makeTrace(0xd1ff+uint64(ws), 6000, 0xffff, ws)
@@ -192,6 +235,18 @@ func TestDiffTinyAndFullyAssociative(t *testing.T) {
 			refs := makeTrace(0xace0+uint64(i), 5000, 0x1fff, tc.base.WordSize)
 			diffFamily(t, fetchLanes(tc.base, tc.subs), refs)
 		})
+	}
+}
+
+// TestDiffWarmupUnfinished: a trace shorter than the 512 frames of a
+// 1024-byte, 2-byte-block Z8000 cache never finishes the warm-up, so
+// every count stays in the warm-up and write fields.
+func TestDiffWarmupUnfinished(t *testing.T) {
+	cfg := sweep.Point{Net: 1024, Block: 2, Sub: 2}.Config(synth.Z8000)
+	refs := makeTrace(0x5a, 400, 0xffff, cfg.WordSize)
+	diffFamily(t, []cache.Config{cfg}, refs)
+	if st := runReference(t, cfg, refs); st.Accesses != 0 || st.WarmupAccesses == 0 {
+		t.Fatalf("%d refs finished the warm-up of %v: %+v", len(refs), cfg, st)
 	}
 }
 

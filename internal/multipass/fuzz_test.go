@@ -2,12 +2,12 @@ package multipass_test
 
 import (
 	"encoding/binary"
-	"reflect"
 	"testing"
 
 	"subcache/internal/addr"
 	"subcache/internal/cache"
-	"subcache/internal/multipass"
+	"subcache/internal/sweep"
+	"subcache/internal/synth"
 	"subcache/internal/trace"
 )
 
@@ -34,7 +34,9 @@ func decodeRefs(data []byte, wordSize int) []trace.Ref {
 // fuzzFamilies are the configuration families every fuzz input is
 // replayed through: a plain LRU write-through family and a harder one
 // combining Random replacement, copy-back and warm-start accounting,
-// both with mixed fetch-policy lanes.
+// both with mixed fetch-policy lanes, and an all-demand Table 7 family
+// (4-way LRU, write-allocate, write-through) with and without the
+// Z8000's warm start.
 func fuzzFamilies() [][]cache.Config {
 	plain := cache.Config{NetSize: 256, BlockSize: 16, Assoc: 4, WordSize: 2}
 	hard := cache.Config{
@@ -42,17 +44,26 @@ func fuzzFamilies() [][]cache.Config {
 		Replacement: cache.Random, RandomSeed: 99,
 		CopyBack: true, WarmStart: true,
 	}
+	var table7, table7Warm []cache.Config
+	for sub := 16; sub >= 2; sub /= 2 {
+		p := sweep.Point{Net: 256, Block: 16, Sub: sub}
+		table7 = append(table7, p.Config(synth.PDP11))
+		table7Warm = append(table7Warm, p.Config(synth.Z8000))
+	}
 	return [][]cache.Config{
 		fetchLanes(plain, []int{2, 4, 8, 16}),
 		fetchLanes(hard, []int{2, 8, 32}),
+		table7,
+		table7Warm,
 	}
 }
 
 // FuzzMultiPassEquivalence: for arbitrary reference streams, every
 // counter of every lane must match a reference simulation of the same
-// configuration.  The seed corpus reuses the internal/trace fuzz seeds
-// (raw din text and binary trace bytes) plus structured streams that
-// exercise eviction and write paths.
+// configuration, through every entry point (see diffFamily).  The seed
+// corpus reuses the internal/trace fuzz seeds (raw din text and binary
+// trace bytes) plus structured streams that exercise eviction and write
+// paths.
 func FuzzMultiPassEquivalence(f *testing.F) {
 	// Seeds shared with internal/trace's FuzzTextReader / FuzzBinReader.
 	f.Add([]byte("0 100 2\n"))
@@ -85,28 +96,7 @@ func FuzzMultiPassEquivalence(f *testing.F) {
 			return
 		}
 		for _, cfgs := range fuzzFamilies() {
-			fam, err := multipass.New(cfgs)
-			if err != nil {
-				t.Fatalf("multipass.New: %v", err)
-			}
-			for _, r := range refs {
-				fam.Access(r)
-			}
-			fam.FlushUsage()
-			for i, cfg := range cfgs {
-				c, err := cache.New(cfg)
-				if err != nil {
-					t.Fatalf("cache.New(%v): %v", cfg, err)
-				}
-				for _, r := range refs {
-					c.Access(r)
-				}
-				c.FlushUsage()
-				if !reflect.DeepEqual(fam.Stats(i), c.Stats()) {
-					t.Fatalf("%v: counter divergence on %d refs\n got:  %+v\n want: %+v",
-						cfg, len(refs), fam.Stats(i), c.Stats())
-				}
-			}
+			diffFamily(t, cfgs, refs)
 		}
 	})
 }
