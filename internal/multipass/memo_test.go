@@ -1,11 +1,13 @@
 package multipass
 
-// Differential fuzz for the family kernel's same-block memoization: the
-// memoized batch fast path (AccessBatch, which classifies a repeated
+// Differential fuzz for the flat-layout kernel's same-block memoization:
+// the memoized batch fast path (AccessBatch, which classifies a repeated
 // block with one compare) against a probe-every-reference build -- the
 // per-reference Access entry point with both stream memos invalidated
 // before every call, so each reference runs the full tag probe.  Every
-// lane's statistics must match exactly.
+// lane's statistics must match exactly.  Drawn default-class families
+// keep no memo; for them the test compares the record loop run in
+// 512-reference pieces with the same loop run one reference at a time.
 
 import (
 	"math/rand"

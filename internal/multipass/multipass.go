@@ -30,24 +30,33 @@
 // Family.Stats must flush first, exactly as the reference simulator
 // requires for its residency counters.
 //
-// Storage follows the struct-of-arrays layout of internal/cache --
-// dense per-(set,way) slices plus a per-set fill count exploiting the
-// prefix-fill invariant (ways fill in order and tags never invalidate)
-// -- with one twist: the tag and the recency tick of a frame are
-// interleaved in a single slice, because the batch loop's tag probe,
-// LRU victim scan and recency store all hit the same set, and pairing
-// the two words keeps that entire set's footprint in one or two cache
-// lines instead of four.  The lane bitmaps go one
-// step further: all lanes' valid (touched, dirty) masks for one frame
+// In both frame layouts below, all lanes' sub-block bits for one frame
 // are packed side by side into bit planes -- lane li owns the field
 // [laneOff, laneOff+subPerBlk) of plane word fi*nPlanes+plane -- and a
 // small table precomputed per block offset gives, in one load, the OR
-// of every lane's referenced-sub-block bit.  The steady-state cost of a
-// full hit across k lanes is then one mask test and one OR, independent
-// of k; the per-lane loop runs only for the lanes that actually miss.
-// A pair of same-block memos (one per instruction/data stream, which
-// interleave in split traces) short-circuits the tag probe for
-// repeat-block references.
+// of every lane's referenced-sub-block bit, so classifying a reference
+// in every lane is one mask test whatever the lane count.
+//
+// The default class -- LRU, at most four ways, one bit plane, every
+// lane demand-fetch, write-allocate and write-through: every Table 7
+// family and every sweepd request -- keeps its frames in one record per
+// set (setRec): four tags, four valid words and the packed LRU order
+// byte.  Unfilled ways hold a tag no block number matches, so the probe
+// compares all four ways with no jump and no fill count, and the batch
+// loop (recordPiece) resolves hit, sub-block miss, fill and victim
+// choice with masks and one store per field.  Under demand fetch a
+// valid bit is set only by the reference that touches it, so the valid
+// word doubles as the touched word, and a lane's counted read sub-block
+// misses need no per-reference bookkeeping: FlushUsage derives them
+// from the residency count.
+//
+// Every other configuration (other fetch policies, copy-back, FIFO and
+// Random, write-ignore, more than four ways or more than one plane)
+// keeps the struct-of-arrays layout of internal/cache: dense per-frame
+// tag, recency-tick, load-tick, valid, touched and dirty slices plus a
+// per-set fill count and LRU order byte, with a pair of same-block
+// memos (one per instruction/data stream, which interleave in split
+// traces) in front of the tag scan.
 //
 // Eligibility is decided by cache.Config.MultiPassSafe: OBL prefetch and
 // write-no-allocate feed sub-block validity back into tag-array
@@ -89,6 +98,11 @@ type Family struct {
 	lanes   []lane
 	nLanes  int
 	nPlanes int
+
+	// sets holds the frames of a default-class family (see the package
+	// comment), which allocates none of the flat slices below; nil
+	// otherwise.
+	sets []setRec
 
 	// Shared tag array, struct-of-arrays, indexed fi = set*assoc+way.
 	tags     []uint64
@@ -146,31 +160,31 @@ type Family struct {
 	memoI int32
 	memoD int32
 
-	// Deferred per-lane counters.  The miss paths of the batch loop
+	// Deferred per-lane counters.  The miss paths of the batch loops
 	// record events in these dense histograms -- one increment per event
 	// -- and FlushUsage folds them into each lane's cache.Stats, where
 	// the eager paths would have done three to five counter updates per
-	// lane per event.  All three are order-independent totals, so the
-	// fold is exact.
+	// lane per event.  All are order-independent totals, so the fold is
+	// exact.
 	//
-	// bitMiss[b] (bitMissW[b]) counts counted (write) sub-block misses
-	// whose referenced bit is bit b of plane 0: on an all-demand-fetch
-	// single-plane family the bit identifies the lane, the loaded
-	// sub-block and the one-sub-block transaction all at once.
-	// blkMissHist[wo] counts counted block misses at word offset wo; the
-	// missWords/missLoaded tables turn that into every lane's histogram
-	// and fill deltas at flush time.
-	bitMiss     []uint64
-	bitMissW    []uint64
+	// bitMiss[c][b] counts the class-c sub-block misses (missRead,
+	// missWrite, missWarm) whose referenced bit is bit b of plane 0: on
+	// an all-demand-fetch single-plane family the bit identifies the
+	// lane, the loaded sub-block and the one-sub-block transaction all
+	// at once.  blkMissHist[wo] counts counted block misses at word
+	// offset wo; the missWords/missLoaded tables turn that into every
+	// lane's histogram and fill deltas at flush time.
+	bitMiss     [3][64]uint64
 	blkMissHist []uint64
 
-	// Retired-frame touched bits accumulate in per-plane vertical
-	// (bit-sliced) counters: vcTouch[pj*vcDepth+j] holds bit j of a
-	// 64-wide column of binary counters, so retiring a frame is a short
-	// ripple-carry add of its touched word instead of a per-lane
-	// popcount.  A carry out of the top level spills 1<<vcDepth into
-	// vcSpill[pj*64+b] per set bit.  FlushUsage reassembles per-bit
-	// totals and attributes them to lanes via laneOfBit.
+	// Retired-frame touched bits (valid bits in the default class)
+	// accumulate in per-plane vertical (bit-sliced) counters:
+	// vcTouch[pj*vcDepth+j] holds bit j of a 64-wide column of binary
+	// counters, so retiring a frame is a short ripple-carry add of its
+	// touched word instead of a per-lane popcount.  A carry out of the
+	// top level spills 1<<vcDepth into vcSpill[pj*64+b] per set bit.
+	// FlushUsage reassembles per-bit totals and attributes them to lanes
+	// via laneOfBit.
 	vcTouch []uint64
 	vcSpill []uint64
 
@@ -183,7 +197,8 @@ type Family struct {
 	assoc     int
 	tick      uint64
 	filled    int
-	warm      bool // counting enabled: warm-start satisfied or disabled
+	warmAt    int  // filled count that ends the warm-up: NumFrames, or 0 without WarmStart
+	warm      bool // counting enabled: filled >= warmAt
 	flushed   bool // FlushUsage has folded the shared counters
 	rand      *rng.Stream
 	wordShift uint
@@ -238,11 +253,6 @@ func New(cfgs []cache.Config) (*Family, error) {
 	f := &Family{
 		base:       base,
 		nLanes:     k,
-		tags:       make([]uint64, numFrames),
-		lastUse:    make([]uint64, numFrames),
-		loadedAt:   make([]uint64, numFrames),
-		setFill:    make([]int32, base.NumSets()),
-		setOrder:   make([]uint8, base.NumSets()),
 		memoI:      -1,
 		memoD:      -1,
 		assoc:      base.Assoc,
@@ -253,6 +263,9 @@ func New(cfgs []cache.Config) (*Family, error) {
 		offMask:    uint64(base.BlockSize - 1),
 		copyBack:   base.CopyBack,
 	}
+	if base.WarmStart {
+		f.warmAt = numFrames
+	}
 	if base.Replacement == cache.Random {
 		f.rand = rng.New(base.RandomSeed)
 	}
@@ -262,6 +275,7 @@ func New(cfgs []cache.Config) (*Family, error) {
 	f.lanes = make([]lane, k)
 	used := uint(64) // force plane 0 to open on the first lane
 	plane := -1
+	f.allDemand = true
 	for i, cfg := range cfgs {
 		subPerBlk := uint(cfg.SubBlocksPerBlock())
 		if used+subPerBlk > 64 {
@@ -280,11 +294,35 @@ func New(cfgs []cache.Config) (*Family, error) {
 		used += subPerBlk
 		// Same pre-sizing as cache.New: fills record with one increment.
 		f.lanes[i].stats.TxHist = make([]uint64, cfg.BlockSize/cfg.WordSize+1)
+		if cfg.Fetch != cache.DemandSubBlock {
+			f.allDemand = false
+		}
 	}
 	f.nPlanes = plane + 1
-	f.valid = make([]uint64, numFrames*f.nPlanes)
-	f.touched = make([]uint64, numFrames*f.nPlanes)
-	f.dirty = make([]uint64, numFrames*f.nPlanes)
+	if f.nPlanes == 1 && f.allDemand && base.Replacement == cache.LRU && base.Assoc <= 4 &&
+		base.Write == cache.WriteAllocate && !base.CopyBack {
+		// Every way starts unfilled, and the order byte lists the ways
+		// highest first, so its LRU field is the lowest unfilled way
+		// until the set is full: unfilled ways are never referenced and
+		// keep their order behind every filled one.
+		var order uint8
+		for i := 0; i < base.Assoc; i++ {
+			order |= uint8(base.Assoc-1-i) << (6 - 2*i)
+		}
+		f.sets = make([]setRec, base.NumSets())
+		for i := range f.sets {
+			f.sets[i] = setRec{tags: [4]uint64{noTag, noTag, noTag, noTag}, order: order}
+		}
+	} else {
+		f.tags = make([]uint64, numFrames)
+		f.lastUse = make([]uint64, numFrames)
+		f.loadedAt = make([]uint64, numFrames)
+		f.setFill = make([]int32, base.NumSets())
+		f.setOrder = make([]uint8, base.NumSets())
+		f.valid = make([]uint64, numFrames*f.nPlanes)
+		f.touched = make([]uint64, numFrames*f.nPlanes)
+		f.dirty = make([]uint64, numFrames*f.nPlanes)
+	}
 	words := base.BlockSize / base.WordSize
 	f.blkWords = words
 	f.refBits = make([]uint64, words*f.nPlanes)
@@ -321,19 +359,33 @@ func New(cfgs []cache.Config) (*Family, error) {
 			f.laneOfBit[ln.plane*64+int(ln.laneOff+b)] = uint8(i)
 		}
 	}
-	f.allDemand = true
-	for _, cfg := range cfgs {
-		if cfg.Fetch != cache.DemandSubBlock {
-			f.allDemand = false
-		}
-	}
-	f.bitMiss = make([]uint64, 64)
-	f.bitMissW = make([]uint64, 64)
 	f.blkMissHist = make([]uint64, words)
 	f.vcTouch = make([]uint64, f.nPlanes*vcDepth)
 	f.vcSpill = make([]uint64, f.nPlanes*64)
 	return f, nil
 }
+
+// setRec is one set of a default-class family: the ways' block numbers
+// (noTag while unfilled), their valid words (every lane's field of the
+// one bit plane, which under demand fetch is also the touched word) and
+// the packed LRU order byte (see mruTab).  A filled way's valid word is
+// never zero, since every lane holds the sub-block that filled it.
+type setRec struct {
+	tags  [4]uint64
+	valid [4]uint64
+	order uint8
+}
+
+// noTag marks an unfilled way.  Packed block numbers are below 2^62, so
+// no probe matches it.
+const noTag = ^uint64(0)
+
+// Sub-block miss classes, the rows of Family.bitMiss.
+const (
+	missRead  = iota // counted reads and instruction fetches
+	missWrite        // writes, counted or not
+	missWarm         // reads and instruction fetches in the warm-up
+)
 
 // vcDepth is the height of the vertical touched-bit counters: each bit
 // column counts up to 1<<vcDepth retirements before spilling into
@@ -404,14 +456,15 @@ func (f *Family) Config(i int) cache.Config { return f.lanes[i].cfg }
 // FlushUsage once at end of trace before reading any counter.
 func (f *Family) Stats(i int) *cache.Stats { return &f.lanes[i].stats }
 
-// counting mirrors cache.Cache.counting: with warm start, events are
-// recorded only once every frame has been filled.  Fill progress is a
-// tag-level property, so one flag covers every lane; the flag is
-// maintained at fill time so the hot path reads a bool.
-func (f *Family) counting() bool { return f.warm }
-
-// Access presents one word access to every lane of the family.
+// Access presents one word access to every lane of the family.  A
+// default-class family runs its batch loop on the one packed word, so
+// the reference's word index must be below 2^62, as for AccessBatch.
 func (f *Family) Access(r trace.Ref) {
+	if f.sets != nil {
+		v := [1]uint64{trace.PackRef(r, f.wordShift)}
+		f.accessRecords(v[:])
+		return
+	}
 	isWrite := r.Kind == trace.Write
 	count := true
 	if isWrite {
@@ -604,17 +657,17 @@ func (f *Family) subMiss(pj, wi int, off uint, missing uint64, counted, count bo
 // references at a time, and runs the packed batch loop on each piece,
 // so a family owns no chunk-sized scratch.
 //
-// The batch loop inlines the whole warm-phase protocol -- reads and
-// writes, memo or probe, hit and sub-miss -- on a single-plane family,
-// with the per-access state (tick, memos, kind counts, slice headers,
-// geometry) hoisted into locals, so the steady-state cost per reference
-// is a handful of L1 loads with no call overhead.  On an all-demand
-// family a sub-block miss is one OR plus a bit-peeled histogram
-// deferral (see bitMiss); block misses share Access's allocate path.
-// Warm-up-phase references, multi-plane families and LRU sets wider
-// than four ways decode the packed word and drop to Access itself, so
-// the observable state transitions are identical to calling Access per
-// reference.
+// A default-class family runs accessRecords, warm-up included.  Any
+// other single-plane family with LRU sets of at most four ways, or with
+// FIFO or Random replacement, runs the general loop, which inlines the
+// warm-phase protocol -- reads and writes, memo or probe, hit and
+// sub-miss -- with the per-access state (tick, memos, kind counts,
+// slice headers, geometry) hoisted into locals; on an all-demand family
+// a sub-block miss is one OR plus a bit-peeled histogram deferral (see
+// bitMiss).  Warm-up-phase references, multi-plane families and LRU
+// sets wider than four ways decode the packed word and drop to Access
+// itself, so the observable state transitions are identical to calling
+// Access per reference.
 func (f *Family) AccessBatch(refs []trace.Ref) {
 	var buf [batchPackRefs]uint64
 	for len(refs) > 0 {
@@ -642,6 +695,10 @@ func (f *Family) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
 }
 
 func (f *Family) accessPacked(packed []uint64) {
+	if f.sets != nil {
+		f.accessRecords(packed)
+		return
+	}
 	if f.nPlanes != 1 || (f.base.Replacement == cache.LRU && f.assoc > 4) {
 		// Multi-plane families and LRU sets wider than the packed order
 		// byte run the per-reference protocol.
@@ -659,9 +716,8 @@ func (f *Family) accessPacked(packed []uint64) {
 	}
 	tags, valid, touched, dirty := f.tags, f.valid, f.touched, f.dirty
 	setFill, setOrder, refBits := f.setFill, f.setOrder, f.refBits
-	bitMiss, bitMissW, blkMissHist := f.bitMiss, f.bitMissW, f.blkMissHist
-	missBits, vcTouch := f.missBits, f.vcTouch
-	wordShift := f.wordShift
+	readMiss, writeMiss, blkMissHist := &f.bitMiss[missRead], &f.bitMiss[missWrite], f.blkMissHist
+	missBits, wordShift := f.missBits, f.wordShift
 	// Packed-form geometry: the block address is one shift of the
 	// packed word, the block word offset one shift and mask.
 	baShift := 2 + f.blockShift - wordShift
@@ -681,200 +737,107 @@ func (f *Family) accessPacked(packed []uint64) {
 	memos := [2]int32{f.memoI, f.memoD}
 	var kc [4]uint64
 	var bm, wbm, evict, allocW uint64
-	if f.blkWords == 1 && allDemand && fastMiss && !copyBack &&
-		missBits[0] == refBits[0] {
-		// Single-word blocks (block == word): the frame has one
-		// sub-block, a demand fill loads exactly it, and nothing is ever
-		// written back, so valid == touched == refBits[0] is invariant
-		// on every filled frame.  That collapses hit and miss onto one
-		// straight-line body with no unpredictable branches: the tag
-		// scan compiles to conditional moves, the LRU victim is the low
-		// field of the set's order byte, and every store is
-		// unconditional -- on a hit it rewrites the value the
-		// frame already holds.  These families carry the sweep's worst
-		// miss rates and no block locality for the memo to exploit, so
-		// the branch-free body beats the memoized one.  Retired touched
-		// bits and the miss histogram are uniform, folded from the
-		// eviction and miss totals after the loop.
-		need := refBits[0]
-		mb := missBits[0]
-		for i := range packed {
-			v := packed[i]
-			k := v & 3
-			isWrite := k == uint64(trace.Write)
-			if isWrite && wIgnore {
-				continue
-			}
-			ba := v >> baShift
-			ki := (k + 1) >> 1 & 1
-			kc[k]++
-			setIdx := int(ba & setMask)
-			sbase := setIdx * assoc
+	for i := range packed {
+		v := packed[i]
+		k := v & 3
+		isWrite := k == uint64(trace.Write)
+		if isWrite && wIgnore {
+			continue
+		}
+		tick++
+		ba := v >> baShift
+		wo := v >> 2 & woMask
+		// IFetch(0)->0, Read(1)/Write(2)->1: the stream index,
+		// branch free; the kind histogram needs no branch at all.
+		ki := (k + 1) >> 1 & 1
+		kc[k]++
+		setIdx := int(ba & setMask)
+		sbase := setIdx * assoc
+		var fi int
+		if m := memos[ki]; m >= 0 && tags[m] == ba {
+			fi = int(m)
+		} else {
 			nf := int(setFill[setIdx])
-			fi := -1
+			fi = -1
 			for w := 0; w < nf; w++ {
 				if tags[sbase+w] == ba {
 					fi = sbase + w
 				}
 			}
-			// miss==1 iff no way matched; fresh==1 iff the miss lands in
-			// an unused way, full==1 iff the set is full.
-			o := setOrder[setIdx]
-			miss := uint64(fi) >> 63
-			full := uint64(int64(nf-assoc))>>63 ^ 1
-			fresh := miss &^ full
-			dst := sbase + int(o&3)
-			if fresh != 0 {
-				dst = sbase + nf
-			}
-			if fi >= 0 {
-				dst = fi
-			}
-			setFill[setIdx] = int32(nf + int(fresh))
-			evict += miss & full
-			w1 := v >> 1 & 1
-			wbm += w1 & miss
-			bm += (1 - w1) & miss
-			if fresh != 0 {
-				// Only a first-time fill needs the mask stores; every
-				// previously filled frame already holds them (the
-				// invariant above), so the steady state never touches
-				// the mask arrays at all.
-				valid[dst] = mb
-				touched[dst] = need
-			}
-			tags[dst] = ba
-			// Skip the recency store when the way is already MRU: on
-			// block-local runs that is the steady state, and skipping
-			// keeps the order byte's load-table-store chain off the
-			// loop's critical path.
-			if w := uint(dst-sbase) & 3; uint(o>>6) != w {
-				setOrder[setIdx] = mruTab[uint(o)<<2|w]
-			}
-			memos[ki] = int32(dst)
-		}
-		tick += kc[trace.IFetch] + kc[trace.Read] + kc[trace.Write]
-		blkMissHist[0] += bm
-		for m := need; m != 0; m &= m - 1 {
-			f.vcSpill[bits.TrailingZeros64(m)] += evict
-		}
-	} else {
-		for i := range packed {
-			v := packed[i]
-			k := v & 3
-			isWrite := k == uint64(trace.Write)
-			if isWrite && wIgnore {
-				continue
-			}
-			tick++
-			ba := v >> baShift
-			wo := v >> 2 & woMask
-			// IFetch(0)->0, Read(1)/Write(2)->1: the stream index,
-			// branch free; the kind histogram needs no branch at all.
-			ki := (k + 1) >> 1 & 1
-			kc[k]++
-			setIdx := int(ba & setMask)
-			sbase := setIdx * assoc
-			var fi int
-			if m := memos[ki]; m >= 0 && tags[m] == ba {
-				fi = int(m)
-			} else {
-				nf := int(setFill[setIdx])
-				fi = -1
-				// No early break: a fixed scan compiles to conditional
-				// moves, trading a couple of extra tag loads for zero
-				// branch mispredicts on the match position.
-				for w := 0; w < nf; w++ {
-					if tags[sbase+w] == ba {
-						fi = sbase + w
+			if fi < 0 {
+				if !fastMiss {
+					f.tick = tick
+					if isWrite {
+						// allocate counts the write-through word
+						// itself; keep the epilogue's batch-total
+						// fold from counting it again.
+						allocW++
 					}
-				}
-				if fi < 0 {
-					if !fastMiss {
-						f.tick = tick
-						if isWrite {
-							// allocate counts the write-through word
-							// itself; keep the epilogue's batch-total
-							// fold from counting it again.
-							allocW++
-						}
-						f.allocate(addr.Addr(ba), uint(wo)<<wordShift, !isWrite, !isWrite, isWrite, &memos[ki])
-						continue
-					}
-					// Inline block miss: an unused way if one remains,
-					// else the LRU victim from the set's order byte,
-					// whose touched bits ripple into the vertical
-					// counters.
-					if nf < assoc {
-						fi = sbase + nf
-						setFill[setIdx] = int32(nf + 1)
-					} else {
-						fi = sbase + int(setOrder[setIdx]&3)
-						evict++
-						carry := touched[fi]
-						for j := 0; carry != 0; j++ {
-							if j == vcDepth {
-								for m := carry; m != 0; m &= m - 1 {
-									f.vcSpill[bits.TrailingZeros64(m)] += 1 << vcDepth
-								}
-								break
-							}
-							t := vcTouch[j] & carry
-							vcTouch[j] ^= carry
-							carry = t
-						}
-						if copyBack {
-							if d := dirty[fi]; d != 0 {
-								f.retireDirty(fi, d)
-							}
-						}
-					}
-					tags[fi] = ba
-					o := setOrder[setIdx]
-					setOrder[setIdx] = mruTab[uint(o)<<2|uint(fi-sbase)&3]
-					memos[ki] = int32(fi)
-					need := refBits[wo]
-					valid[fi] = missBits[wo]
-					touched[fi] = need
-					if isWrite && copyBack {
-						dirty[fi] = need
-					}
-					w1 := v >> 1 & 1
-					wbm += w1
-					bm += 1 - w1
-					blkMissHist[wo] += 1 - w1
+					f.allocate(addr.Addr(ba), uint(wo)<<wordShift, !isWrite, !isWrite, isWrite, &memos[ki])
 					continue
 				}
-				memos[ki] = int32(fi)
-			}
-			need := refBits[wo]
-			if missing := need &^ valid[fi]; missing != 0 {
-				if allDemand {
-					// Demand fetch loads exactly the missing bit for
-					// each missing lane; the counter work defers.
-					valid[fi] |= missing
-					if isWrite {
-						for m := missing; m != 0; m &= m - 1 {
-							bitMissW[bits.TrailingZeros64(m)]++
-						}
-					} else {
-						for m := missing; m != 0; m &= m - 1 {
-							bitMiss[bits.TrailingZeros64(m)]++
+				// Inline block miss: an unused way if one remains,
+				// else the LRU victim from the set's order byte,
+				// whose touched bits ripple into the vertical
+				// counters.
+				if nf < assoc {
+					fi = sbase + nf
+					setFill[setIdx] = int32(nf + 1)
+				} else {
+					fi = sbase + int(setOrder[setIdx]&3)
+					evict++
+					f.ripple(0, touched[fi])
+					if copyBack {
+						if d := dirty[fi]; d != 0 {
+							f.retireDirty(fi, d)
 						}
 					}
-				} else {
-					f.subMiss(0, fi, uint(wo)<<wordShift, missing, !isWrite, !isWrite)
 				}
+				tags[fi] = ba
+				o := setOrder[setIdx]
+				setOrder[setIdx] = mruTab[uint(o)<<2|uint(fi-sbase)&3]
+				memos[ki] = int32(fi)
+				need := refBits[wo]
+				valid[fi] = missBits[wo]
+				touched[fi] = need
+				if isWrite && copyBack {
+					dirty[fi] = need
+				}
+				w1 := v >> 1 & 1
+				wbm += w1
+				bm += 1 - w1
+				blkMissHist[wo] += 1 - w1
+				continue
 			}
-			touched[fi] |= need
-			if isWrite && copyBack {
-				dirty[fi] |= need
+			memos[ki] = int32(fi)
+		}
+		need := refBits[wo]
+		if missing := need &^ valid[fi]; missing != 0 {
+			if allDemand {
+				// Demand fetch loads exactly the missing bit for
+				// each missing lane; the counter work defers.
+				valid[fi] |= missing
+				row := readMiss
+				if isWrite {
+					row = writeMiss
+				}
+				for m := missing; m != 0; m &= m - 1 {
+					row[bits.TrailingZeros64(m)]++
+				}
+			} else {
+				f.subMiss(0, fi, uint(wo)<<wordShift, missing, !isWrite, !isWrite)
 			}
-			// As in the word loop: only a non-MRU way needs the store.
-			w := uint(fi-sbase) & 3
-			if o := setOrder[setIdx]; uint(o>>6) != w {
-				setOrder[setIdx] = mruTab[uint(o)<<2|w]
-			}
+		}
+		touched[fi] |= need
+		if isWrite && copyBack {
+			dirty[fi] |= need
+		}
+		// Only a non-MRU way needs the order store: on block-local runs
+		// the way is already MRU, and skipping keeps the order byte's
+		// load-table-store chain off the loop's critical path.
+		w := uint(fi-sbase) & 3
+		if o := setOrder[setIdx]; uint(o>>6) != w {
+			setOrder[setIdx] = mruTab[uint(o)<<2|w]
 		}
 	}
 	f.tick = tick
@@ -891,6 +854,136 @@ func (f *Family) accessPacked(packed []uint64) {
 	f.blockMisses += bm
 	f.writeBlockMisses += wbm
 	f.evictions += evict
+}
+
+// accessRecords is the default class's batch loop: the whole protocol
+// of Access, warm-up included, on the set records, with no memo, in
+// pieces of at most recordRefs references.
+func (f *Family) accessRecords(packed []uint64) {
+	for len(packed) > 0 {
+		n := min(len(packed), recordRefs)
+		f.recordPiece(packed[:n])
+		packed = packed[n:]
+	}
+}
+
+// recordRefs is recordPiece's longest piece: its victim buffer is 2 KiB
+// of stack.
+const recordRefs = 256
+
+// recordPiece runs the default-class loop over at most recordRefs
+// references.  The probe compares the block number with all four ways'
+// tags into 0/1 flags without a jump (at most one flag is set: a block
+// is resident once), and the frame they select -- the hit way, else the
+// order byte's LRU field -- takes its tag, valid word and order byte as
+// unconditional stores, each of which rewrites the value it replaces
+// where the reference changes nothing.  The loop's one branch is the
+// rare call that records a write's or a warm-up read's sub-block
+// misses.  Retiring the victims and counting the reference kinds run
+// after it, from the victims it buffers and from the packed words, and
+// the counted read sub-block misses are never recorded: FlushUsage
+// derives them.
+func (f *Family) recordPiece(packed []uint64) {
+	sets, refBits := f.sets, f.refBits
+	if len(sets) == 0 || len(refBits) == 0 {
+		return
+	}
+	setMask, woMask := uint64(len(sets)-1), uint64(len(refBits)-1)
+	baShift := (2 + f.blockShift - f.wordShift) & 63
+	// rem is filled - warmAt: negative, top bit set, while the warm-up
+	// lasts.
+	rem := uint64(f.filled - f.warmAt)
+	rem0 := rem
+	// evicted[:nm] holds the victim's valid word of every block miss,
+	// zero for an unfilled way; nU counts the references of the
+	// warm-up, which are a prefix of the piece; misses packs the counted
+	// read and the write block misses in two 32-bit fields.
+	var evicted [recordRefs]uint64
+	var nm, nU, misses uint64
+	for _, v := range packed {
+		w := v >> 1 & 1 // 1 on a write
+		uw := rem >> 63 // 1 in the warm-up
+		ba := v >> baShift
+		need := refBits[v>>2&woMask]
+		s := &sets[ba&setMask]
+		h0 := flag(s.tags[0] == ba)
+		h1 := flag(s.tags[1] == ba)
+		h2 := flag(s.tags[2] == ba)
+		h3 := flag(s.tags[3] == ba)
+		miss := (h0 | h1 | h2 | h3) ^ 1
+		hitMask := miss - 1 // all ones on a tag hit
+		o := uint64(s.order)
+		// The hit way, else the order byte's LRU field, which is the
+		// lowest unfilled way while one remains (see New).
+		way := (h1 | h3 | (h2|h3)<<1 | o&-miss) & 3
+		old := s.valid[way]
+		s.tags[way] = ba
+		// Demand fetch loads exactly the referenced sub-block of every
+		// lane: a tag hit ORs the bits in, a fill starts from them.
+		s.valid[way] = old&hitMask | need
+		s.order = mruTab[(o<<2|way)&1023]
+		evicted[nm&(recordRefs-1)] = old
+		nm += miss
+		rem += miss & flag(old == 0)
+		nU += uw
+		misses += ((w | uw) ^ 1 | w<<32) & -miss
+		// The lanes whose referenced bit was missing on a tag hit take a
+		// sub-block miss; record the write and warm-up ones.
+		if rec := need &^ old & hitMask & -(w | uw); rec != 0 {
+			f.recordMisses(rec, w)
+		}
+	}
+	// A filled frame's valid word is never zero, so the nonzero victims
+	// are the evictions; their valid bits -- their touched bits --
+	// ripple into the vertical counters.
+	evictions := uint64(0)
+	for _, carry := range evicted[:nm] {
+		if carry != 0 {
+			evictions++
+			f.ripple(0, carry)
+		}
+	}
+	// Reference kinds, from the packed words: the first nU are the
+	// warm-up's.
+	var wU, nW, nR uint64
+	for _, v := range packed[:nU] {
+		wU += v >> 1 & 1
+	}
+	for _, v := range packed[nU:] {
+		nW += v >> 1 & 1
+		nR += v & 1
+	}
+	mC, mW := misses&(1<<32-1), misses>>32
+	f.filled += int(rem - rem0)
+	f.warm = f.filled >= f.warmAt
+	f.kindCount[trace.IFetch] += uint64(len(packed)) - nU - nW - nR
+	f.kindCount[trace.Read] += nR
+	f.kindCount[trace.Write] += wU + nW
+	f.warmupAccesses += nU - wU
+	f.wtWords += wU + nW
+	f.blockMisses += mC
+	f.blkMissHist[0] += mC // every word offset fills the same under demand fetch
+	f.writeBlockMisses += mW
+	f.warmupBlockMisses += nm - mC - mW
+	f.evictions += evictions
+}
+
+// flag is 1 if b holds and 0 otherwise; on amd64 it compiles to a
+// SETcc, not a jump.
+func flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// recordMisses counts the sub-block misses in rec, a write's (w == 1)
+// or a warm-up read's, bit by bit.
+func (f *Family) recordMisses(rec, w uint64) {
+	row := &f.bitMiss[missWarm-w]
+	for ; rec != 0; rec &= rec - 1 {
+		row[bits.TrailingZeros64(rec)]++
+	}
 }
 
 // victim picks the frame to replace in the set, mirroring
@@ -1000,19 +1093,7 @@ func (ln *lane) recordTransaction(n int, counted bool) {
 func (f *Family) retire(fi int) {
 	pb := fi * f.nPlanes
 	for pj := 0; pj < f.nPlanes; pj++ {
-		carry := f.touched[pb+pj]
-		vb := pj * vcDepth
-		for j := 0; carry != 0; j++ {
-			if j == vcDepth {
-				for m := carry; m != 0; m &= m - 1 {
-					f.vcSpill[pj*64+bits.TrailingZeros64(m)] += 1 << vcDepth
-				}
-				break
-			}
-			t := f.vcTouch[vb+j] & carry
-			f.vcTouch[vb+j] ^= carry
-			carry = t
-		}
+		f.ripple(pj, f.touched[pb+pj])
 		if d := f.dirty[pb+pj]; d != 0 {
 			for li := range f.lanes {
 				ln := &f.lanes[li]
@@ -1026,6 +1107,33 @@ func (f *Family) retire(fi int) {
 			f.dirty[pb+pj] = 0
 		}
 	}
+}
+
+// ripple adds one retired frame's touched word to plane pj's vertical
+// counters: a ripple-carry add, spilling a carry out of the top level
+// into vcSpill.
+func (f *Family) ripple(pj int, carry uint64) {
+	vc := f.vcTouch[pj*vcDepth : (pj+1)*vcDepth]
+	for j := 0; carry != 0; j++ {
+		if j == vcDepth {
+			for m := carry; m != 0; m &= m - 1 {
+				f.vcSpill[pj*64+bits.TrailingZeros64(m)] += 1 << vcDepth
+			}
+			return
+		}
+		t := vc[j] & carry
+		vc[j] ^= carry
+		carry = t
+	}
+}
+
+// addReadMisses credits the lane n counted sub-block misses of an
+// all-demand family, each a one-sub-block fill.
+func (ln *lane) addReadMisses(n uint64) {
+	ln.stats.SubBlockMisses += n
+	ln.stats.TxHist[ln.wordsPerSub] += n
+	ln.stats.SubBlockFills += n
+	ln.stats.WordsFetched += n * uint64(ln.wordsPerSub)
 }
 
 // retireDirty folds an evicted single-plane frame's dirty words into
@@ -1053,6 +1161,15 @@ func (f *Family) FlushUsage() {
 	}
 	f.flushed = true
 	resident := uint64(0)
+	for i := range f.sets {
+		s := &f.sets[i]
+		for w, tag := range s.tags {
+			if tag != noTag {
+				resident++
+				f.ripple(0, s.valid[w])
+			}
+		}
+	}
 	for s := range f.setFill {
 		base := s * f.assoc
 		for fi := base; fi < base+int(f.setFill[s]); fi++ {
@@ -1061,20 +1178,36 @@ func (f *Family) FlushUsage() {
 		}
 	}
 
-	// Expand the deferred histograms into per-lane counters.  Sub-block
-	// miss counts must land before Misses is derived below; everything
-	// else is an order-independent total.
-	for b := 0; b < 64; b++ {
-		nm, nw := f.bitMiss[b], f.bitMissW[b]
-		if nm == 0 && nw == 0 {
-			continue
+	// Reassemble the vertical counters into per-lane residency totals,
+	// and expand the deferred histograms into per-lane counters.
+	// Sub-block miss counts must land before Misses is derived below;
+	// everything else is an order-independent total.
+	for pj := 0; pj < f.nPlanes; pj++ {
+		for b := 0; b < 64; b++ {
+			cnt := f.vcSpill[pj*64+b]
+			for j := 0; j < vcDepth; j++ {
+				cnt += (f.vcTouch[pj*vcDepth+j] >> uint(b) & 1) << uint(j)
+			}
+			f.lanes[f.laneOfBit[pj*64+b]].stats.ResidencyTouched += cnt
 		}
+	}
+	for b := 0; b < 64; b++ {
 		ln := &f.lanes[f.laneOfBit[b]]
-		ln.stats.SubBlockMisses += nm
-		ln.stats.TxHist[ln.wordsPerSub] += nm
-		ln.stats.SubBlockFills += nm
-		ln.stats.WordsFetched += nm * uint64(ln.wordsPerSub)
-		ln.stats.WriteMisses += nw
+		ln.addReadMisses(f.bitMiss[missRead][b])
+		ln.stats.WriteMisses += f.bitMiss[missWrite][b]
+		ln.stats.WarmupMisses += f.bitMiss[missWarm][b]
+	}
+	if f.sets != nil {
+		// Under demand fetch a valid bit is set only by the reference
+		// that touches it: the allocation, one bit per lane, or a
+		// sub-block miss.  Every allocation is evicted or resident, so
+		// ResidencyTouched less the allocations and the recorded write
+		// and warm-up sub-block misses leaves the counted read ones.
+		for li := range f.lanes {
+			ln := &f.lanes[li]
+			st := &ln.stats
+			ln.addReadMisses(st.ResidencyTouched - (f.evictions + resident) - st.WriteMisses - st.WarmupMisses)
+		}
 	}
 	for wo, n := range f.blkMissHist {
 		if n == 0 {
@@ -1086,18 +1219,6 @@ func (f *Family) FlushUsage() {
 			st.TxHist[wf] += n
 			st.SubBlockFills += uint64(f.missLoaded[li*f.blkWords+wo]) * n
 			st.WordsFetched += wf * n
-		}
-	}
-	for pj := 0; pj < f.nPlanes; pj++ {
-		for b := 0; b < 64; b++ {
-			cnt := f.vcSpill[pj*64+b]
-			for j := 0; j < vcDepth; j++ {
-				cnt += (f.vcTouch[pj*vcDepth+j] >> uint(b) & 1) << uint(j)
-			}
-			if cnt == 0 {
-				continue
-			}
-			f.lanes[f.laneOfBit[pj*64+b]].stats.ResidencyTouched += cnt
 		}
 	}
 
