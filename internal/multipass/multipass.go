@@ -14,10 +14,11 @@
 //
 // The kernel is bit-exact against cache.Cache: every counter in
 // cache.Stats, including the bus-transaction histogram, is accumulated
-// by the same rules.  internal/multipass/diff_test.go and
-// FuzzMultiPassEquivalence enforce the equivalence; the sweep harness
-// additionally regression-tests the generated paper artifacts
-// byte-for-byte across engines.
+// or derived by the same rules.  internal/multipass/diff_test.go and
+// FuzzMultiPassEquivalence check the equivalence through every entry
+// point on their traces; the sweep harness additionally
+// regression-tests the generated paper artifacts, and an exact digest
+// of the Table 7 counters, byte for byte across engines.
 //
 // To keep the per-reference loop tight, counters that are tag-level
 // facts -- identical in every lane by the set-refinement argument
@@ -32,7 +33,7 @@
 //
 // In both frame layouts below, all lanes' sub-block bits for one frame
 // are packed side by side into bit planes -- lane li owns the field
-// [laneOff, laneOff+subPerBlk) of plane word fi*nPlanes+plane -- and a
+// [laneOff, laneOff+subPerBlk) of its plane's word -- and a
 // small table precomputed per block offset gives, in one load, the OR
 // of every lane's referenced-sub-block bit, so classifying a reference
 // in every lane is one mask test whatever the lane count.
@@ -119,9 +120,8 @@ type Family struct {
 
 	// Packed lane bitmaps: plane word pj of frame fi is at fi*nPlanes+pj
 	// and carries the valid (touched, dirty) fields of every lane
-	// assigned to plane pj.  On the Table 7 grids the sub-block counts
-	// of a whole family sum below 64, so nPlanes is 1 and a frame's
-	// entire lane state is three words.
+	// assigned to plane pj, so a frame's lane state is three words per
+	// plane.
 	valid   []uint64
 	touched []uint64
 	dirty   []uint64
@@ -167,14 +167,14 @@ type Family struct {
 	// lane per event.  All are order-independent totals, so the fold is
 	// exact.
 	//
-	// bitMiss[c][b] counts the class-c sub-block misses (missRead,
-	// missWrite, missWarm) whose referenced bit is bit b of plane 0: on
-	// an all-demand-fetch single-plane family the bit identifies the
-	// lane, the loaded sub-block and the one-sub-block transaction all
-	// at once.  blkMissHist[wo] counts counted block misses at word
-	// offset wo; the missWords/missLoaded tables turn that into every
-	// lane's histogram and fill deltas at flush time.
-	bitMiss     [3][64]uint64
+	// bitMiss[c][b] counts a default-class family's class-c sub-block
+	// misses (missWrite, missWarm) whose referenced bit is bit b of
+	// plane 0: with every lane demand-fetch in one plane the bit
+	// identifies the lane, the loaded sub-block and the one-sub-block
+	// transaction all at once.  blkMissHist[wo] counts counted block
+	// misses at word offset wo; the missWords/missLoaded tables turn
+	// that into every lane's histogram and fill deltas at flush time.
+	bitMiss     [2][64]uint64
 	blkMissHist []uint64
 
 	// Retired-frame touched bits (valid bits in the default class)
@@ -187,12 +187,6 @@ type Family struct {
 	// via laneOfBit.
 	vcTouch []uint64
 	vcSpill []uint64
-
-	// allDemand is set when every lane uses DemandSubBlock fetch (the
-	// entire Table 7 grid): a sub-block miss then loads exactly the
-	// missing bit for each missing lane, so the batch loop resolves a
-	// whole miss mask with one OR plus the bitMiss deferrals.
-	allDemand bool
 
 	assoc     int
 	tick      uint64
@@ -275,7 +269,7 @@ func New(cfgs []cache.Config) (*Family, error) {
 	f.lanes = make([]lane, k)
 	used := uint(64) // force plane 0 to open on the first lane
 	plane := -1
-	f.allDemand = true
+	allDemand := true
 	for i, cfg := range cfgs {
 		subPerBlk := uint(cfg.SubBlocksPerBlock())
 		if used+subPerBlk > 64 {
@@ -295,11 +289,11 @@ func New(cfgs []cache.Config) (*Family, error) {
 		// Same pre-sizing as cache.New: fills record with one increment.
 		f.lanes[i].stats.TxHist = make([]uint64, cfg.BlockSize/cfg.WordSize+1)
 		if cfg.Fetch != cache.DemandSubBlock {
-			f.allDemand = false
+			allDemand = false
 		}
 	}
 	f.nPlanes = plane + 1
-	if f.nPlanes == 1 && f.allDemand && base.Replacement == cache.LRU && base.Assoc <= 4 &&
+	if f.nPlanes == 1 && allDemand && base.Replacement == cache.LRU && base.Assoc <= 4 &&
 		base.Write == cache.WriteAllocate && !base.CopyBack {
 		// Every way starts unfilled, and the order byte lists the ways
 		// highest first, so its LRU field is the lowest unfilled way
@@ -380,10 +374,9 @@ type setRec struct {
 // no probe matches it.
 const noTag = ^uint64(0)
 
-// Sub-block miss classes, the rows of Family.bitMiss.
+// Recorded sub-block miss classes, the rows of Family.bitMiss.
 const (
-	missRead  = iota // counted reads and instruction fetches
-	missWrite        // writes, counted or not
+	missWrite = iota // writes, counted or not
 	missWarm         // reads and instruction fetches in the warm-up
 )
 
@@ -662,12 +655,10 @@ func (f *Family) subMiss(pj, wi int, off uint, missing uint64, counted, count bo
 // FIFO or Random replacement, runs the general loop, which inlines the
 // warm-phase protocol -- reads and writes, memo or probe, hit and
 // sub-miss -- with the per-access state (tick, memos, kind counts,
-// slice headers, geometry) hoisted into locals; on an all-demand family
-// a sub-block miss is one OR plus a bit-peeled histogram deferral (see
-// bitMiss).  Warm-up-phase references, multi-plane families and LRU
-// sets wider than four ways decode the packed word and drop to Access
-// itself, so the observable state transitions are identical to calling
-// Access per reference.
+// slice headers, geometry) hoisted into locals.  Warm-up-phase
+// references, multi-plane families and LRU sets wider than four ways
+// decode the packed word and drop to Access itself, so the observable
+// state transitions are identical to calling Access per reference.
 func (f *Family) AccessBatch(refs []trace.Ref) {
 	var buf [batchPackRefs]uint64
 	for len(refs) > 0 {
@@ -716,14 +707,13 @@ func (f *Family) accessPacked(packed []uint64) {
 	}
 	tags, valid, touched, dirty := f.tags, f.valid, f.touched, f.dirty
 	setFill, setOrder, refBits := f.setFill, f.setOrder, f.refBits
-	readMiss, writeMiss, blkMissHist := &f.bitMiss[missRead], &f.bitMiss[missWrite], f.blkMissHist
-	missBits, wordShift := f.missBits, f.wordShift
+	blkMissHist, missBits, wordShift := f.blkMissHist, f.missBits, f.wordShift
 	// Packed-form geometry: the block address is one shift of the
 	// packed word, the block word offset one shift and mask.
 	baShift := 2 + f.blockShift - wordShift
 	woMask := uint64(f.blkWords - 1)
 	setMask, assoc := uint64(f.setMask), f.assoc
-	allDemand, copyBack := f.allDemand, f.copyBack
+	copyBack := f.copyBack
 	wIgnore := f.base.Write == cache.WriteIgnore
 	// In the warm phase the fill/warm bookkeeping is settled and LRU
 	// needs no loadedAt, so an LRU family's whole miss path can run
@@ -813,20 +803,7 @@ func (f *Family) accessPacked(packed []uint64) {
 		}
 		need := refBits[wo]
 		if missing := need &^ valid[fi]; missing != 0 {
-			if allDemand {
-				// Demand fetch loads exactly the missing bit for
-				// each missing lane; the counter work defers.
-				valid[fi] |= missing
-				row := readMiss
-				if isWrite {
-					row = writeMiss
-				}
-				for m := missing; m != 0; m &= m - 1 {
-					row[bits.TrailingZeros64(m)]++
-				}
-			} else {
-				f.subMiss(0, fi, uint(wo)<<wordShift, missing, !isWrite, !isWrite)
-			}
+			f.subMiss(0, fi, uint(wo)<<wordShift, missing, !isWrite, !isWrite)
 		}
 		touched[fi] |= need
 		if isWrite && copyBack {
@@ -1127,15 +1104,6 @@ func (f *Family) ripple(pj int, carry uint64) {
 	}
 }
 
-// addReadMisses credits the lane n counted sub-block misses of an
-// all-demand family, each a one-sub-block fill.
-func (ln *lane) addReadMisses(n uint64) {
-	ln.stats.SubBlockMisses += n
-	ln.stats.TxHist[ln.wordsPerSub] += n
-	ln.stats.SubBlockFills += n
-	ln.stats.WordsFetched += n * uint64(ln.wordsPerSub)
-}
-
 // retireDirty folds an evicted single-plane frame's dirty words into
 // the lanes' write-back counters and clears them: the copy-back slow
 // half of the batch loop's inline miss path.
@@ -1191,22 +1159,26 @@ func (f *Family) FlushUsage() {
 			f.lanes[f.laneOfBit[pj*64+b]].stats.ResidencyTouched += cnt
 		}
 	}
-	for b := 0; b < 64; b++ {
-		ln := &f.lanes[f.laneOfBit[b]]
-		ln.addReadMisses(f.bitMiss[missRead][b])
-		ln.stats.WriteMisses += f.bitMiss[missWrite][b]
-		ln.stats.WarmupMisses += f.bitMiss[missWarm][b]
-	}
 	if f.sets != nil {
+		for b := 0; b < 64; b++ {
+			st := &f.lanes[f.laneOfBit[b]].stats
+			st.WriteMisses += f.bitMiss[missWrite][b]
+			st.WarmupMisses += f.bitMiss[missWarm][b]
+		}
 		// Under demand fetch a valid bit is set only by the reference
 		// that touches it: the allocation, one bit per lane, or a
 		// sub-block miss.  Every allocation is evicted or resident, so
 		// ResidencyTouched less the allocations and the recorded write
-		// and warm-up sub-block misses leaves the counted read ones.
+		// and warm-up sub-block misses leaves the counted read ones,
+		// each a one-sub-block fill.
 		for li := range f.lanes {
 			ln := &f.lanes[li]
 			st := &ln.stats
-			ln.addReadMisses(st.ResidencyTouched - (f.evictions + resident) - st.WriteMisses - st.WarmupMisses)
+			n := st.ResidencyTouched - (f.evictions + resident) - st.WriteMisses - st.WarmupMisses
+			st.SubBlockMisses += n
+			st.TxHist[ln.wordsPerSub] += n
+			st.SubBlockFills += n
+			st.WordsFetched += n * uint64(ln.wordsPerSub)
 		}
 	}
 	for wo, n := range f.blkMissHist {
