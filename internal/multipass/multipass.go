@@ -191,8 +191,8 @@ type Family struct {
 	assoc     int
 	tick      uint64
 	filled    int
-	warmAt    int  // filled count that ends the warm-up: NumFrames, or 0 without WarmStart
-	warm      bool // counting enabled: filled >= warmAt
+	warmAt    int  // default class: filled count that ends the warm-up (NumFrames, or 0 without WarmStart)
+	warm      bool // flat layout: counting enabled, warm-start satisfied or disabled
 	flushed   bool // FlushUsage has folded the shared counters
 	rand      *rng.Stream
 	wordShift uint
@@ -861,6 +861,8 @@ const recordRefs = 256
 // the counted read sub-block misses are never recorded: FlushUsage
 // derives them.
 func (f *Family) recordPiece(packed []uint64) {
+	// New sizes both to a power of two; the emptiness test, never true,
+	// lets the compiler prove the masked indexes below in bounds.
 	sets, refBits := f.sets, f.refBits
 	if len(sets) == 0 || len(refBits) == 0 {
 		return
@@ -932,7 +934,6 @@ func (f *Family) recordPiece(packed []uint64) {
 	}
 	mC, mW := misses&(1<<32-1), misses>>32
 	f.filled += int(rem - rem0)
-	f.warm = f.filled >= f.warmAt
 	f.kindCount[trace.IFetch] += uint64(len(packed)) - nU - nW - nR
 	f.kindCount[trace.Read] += nR
 	f.kindCount[trace.Write] += wU + nW
