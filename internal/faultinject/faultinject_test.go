@@ -126,9 +126,10 @@ func TestCampaignAttributedOrSurvived(t *testing.T) {
 		workloads = append(workloads, p.Name)
 	}
 	// Every engine runs at one shard, the executor's degenerate case,
-	// and at two.  The one-shard variants keep their established
-	// subtest ids ("-legacy", "-materialised") so campaign results stay
-	// comparable across revisions.
+	// and at two.  The multipass one-shard variant is "-1shard"; the
+	// others keep their established subtest ids ("-legacy",
+	// "-materialised") so campaign results stay comparable across
+	// revisions.
 	variants := []struct {
 		name   string
 		engine sweep.Engine
@@ -136,7 +137,7 @@ func TestCampaignAttributedOrSurvived(t *testing.T) {
 	}{
 		{"reference-legacy", sweep.Reference, 1},
 		{"reference-sharded", sweep.Reference, 2},
-		{"multipass-materialised", sweep.MultiPass, 1},
+		{"multipass-1shard", sweep.MultiPass, 1},
 		{"multipass-sharded", sweep.MultiPass, 2},
 		{"stackdist-materialised", sweep.StackDist, 1},
 		{"stackdist-sharded", sweep.StackDist, 2},

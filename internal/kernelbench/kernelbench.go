@@ -7,8 +7,8 @@
 //   - hit: a steady-state resident block is referenced word by word --
 //     after the first touch every access is a full hit.  For the
 //     reference and stack-distance kernels that is the same-block
-//     memo's best case; the multipass family, a default-class one, has
-//     no memo and runs its full four-way probe on every hit.
+//     memo's best case; the multipass family has no memo and runs its
+//     full four-way probe on every hit.
 //   - miss: successive references cycle through more set-mates than the
 //     set holds, so once warm every access is a block miss with an
 //     eviction -- victim search, retirement and refill on every call.

@@ -21,31 +21,7 @@ func TestFamilyAccessNoAllocs(t *testing.T) {
 		c.SubBlockSize = sub
 		cfgs = append(cfgs, c)
 	}
-	lf := base
-	lf.SubBlockSize = 4
-	lf.Fetch = cache.LoadForward
-	cfgs = append(cfgs, lf)
-
 	fam, err := multipass.New(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := [2]trace.Ref{
-		{Addr: 0x0000, Kind: trace.Read, Size: 2},
-		{Addr: 0x1000, Kind: trace.Read, Size: 2}, // same set, conflicting tag
-	}
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		fam.Access(refs[i&1]) // alternating conflict misses
-		fam.Access(refs[i&1]) // plus a hit
-		i++
-	}); n != 0 {
-		t.Errorf("family access path allocates %.1f per round, want 0", n)
-	}
-
-	// An all-demand LRU family -- every Table 7 family's shape -- must
-	// stay 0-alloc through Access and through AccessBatch alike.
-	demand, err := multipass.New(cfgs[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,47 +33,13 @@ func TestFamilyAccessNoAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		for _, r := range conflict {
-			demand.Access(r)
+			fam.Access(r)
 		}
 	}); n != 0 {
-		t.Errorf("all-demand family access path allocates %.1f per round, want 0", n)
+		t.Errorf("family access path allocates %.1f per round, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { demand.AccessBatch(conflict) }); n != 0 {
-		t.Errorf("all-demand family batch path allocates %.1f per chunk, want 0", n)
-	}
-
-	// The multipass-safe configuration axes -- write-through and
-	// copy-back, write-ignore, and the FIFO/Random allocate fallback of
-	// the batch loop -- must stay 0-alloc on both entry points, batch
-	// included (it packs through a stack buffer).
-	variants := []struct {
-		name   string
-		mutate func(*cache.Config)
-	}{
-		{"copy-back", func(c *cache.Config) { c.CopyBack = true }},
-		{"write-ignore", func(c *cache.Config) { c.Write = cache.WriteIgnore }},
-		{"random", func(c *cache.Config) { c.Replacement = cache.Random; c.RandomSeed = 99 }},
-		{"fifo", func(c *cache.Config) { c.Replacement = cache.FIFO }},
-	}
-	for _, v := range variants {
-		vcfgs := make([]cache.Config, len(cfgs))
-		for j := range cfgs {
-			vcfgs[j] = cfgs[j]
-			v.mutate(&vcfgs[j])
-		}
-		vfam, err := multipass.New(vcfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := []trace.Ref{
-			{Addr: 0x0000, Kind: trace.Read, Size: 2},
-			{Addr: 0x0002, Kind: trace.Write, Size: 2},
-			{Addr: 0x1000, Kind: trace.Write, Size: 2}, // conflicting write miss
-			{Addr: 0x2000, Kind: trace.IFetch, Size: 2},
-		}
-		if n := testing.AllocsPerRun(1000, func() { vfam.AccessBatch(batch) }); n != 0 {
-			t.Errorf("%s batch path allocates %.1f per chunk, want 0", v.name, n)
-		}
+	if n := testing.AllocsPerRun(1000, func() { fam.AccessBatch(conflict) }); n != 0 {
+		t.Errorf("family batch path allocates %.1f per chunk, want 0", n)
 	}
 }
 

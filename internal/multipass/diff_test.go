@@ -131,6 +131,38 @@ func diffFamily(t *testing.T, cfgs []cache.Config, refs []trace.Ref) {
 	}
 }
 
+// diffGrouped routes cfgs as the sweep executor does: every family
+// Group forms must match the reference through every entry point
+// (diffFamily), and every configuration Group leaves to the reference
+// simulator must be one New refuses.
+func diffGrouped(t *testing.T, cfgs []cache.Config, refs []trace.Ref) {
+	t.Helper()
+	families, rest := multipass.Group(cfgs)
+	for _, idxs := range families {
+		fcfgs := make([]cache.Config, len(idxs))
+		for j, k := range idxs {
+			fcfgs[j] = cfgs[k]
+		}
+		diffFamily(t, fcfgs, refs)
+	}
+	for _, k := range rest {
+		if _, err := multipass.New([]cache.Config{cfgs[k]}); err == nil {
+			t.Errorf("%v: left to the reference simulator, but New accepts it", cfgs[k])
+		}
+	}
+}
+
+// demandLanes gives base's family one demand-fetch lane per sub-block
+// size.
+func demandLanes(base cache.Config, subs []int) []cache.Config {
+	cfgs := make([]cache.Config, len(subs))
+	for i, sub := range subs {
+		cfgs[i] = base
+		cfgs[i].SubBlockSize = sub
+	}
+	return cfgs
+}
+
 // fetchLanes expands one (net, block) family into every (sub, fetch)
 // lane the sweep grid could ask for: demand fetch at every sub-block
 // size plus the load-forward and whole-block variants where sub < block.
@@ -181,10 +213,12 @@ func TestDiffGridFamilies(t *testing.T) {
 	}
 }
 
-// TestDiffPolicyMatrix differentially tests one representative family
-// under every MultiPassSafe combination of write policy, memory-update
-// mode, replacement policy and warm-start accounting, with fetch-policy
-// lanes mixed in.
+// TestDiffPolicyMatrix routes one representative family, with
+// fetch-policy lanes mixed in, under every combination of write policy,
+// memory-update mode, replacement policy and warm-start accounting that
+// keeps tag dynamics independent of sub-block state (diffGrouped): the
+// demand lanes of the LRU write-allocate write-through combinations run
+// as a family, and everything else must be refused by New.
 func TestDiffPolicyMatrix(t *testing.T) {
 	base := cache.Config{
 		NetSize: 256, BlockSize: 32, Assoc: 4, WordSize: 2,
@@ -208,7 +242,7 @@ func TestDiffPolicyMatrix(t *testing.T) {
 						b.WarmStart = warm
 						cfgs := fetchLanes(b, []int{2, 4, 8, 16, 32})
 						refs := makeTrace(traceSeed, 4000, 0x3fff, 2)
-						diffFamily(t, cfgs, refs)
+						diffGrouped(t, cfgs, refs)
 					})
 				}
 			}
@@ -216,9 +250,10 @@ func TestDiffPolicyMatrix(t *testing.T) {
 	}
 }
 
-// TestDiffTinyAndFullyAssociative covers the geometry extremes: a
-// direct-mapped family, a fully-associative (360/85-style sector)
-// family, and a single-set cache where every access contends.
+// TestDiffTinyAndFullyAssociative routes the geometry extremes
+// (diffGrouped): a direct-mapped family, a fully-associative
+// (360/85-style sector) cache, whose eight ways New refuses, and a
+// single-set cache where every access contends.
 func TestDiffTinyAndFullyAssociative(t *testing.T) {
 	cases := []struct {
 		name string
@@ -233,7 +268,7 @@ func TestDiffTinyAndFullyAssociative(t *testing.T) {
 		tc, i := tc, i
 		t.Run(tc.name, func(t *testing.T) {
 			refs := makeTrace(0xace0+uint64(i), 5000, 0x1fff, tc.base.WordSize)
-			diffFamily(t, fetchLanes(tc.base, tc.subs), refs)
+			diffGrouped(t, fetchLanes(tc.base, tc.subs), refs)
 		})
 	}
 }
@@ -250,22 +285,36 @@ func TestDiffWarmupUnfinished(t *testing.T) {
 	}
 }
 
-// TestNewRejectsIneligible: configurations whose tag dynamics depend on
-// sub-block state, or that mix families, must be refused up front.
+// TestNewRejectsIneligible: configurations outside the kernel's class,
+// families that mix keys or need more than 64 lane bits, and invalid
+// geometry must be refused up front.
 func TestNewRejectsIneligible(t *testing.T) {
 	ok := cache.Config{NetSize: 256, BlockSize: 16, SubBlockSize: 8, Assoc: 4, WordSize: 2}
 	if _, err := multipass.New([]cache.Config{ok}); err != nil {
 		t.Fatalf("eligible config rejected: %v", err)
 	}
-	prefetch := ok
-	prefetch.PrefetchOBL = true
-	if _, err := multipass.New([]cache.Config{prefetch}); err == nil {
-		t.Error("prefetch config accepted; tag dynamics depend on sub-block validity")
+	refused := []struct {
+		name   string
+		mutate func(*cache.Config)
+	}{
+		{"prefetch", func(c *cache.Config) { c.PrefetchOBL = true }},
+		{"write-no-allocate", func(c *cache.Config) { c.Write = cache.WriteNoAllocate }},
+		{"write-ignore", func(c *cache.Config) { c.Write = cache.WriteIgnore }},
+		{"copy-back", func(c *cache.Config) { c.CopyBack = true }},
+		{"FIFO", func(c *cache.Config) { c.Replacement = cache.FIFO }},
+		{"Random", func(c *cache.Config) { c.Replacement = cache.Random }},
+		{"8-way", func(c *cache.Config) { c.Assoc = 8 }},
+		{"load-forward", func(c *cache.Config) { c.Fetch = cache.LoadForward }},
+		{"load-forward-opt", func(c *cache.Config) { c.Fetch = cache.LoadForwardOptimized }},
+		{"whole-block", func(c *cache.Config) { c.Fetch = cache.WholeBlock }},
+		{"invalid geometry", func(c *cache.Config) { c.SubBlockSize = 3 }},
 	}
-	noAlloc := ok
-	noAlloc.Write = cache.WriteNoAllocate
-	if _, err := multipass.New([]cache.Config{noAlloc}); err == nil {
-		t.Error("write-no-allocate config accepted; recency updates depend on sub-block validity")
+	for _, tc := range refused {
+		cfg := ok
+		tc.mutate(&cfg)
+		if _, err := multipass.New([]cache.Config{cfg}); err == nil {
+			t.Errorf("%s config %v accepted", tc.name, cfg)
+		}
 	}
 	otherFamily := ok
 	otherFamily.BlockSize = 32
@@ -273,10 +322,13 @@ func TestNewRejectsIneligible(t *testing.T) {
 	if _, err := multipass.New([]cache.Config{ok, otherFamily}); err == nil {
 		t.Error("mixed (net,block) families accepted")
 	}
-	invalid := ok
-	invalid.SubBlockSize = 3
-	if _, err := multipass.New([]cache.Config{invalid}); err == nil {
-		t.Error("invalid geometry accepted")
+	// 64-byte blocks of 2-byte words: lanes of 32, 32 and 16 sub-blocks.
+	wide := demandLanes(cache.Config{NetSize: 256, BlockSize: 64, Assoc: 4, WordSize: 2}, []int{2, 2, 4})
+	if _, err := multipass.New(wide[:2]); err != nil {
+		t.Errorf("family of 64 lane bits rejected: %v", err)
+	}
+	if _, err := multipass.New(wide); err == nil {
+		t.Error("family of 80 lane bits accepted")
 	}
 	if _, err := multipass.New(nil); err == nil {
 		t.Error("empty family accepted")
@@ -287,7 +339,7 @@ func TestNewRejectsIneligible(t *testing.T) {
 // configurations.
 func TestLaneAccessors(t *testing.T) {
 	base := cache.Config{NetSize: 128, BlockSize: 16, Assoc: 2, WordSize: 2}
-	cfgs := fetchLanes(base, []int{2, 4, 8, 16})
+	cfgs := demandLanes(base, []int{16, 2, 8, 4})
 	fam, err := multipass.New(cfgs)
 	if err != nil {
 		t.Fatal(err)

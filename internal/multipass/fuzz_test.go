@@ -31,39 +31,48 @@ func decodeRefs(data []byte, wordSize int) []trace.Ref {
 	return refs
 }
 
-// fuzzFamilies are the configuration families every fuzz input is
-// replayed through: a plain LRU write-through family and a harder one
-// combining Random replacement, copy-back and warm-start accounting,
-// both with mixed fetch-policy lanes, and an all-demand Table 7 family
-// (4-way LRU, write-allocate, write-through) with and without the
-// Z8000's warm start.
-func fuzzFamilies() [][]cache.Config {
-	plain := cache.Config{NetSize: 256, BlockSize: 16, Assoc: 4, WordSize: 2}
-	hard := cache.Config{
-		NetSize: 64, BlockSize: 32, Assoc: 2, WordSize: 2,
-		Replacement: cache.Random, RandomSeed: 99,
-		CopyBack: true, WarmStart: true,
+// fuzzGeometry decodes a family from one fuzz byte: bit 0 picks the
+// word size (2 or 4), bits 1-3 the block size (4 to 64 bytes), bits
+// 4-5 the associativity (1, 2 or 4, capped at the frame count), bit 6
+// warm start and bit 7 the net size (64 or 256 bytes).  Its lanes are
+// every demand-fetch sub-block size from the block down to the word.
+func fuzzGeometry(b byte) []cache.Config {
+	base := cache.Config{
+		WordSize:  2 << (b & 1),
+		BlockSize: 4 << (b >> 1 & 7 % 5),
+		Assoc:     1 << (b >> 4 & 3 % 3),
+		WarmStart: b>>6&1 == 1,
+		NetSize:   64 << (b >> 7 * 2),
 	}
+	base.Assoc = min(base.Assoc, base.NetSize/base.BlockSize)
+	var subs []int
+	for sub := base.BlockSize; sub >= base.WordSize; sub /= 2 {
+		subs = append(subs, sub)
+	}
+	return demandLanes(base, subs)
+}
+
+// fuzzFamilies are the Table 7 families every fuzz input is also
+// replayed through: the all-demand 256:16 family (4-way LRU,
+// write-allocate, write-through) with and without the Z8000's warm
+// start.
+func fuzzFamilies() [][]cache.Config {
 	var table7, table7Warm []cache.Config
 	for sub := 16; sub >= 2; sub /= 2 {
 		p := sweep.Point{Net: 256, Block: 16, Sub: sub}
 		table7 = append(table7, p.Config(synth.PDP11))
 		table7Warm = append(table7Warm, p.Config(synth.Z8000))
 	}
-	return [][]cache.Config{
-		fetchLanes(plain, []int{2, 4, 8, 16}),
-		fetchLanes(hard, []int{2, 8, 32}),
-		table7,
-		table7Warm,
-	}
+	return [][]cache.Config{table7, table7Warm}
 }
 
 // FuzzMultiPassEquivalence: for arbitrary reference streams, every
 // counter of every lane must match a reference simulation of the same
-// configuration, through every entry point (see diffFamily).  The seed
-// corpus reuses the internal/trace fuzz seeds (raw din text and binary
-// trace bytes) plus structured streams that exercise eviction and write
-// paths.
+// configuration, through every entry point (see diffFamily), on a
+// family whose geometry the input's first byte picks (fuzzGeometry)
+// and on the Table 7 families of fuzzFamilies.  The seed corpus reuses
+// the internal/trace fuzz seeds (raw din text and binary trace bytes)
+// plus structured streams that exercise eviction and write paths.
 func FuzzMultiPassEquivalence(f *testing.F) {
 	// Seeds shared with internal/trace's FuzzTextReader / FuzzBinReader.
 	f.Add([]byte("0 100 2\n"))
@@ -91,6 +100,13 @@ func FuzzMultiPassEquivalence(f *testing.F) {
 	f.Add(loop)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		geo := fuzzGeometry(data[0])
+		if refs := decodeRefs(data[1:], geo[0].WordSize); len(refs) > 0 {
+			diffFamily(t, geo, refs)
+		}
 		refs := decodeRefs(data, 2)
 		if len(refs) == 0 {
 			return

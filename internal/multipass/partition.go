@@ -8,10 +8,10 @@ import (
 
 // ShardPlan is one shard worker's slice of a configuration set.
 // Families lists single-pass family groups (each a list of indexes into
-// the partitioned configuration slice, sharing a FamilyKey and all
-// MultiPassSafe); Rest lists the indexes that need the reference
-// simulator.  A plan set produced by PartitionShards covers every input
-// index exactly once across all shards.
+// the partitioned configuration slice, formed by Group or a part of
+// one); Rest lists the indexes that need the reference simulator.  A
+// plan set produced by PartitionShards covers every input index exactly
+// once across all shards.
 type ShardPlan struct {
 	Families [][]int
 	Rest     []int
@@ -50,15 +50,16 @@ func (u shardUnit) cost() int {
 }
 
 // PartitionShards splits cfgs across at most shards single-pass
-// workers, balancing estimated per-access cost.  Families are the
-// preferred unit of work -- their lanes share one tag probe, so keeping
-// them together is cheapest -- but when there are fewer units than
-// shards, the largest families are split in two (any subset of a family
-// is itself a valid family: lane state is private, so membership never
-// affects results), trading shared probes for parallelism.  The
-// partition is deterministic, covers every index exactly once, and
-// returns only non-empty plans, so the result may have fewer than
-// shards entries.
+// workers, balancing estimated per-access cost.  The units of work are
+// Group's families and one reference cache per configuration in its
+// rest.  Families are the preferred unit -- their lanes share one tag
+// probe, so keeping them together is cheapest -- but when there are
+// fewer units than shards, the largest families are split in two (any
+// subset of a family is itself a valid family: lane state is private,
+// so membership never affects results, and a subset needs no more lane
+// bits), trading shared probes for parallelism.  The partition is
+// deterministic, covers every index exactly once, and returns only
+// non-empty plans, so the result may have fewer than shards entries.
 func PartitionShards(cfgs []cache.Config, shards int) []ShardPlan {
 	if shards < 1 {
 		shards = 1

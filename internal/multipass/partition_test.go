@@ -7,7 +7,8 @@ import (
 	"subcache/internal/cache"
 )
 
-// partitionCfg builds a MultiPassSafe grid configuration.
+// partitionCfg builds a Table 7 grid configuration, in the kernel's
+// class.
 func partitionCfg(net, block, sub int) cache.Config {
 	assoc := 4
 	if frames := net / block; frames < assoc {
@@ -21,7 +22,8 @@ func partitionCfg(net, block, sub int) cache.Config {
 }
 
 // partitionSuite is a representative mix: three families of different
-// widths plus two fallback (non-MultiPassSafe) configurations.
+// widths plus two fallback configurations (OBL prefetch and
+// write-no-allocate).
 func partitionSuite() []cache.Config {
 	var cfgs []cache.Config
 	for _, sub := range []int{2, 4, 8, 16} {
@@ -76,9 +78,9 @@ func TestPartitionCoversEveryIndex(t *testing.T) {
 }
 
 // TestPartitionFamilyInvariants: every planned family must be a real
-// single-pass family -- all members MultiPassSafe and sharing one
-// FamilyKey -- and every Rest index must be a configuration the kernel
-// cannot host.
+// single-pass family -- all members in the kernel's class and sharing
+// one FamilyKey -- and every Rest index must be a configuration the
+// kernel cannot host.
 func TestPartitionFamilyInvariants(t *testing.T) {
 	cfgs := partitionSuite()
 	for _, shards := range []int{1, 2, 3, len(cfgs) + 4} {
@@ -87,8 +89,8 @@ func TestPartitionFamilyInvariants(t *testing.T) {
 			for _, fam := range plan.Families {
 				key := cfgs[fam[0]].FamilyKey()
 				for _, k := range fam {
-					if !cfgs[k].MultiPassSafe() {
-						t.Errorf("shards=%d: non-safe config %d planned into a family", shards, k)
+					if !recordClass(cfgs[k]) {
+						t.Errorf("shards=%d: config %d outside the kernel's class planned into a family", shards, k)
 					}
 					if cfgs[k].FamilyKey() != key {
 						t.Errorf("shards=%d: family mixes keys at index %d", shards, k)
@@ -96,12 +98,66 @@ func TestPartitionFamilyInvariants(t *testing.T) {
 				}
 			}
 			for _, k := range plan.Rest {
-				if cfgs[k].MultiPassSafe() {
-					t.Errorf("shards=%d: safe config %d left on the fallback path", shards, k)
+				if recordClass(cfgs[k]) {
+					t.Errorf("shards=%d: config %d of the kernel's class left on the fallback path", shards, k)
 				}
 			}
 		}
 	}
+}
+
+// TestGroupSplitsAt64Bits: lanes of one key that need more than the 64
+// bits of a valid word spill into further families of that key, each
+// of at most 64 bits, with every index placed exactly once.
+func TestGroupSplitsAt64Bits(t *testing.T) {
+	// 64-byte blocks of 2-byte words: the sub-block ladder 64..2 takes
+	// 63 bits, so three copies need three families.
+	var cfgs []cache.Config
+	for rep := 0; rep < 3; rep++ {
+		for sub := 64; sub >= 2; sub /= 2 {
+			cfgs = append(cfgs, partitionCfg(256, 64, sub))
+		}
+		cfgs = append(cfgs, partitionCfg(256, 16, 4))
+	}
+	families, rest := Group(cfgs)
+	if len(rest) != 0 {
+		t.Fatalf("rest = %v, want none", rest)
+	}
+	seen := make(map[int]int)
+	wide := 0
+	for _, fam := range families {
+		bits := 0
+		for _, k := range fam {
+			seen[k]++
+			bits += cfgs[k].SubBlocksPerBlock()
+		}
+		if bits > 64 {
+			t.Errorf("family %v needs %d bits", fam, bits)
+		}
+		if _, err := New(pick(cfgs, fam)); err != nil {
+			t.Errorf("family %v: %v", fam, err)
+		}
+		if cfgs[fam[0]].BlockSize == 64 {
+			wide++
+		}
+	}
+	for i := range cfgs {
+		if seen[i] != 1 {
+			t.Errorf("index %d placed %d times", i, seen[i])
+		}
+	}
+	if wide != 3 || len(families) != 4 {
+		t.Errorf("got %d families, %d of 64-byte blocks; want 4 and 3", len(families), wide)
+	}
+}
+
+// pick returns the configurations at idxs.
+func pick(cfgs []cache.Config, idxs []int) []cache.Config {
+	out := make([]cache.Config, len(idxs))
+	for j, k := range idxs {
+		out[j] = cfgs[k]
+	}
+	return out
 }
 
 // TestPartitionSplitsWideFamilies: with more shards than natural units

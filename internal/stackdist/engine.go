@@ -49,11 +49,10 @@
 // search length by the total cache capacity under study rather than
 // the trace footprint.
 //
-// Eligibility is stricter than multipass: Supported requires LRU (FIFO
-// and Random break the stack property) on top of MultiPassSafe.  The
-// sweep harness declares unsupported configurations explicitly and
-// simulates them by other engines in the same pass; this package never
-// approximates.
+// Eligibility: Supported requires LRU (FIFO and Random break the stack
+// property) on top of MultiPassSafe.  The sweep harness declares
+// unsupported configurations explicitly and simulates them by other
+// engines in the same pass; this package never approximates.
 package stackdist
 
 import (
@@ -75,9 +74,8 @@ import (
 //     LRU but not for FIFO or Random, so only LRU lets one recency list
 //     stand in for every associativity.
 //   - MultiPassSafe (no OBL prefetch, not write-no-allocate): tag-array
-//     dynamics must not depend on sub-block state, exactly as for the
-//     multipass engine, or the shared recency order would diverge from
-//     the simulated cache's.
+//     dynamics must not depend on sub-block state, or the shared
+//     recency order would diverge from the simulated cache's.
 //
 // Warm start, copy-back, write-allocate and write-ignore are all
 // supported.
@@ -142,7 +140,7 @@ type tagCfg struct {
 	victim int32
 
 	// Warm-start state: counting starts once every frame has been
-	// filled, mirroring multipass.Family.filled/warm.
+	// filled, mirroring cache.Cache.filled/warm.
 	warm   bool
 	filled int
 	frames int
@@ -302,11 +300,10 @@ type Engine struct {
 	laneOff   []uint8
 	lanePlane []int32
 
-	// Per-node lane bitmaps follow multipass.Family's struct-of-arrays
-	// bit-plane layout: every lane owns the field [laneOff,
-	// laneOff+subPerBlk) of plane word ni*nPlanes+plane, in three
-	// parallel arrays (valid, touched, dirty) instead of strided
-	// per-lane triples.  A reference that hits everywhere then updates
+	// Per-node lane bitmaps use a struct-of-arrays bit-plane layout:
+	// every lane owns the field [laneOff, laneOff+subPerBlk) of plane
+	// word ni*nPlanes+plane, in three parallel arrays (valid, touched,
+	// dirty) instead of strided per-lane triples.  A reference that hits everywhere then updates
 	// nPlanes words, independent of the lane count.
 	nPlanes int
 	valid   []uint64
@@ -848,7 +845,7 @@ func (e *Engine) subMiss(pj, wi int, off uint, sm uint64, isWrite bool) {
 
 // hitCfg resolves a tag hit for geometry ci: the per-plane walk of the
 // all-hit path, restricted to the geometry's own bit fields, mirroring
-// the tag-hit path of multipass.Family.Access.
+// the tag-hit path of cache.Cache.access.
 func (e *Engine) hitCfg(ci int, ni int32, off uint, isWrite bool) {
 	wo := int(off >> e.wordShift)
 	nb := int(ni) * e.nPlanes
@@ -871,7 +868,7 @@ func (e *Engine) hitCfg(ci int, ni int32, off uint, isWrite bool) {
 // missCfg resolves a block (tag) miss for configuration ci: the victim
 // the search identified (if any) is retired, warm-start fill progress
 // advances, and the new block's lane state is initialised, mirroring
-// the block-miss path of multipass.Family.Access.
+// the block-miss path of cache.Cache.access.
 func (e *Engine) missCfg(ci int, ni int32, off uint, isWrite bool) {
 	c := &e.cfgs[ci]
 	counted := !isWrite && c.warm
@@ -960,7 +957,7 @@ func (e *Engine) missCfg(ci int, ni int32, off uint, isWrite bool) {
 
 // fillLane loads sub-blocks into the lane's field (at bit offset offb
 // of plane word valid[wi]) according to its fetch policy, with the
-// same mask arithmetic as multipass.lane.fill: set bits come from one
+// same mask arithmetic as cache.Cache.fill: set bits come from one
 // OR, counts from popcount deltas, and LoadForwardOptimized's
 // transaction runs from trailing-zeros scans over the missing mask.
 func (e *Engine) fillLane(ln *lane, offb uint, wi int, subIdx uint, counted bool) {

@@ -114,7 +114,34 @@ func OpenJournal(path string) (*Journal, error) {
 		// invalidates nothing already verified; keep what we have.
 		j.Skipped++
 	}
+	// A crash mid-append leaves a last line with no newline.  End it,
+	// so the next Record starts a line of its own instead of joining
+	// the torn bytes and being skipped with them on the next load.
+	if err := terminateLastLine(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+	}
 	return j, nil
+}
+
+// terminateLastLine appends a newline, fsynced, to a non-empty file
+// whose last byte is not one.
+func terminateLastLine(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	if _, err := f.Write([]byte{'\n'}); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Lookup returns the journaled runs for one workload under the given

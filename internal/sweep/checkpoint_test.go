@@ -126,6 +126,108 @@ func TestJournalRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestJournalTornTailThenRecord: a crash mid-append leaves a last line
+// with no newline; an entry recorded after reopening such a journal
+// must survive the next load, and only the torn line is skipped.
+func TestJournalTornTailThenRecord(t *testing.T) {
+	path := tmpJournal(t)
+	if err := os.WriteFile(path, []byte(`{"v":1,"fp":"x","workl`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{{Net: 64, Block: 8, Sub: 2}}
+	runs := map[Point]metrics.Run{pts[0]: {Trace: "ED", Miss: 0.5}}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record("fp", "ED", pts, runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got, ok := j2.Lookup("fp", "ED"); !ok || !reflect.DeepEqual(got, runs) {
+		t.Errorf("entry recorded after a torn tail: got %v, %v; want %v (Skipped %d)", got, ok, runs, j2.Skipped)
+	}
+	if j2.Skipped != 1 {
+		t.Errorf("Skipped = %d, want 1 (the torn line)", j2.Skipped)
+	}
+}
+
+// FuzzOpenJournal: whatever a journal file holds before it is opened,
+// one Record and a reopen must find the new entry and every entry the
+// first open verified.  The seeds are an empty file,
+// TestJournalRoundTrip's entry (whole, without its newline, and
+// followed by its own first half), a torn line and a garbage line.
+func FuzzOpenJournal(f *testing.F) {
+	pts := []Point{{Net: 64, Block: 8, Sub: 2}, {Net: 64, Block: 8, Sub: 4}}
+	runs := map[Point]metrics.Run{
+		pts[0]: {Trace: "ED", Miss: 0.25, Traffic: 1.5},
+		pts[1]: {Trace: "ED", Miss: 0.125, Traffic: 0.75},
+	}
+	seedPath := filepath.Join(f.TempDir(), "seed.ckpt")
+	j, err := OpenJournal(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Record("fp1", "ED", pts, runs); err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	entry, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(entry)
+	f.Add(entry[:len(entry)-1])
+	f.Add(append(append([]byte(nil), entry...), entry[:len(entry)/2]...))
+	f.Add([]byte(`{"v":1,"fp":"x","workl`))
+	f.Add([]byte("{not json at all\n"))
+
+	f.Fuzz(func(t *testing.T, prior []byte) {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		if err := os.WriteFile(path, prior, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verified := make(map[string]journalEntry, len(j.done))
+		for k, e := range j.done {
+			verified[k] = e
+		}
+		if err := j.Record("fuzz", "CCP", pts, runs); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if got, ok := j2.Lookup("fuzz", "CCP"); !ok || !reflect.DeepEqual(got, runs) {
+			t.Fatalf("new entry lost on reopen: got %v, %v (Skipped %d)", got, ok, j2.Skipped)
+		}
+		for k, e := range verified {
+			if k == journalKey("fuzz", "CCP") {
+				continue
+			}
+			if got, ok := j2.done[k]; !ok || !reflect.DeepEqual(got, e) {
+				t.Errorf("entry %s/%s verified on open but lost on reopen", e.FP, e.Workload)
+			}
+		}
+	})
+}
+
 func splitLines(t *testing.T, data []byte) [][]byte {
 	t.Helper()
 	var lines [][]byte

@@ -99,9 +99,10 @@ type shardRunner struct {
 
 // RunConfigs evaluates every configuration against one workload in a
 // single chunk-streamed trace pass, sharded across shard workers
-// (0 or less picks GOMAXPROCS).  Configurations that share tag-array
-// dynamics are grouped into multipass families within each shard; the
-// rest ride the same pass on reference simulators.  The returned runs
+// (0 or less picks GOMAXPROCS).  Configurations in the family kernel's
+// class are grouped into multipass families within each shard (see
+// multipass.Group); the rest ride the same pass on reference
+// simulators.  The returned runs
 // align with cfgs and are bit-identical to per-configuration
 // simulation.  All configurations must agree on WordSize, since they
 // consume one shared word-split trace.  Failures are fail-fast: the
@@ -168,8 +169,9 @@ func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int)
 	case StackDist:
 		// Stack groups fan out across shards by set partitioning;
 		// configurations stack analysis refuses (stackdist.Supported)
-		// ride the same pass on multipass families or reference caches,
-		// planned over the leftover indexes and remapped back.
+		// ride the same pass on reference caches -- none is in the
+		// family kernel's class -- planned by multipass.PartitionShards
+		// over the leftover indexes and remapped back.
 		splans, rest := stackdist.Partition(cfgs, shards)
 		var mplans []multipass.ShardPlan
 		if len(rest) > 0 {

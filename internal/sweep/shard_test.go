@@ -87,11 +87,10 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // TestShardedDecodePaths: the executor broadcasts packed words only,
-// so every path that decodes them back -- the multipass per-reference
-// fallbacks (warm-up, LRU wider than four ways, multi-plane families)
-// and the shard-side decode for reference caches hosted beside
-// families -- must still match the RunOne oracle bit for bit, for every
-// engine at one and two shards.
+// so every path that reads them -- the family kernel's warm-up across
+// chunk boundaries and the shard-side decode for reference caches,
+// alone or hosted beside families -- must still match the RunOne oracle
+// bit for bit, for every engine at one and two shards.
 func TestShardedDecodePaths(t *testing.T) {
 	var twoPlane []Point
 	for _, sub := range []int{16, 8, 4, 2} {
@@ -107,11 +106,14 @@ func TestShardedDecodePaths(t *testing.T) {
 		// crosses chunk boundaries.
 		{"z8000-warmup", Request{Arch: synth.Z8000, Refs: 3*trace.ChunkRefs + 123,
 			Points: []Point{{Net: 64, Block: 8, Sub: 2}, {Net: 1024, Block: 16, Sub: 4}, {Net: 1024, Block: 16, Sub: 16}, {Net: 4096, Block: 32, Sub: 8}}}},
+		// Eight ways are outside the family kernel's class: every
+		// point runs on a reference cache.
 		{"lru-8way", Request{Arch: synth.PDP11, Refs: 2*trace.ChunkRefs + 7,
 			Points:   []Point{{Net: 256, Block: 8, Sub: 2}, {Net: 256, Block: 8, Sub: 8}, {Net: 1024, Block: 16, Sub: 4}, {Net: 1024, Block: 16, Sub: 16}},
 			Override: func(c *cache.Config) { c.Assoc = 8 }}},
-		// 64-byte blocks with demand and load-forward lanes at every
-		// sub-block size need 120 lane bits: two planes.
+		// 64-byte blocks at every sub-block size: the demand lanes
+		// form one family, and the load-forward points run on
+		// reference caches beside it.
 		{"two-plane", Request{Arch: synth.PDP11, Refs: 2*trace.ChunkRefs + 7, Points: twoPlane}},
 		// OBL prefetch on the 2-byte sub-blocks only: those points
 		// fall back to reference caches beside the families.

@@ -36,8 +36,9 @@ type Engine int
 
 const (
 	// MultiPass makes a single pass over each workload's trace, feeding
-	// every point simultaneously: points whose tag dynamics are
-	// sub-block-invariant (cache.Config.MultiPassSafe) are grouped into
+	// every point simultaneously: points in the family kernel's class
+	// (LRU with at most four ways, demand fetch, write-allocate and
+	// write-through; see multipass.Group) are grouped into
 	// multipass.Family kernels sharing one tag engine per (net, block)
 	// family, and the rest ride the same pass as individual reference
 	// caches.  It is the zero value, the default.
@@ -55,7 +56,7 @@ const (
 	// deriving each point's counters from per-set LRU depths.  Points
 	// stack analysis cannot compute exactly (non-LRU replacement,
 	// write-no-allocate, prefetch; see stackdist.Supported) fall back
-	// to multipass families or reference caches on the same pass.
+	// to reference caches on the same pass.
 	// Results are bit-identical to Reference; sharding partitions sets
 	// rather than configurations.
 	StackDist

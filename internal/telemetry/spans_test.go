@@ -9,7 +9,7 @@ import (
 
 // spanStream marshals events into a JSONL stream, stamping sequence
 // numbers and non-decreasing elapsed times.
-func spanStream(t *testing.T, evs ...*Event) string {
+func spanStream(t testing.TB, evs ...*Event) string {
 	t.Helper()
 	var sb strings.Builder
 	for i, ev := range evs {
