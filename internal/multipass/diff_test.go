@@ -285,6 +285,83 @@ func TestDiffWarmupUnfinished(t *testing.T) {
 	}
 }
 
+// TestDiffSixtyFourBitLanes: families using the valid word's full
+// width -- one lane of 64 sub-blocks (128-byte blocks of 2-byte
+// sub-blocks and words, so its mask is 1<<64 - 1) and seven lanes of
+// 64-byte blocks filling exactly 64 bits -- with and without the warm
+// start.  Behind a seeded trace, each family's first block is swept
+// word by word and evicted with every bit set, and its last is swept
+// and left resident.
+func TestDiffSixtyFourBitLanes(t *testing.T) {
+	families := []struct {
+		name string
+		cfgs []cache.Config
+	}{
+		{"one-lane", []cache.Config{{NetSize: 1024, BlockSize: 128, SubBlockSize: 2, Assoc: 4, WordSize: 2}}},
+		{"seven-lanes", demandLanes(cache.Config{NetSize: 512, BlockSize: 64, Assoc: 4, WordSize: 2}, []int{2, 4, 8, 16, 32, 64, 64})},
+	}
+	for _, fam := range families {
+		for _, warm := range []bool{false, true} {
+			cfgs := append([]cache.Config(nil), fam.cfgs...)
+			for i := range cfgs {
+				cfgs[i].WarmStart = warm
+			}
+			base := cfgs[0]
+			t.Run(fmt.Sprintf("%s/warm=%v", fam.name, warm), func(t *testing.T) {
+				refs := makeTrace(0x64, 3000, 0x3fff, 2)
+				// Blocks a set stride apart share a set: sweep the first,
+				// evict it through Assoc set-mates, then sweep the last.
+				stride := base.NumSets() * base.BlockSize
+				sweepBlock := func(b int) {
+					for off := 0; off < base.BlockSize; off += 2 {
+						refs = append(refs, trace.Ref{Addr: addr.Addr(b*stride + off), Kind: trace.Kind(off / 2 % 3), Size: 2})
+					}
+				}
+				sweepBlock(0)
+				for b := 1; b <= base.Assoc; b++ {
+					refs = append(refs, trace.Ref{Addr: addr.Addr(b * stride), Kind: trace.Read, Size: 2})
+				}
+				sweepBlock(base.Assoc + 1)
+				diffFamily(t, cfgs, refs)
+			})
+		}
+	}
+}
+
+// TestDiffWarmupEndsAtPieceBoundary: a Z8000 family's warm-up ends at
+// the 255th, 256th and 257th reference -- one before, at and one after
+// the record loop's 256-reference piece boundary -- and a seeded trace
+// follows.  Reference 0 fills a frame, the next end - frames references
+// hit its block (every fifth a write to a new word), and each of the
+// rest fills one more frame.
+func TestDiffWarmupEndsAtPieceBoundary(t *testing.T) {
+	base := sweep.Point{Net: 2048, Block: 16, Sub: 16}.Config(synth.Z8000)
+	cfgs := demandLanes(base, []int{16, 8, 4, 2})
+	frames := base.NumFrames()
+	for _, end := range []int{255, 256, 257} {
+		t.Run(fmt.Sprintf("end=%d", end), func(t *testing.T) {
+			refs := []trace.Ref{{Addr: 0, Kind: trace.IFetch, Size: 2}}
+			writes := 0
+			for i := 1; i <= end-frames; i++ {
+				kind := trace.Kind(i % 2)
+				if i%5 == 0 {
+					kind = trace.Write
+					writes++
+				}
+				refs = append(refs, trace.Ref{Addr: addr.Addr(i * 2 % base.BlockSize), Kind: kind, Size: 2})
+			}
+			for b := 1; b < frames; b++ {
+				refs = append(refs, trace.Ref{Addr: addr.Addr(b * base.BlockSize), Kind: trace.Read, Size: 2})
+			}
+			if st := runReference(t, base, refs); st.WarmupAccesses != uint64(end-writes) || st.Accesses != 0 {
+				t.Fatalf("the first %d references do not end the warm-up of %v: %+v", end, base, st)
+			}
+			refs = append(refs, makeTrace(uint64(end), 2000, 0xffff, 2)...)
+			diffFamily(t, cfgs, refs)
+		})
+	}
+}
+
 // TestNewRejectsIneligible: configurations outside the kernel's class,
 // families that mix keys or need more than 64 lane bits, and invalid
 // geometry must be refused up front.

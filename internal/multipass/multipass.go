@@ -51,11 +51,18 @@
 // block number matches, so the probe compares all four ways with no
 // jump and no fill count, and the batch loop (recordPiece) resolves
 // hit, sub-block miss, fill and victim choice with masks and one store
-// per field.  Under demand fetch a valid bit is set only by the
-// reference that touches it, so the valid word doubles as the touched
-// word, and a lane's counted read sub-block misses need no
-// per-reference bookkeeping: FlushUsage derives them from the residency
-// count.
+// per field.  The loop only probes and updates the frame: it appends
+// each block miss's victim and each write miss's loaded bits to stack
+// buffers, and everything else -- fills, evictions, reference kinds,
+// each lane's touched bits (a popcount of the victims under its mask)
+// and write misses -- is counted after each piece of at most 256
+// references.  Under demand fetch a valid bit is set only by the
+// reference that touches it, exactly when its lane misses, so the valid
+// word doubles as the touched word, and a lane's bits set over the
+// trace count all its misses: its warm-up misses (taken when the
+// warm-up ends, which is always at a piece's end) and its counted ones
+// need no per-reference bookkeeping, since they are the residency count
+// less the write misses.
 package multipass
 
 import (
@@ -68,10 +75,11 @@ import (
 	"subcache/internal/trace"
 )
 
-// lane is one configuration's cold state: its geometry and its
-// statistics.  Its sub-block bits live in the family's valid words.
+// lane is one configuration's cold state: its geometry, its field of
+// the family's valid words and its statistics.
 type lane struct {
 	cfg         cache.Config
+	mask        uint64 // the lane's bits of a valid word
 	subPerBlk   uint
 	wordsPerSub int
 	stats       cache.Stats
@@ -91,27 +99,7 @@ type Family struct {
 	// byte offset because sub-blocks are at least a word.
 	refBits []uint64
 
-	// laneOfBit[b] is the lane owning bit b of the valid word.
-	laneOfBit [64]uint8
-
-	// bitMiss[c][b] counts the class-c sub-block misses (missWrite,
-	// missWarm) whose referenced bit is bit b: with every lane
-	// demand-fetch the bit identifies the lane, the loaded sub-block and
-	// the one-sub-block transaction all at once.  FlushUsage folds the
-	// rows into each lane's cache.Stats.
-	bitMiss [2][64]uint64
-
-	// Retired valid words (the touched bits) accumulate in vertical
-	// (bit-sliced) counters: vcTouch[j] holds bit j of a 64-wide column
-	// of binary counters, so retiring a frame is a short ripple-carry
-	// add of its valid word instead of a per-lane popcount.  A carry out
-	// of the top level spills 1<<vcDepth into vcSpill[b] per set bit.
-	// FlushUsage reassembles per-bit totals and attributes them to lanes
-	// via laneOfBit.
-	vcTouch [vcDepth]uint64
-	vcSpill [64]uint64
-
-	filled     int
+	filled     int  // frames filled at least once
 	warmAt     int  // filled count that ends the warm-up (NumFrames, or 0 without WarmStart)
 	flushed    bool // FlushUsage has folded the shared counters
 	wordShift  uint
@@ -120,14 +108,12 @@ type Family struct {
 	// Tag-level event counts, identical in every lane and therefore
 	// accumulated once per family instead of once per lane per access.
 	// FlushUsage folds them into each lane's cache.Stats.
-	ifetches          uint64 // counted-phase instruction fetches
-	reads             uint64 // counted-phase reads
-	writes            uint64 // every write; write-through moves one word each
-	warmupAccesses    uint64
-	blockMisses       uint64 // counted block (tag) misses
-	warmupBlockMisses uint64
-	writeBlockMisses  uint64
-	evictions         uint64
+	ifetches       uint64 // counted-phase instruction fetches
+	reads          uint64 // counted-phase reads
+	writes         uint64 // every write; write-through moves one word each
+	warmupAccesses uint64
+	blockMisses    uint64 // counted block (tag) misses
+	evictions      uint64
 }
 
 // recordClass reports whether cfg is in the one class the family
@@ -181,14 +167,11 @@ func New(cfgs []cache.Config) (*Family, error) {
 	for i, cfg := range cfgs {
 		subPerBlk := uint(cfg.SubBlocksPerBlock())
 		subShift := addr.Log2(uint64(cfg.SubBlockSize))
-		f.lanes[i] = lane{cfg: cfg, subPerBlk: subPerBlk, wordsPerSub: cfg.WordsPerSubBlock()}
+		f.lanes[i] = lane{cfg: cfg, mask: (1<<subPerBlk - 1) << off, subPerBlk: subPerBlk, wordsPerSub: cfg.WordsPerSubBlock()}
 		// Same pre-sizing as cache.New: fills record with one increment.
 		f.lanes[i].stats.TxHist = make([]uint64, cfg.BlockSize/cfg.WordSize+1)
 		for w := range f.refBits {
 			f.refBits[w] |= 1 << (off + uint(w)<<f.wordShift>>subShift)
-		}
-		for b := off; b < off+subPerBlk; b++ {
-			f.laneOfBit[b] = uint8(i)
 		}
 		off += subPerBlk
 	}
@@ -221,17 +204,6 @@ type setRec struct {
 // noTag marks an unfilled way.  Packed block numbers are below 2^62, so
 // no probe matches it.
 const noTag = ^uint64(0)
-
-// Recorded sub-block miss classes, the rows of Family.bitMiss.
-const (
-	missWrite = iota // writes, counted or not
-	missWarm         // reads and instruction fetches in the warm-up
-)
-
-// vcDepth is the height of the vertical touched-bit counters: each bit
-// column counts up to 1<<vcDepth retirements before spilling into
-// vcSpill, so the spill path is effectively never taken on real traces.
-const vcDepth = 24
 
 // mruTab[o<<2|w] is the packed recency byte o after an access to way
 // w: the way moves to the front of the four-field sequence.  The
@@ -307,7 +279,7 @@ func (f *Family) Stats(i int) *cache.Stats { return &f.lanes[i].stats }
 // index must be below 2^62, as for AccessBatch.
 func (f *Family) Access(r trace.Ref) {
 	v := [1]uint64{trace.PackRef(r, f.wordShift)}
-	f.recordPiece(v[:])
+	f.accessRecords(v[:])
 }
 
 // AccessBatch presents a chunk of word accesses to every lane, the
@@ -341,33 +313,47 @@ func (f *Family) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
 	f.accessRecords(packed)
 }
 
-// accessRecords runs the batch loop over packed, warm-up included, in
-// pieces of at most recordRefs references.
+// accessRecords runs the batch loop over packed in pieces of at most
+// recordRefs references.  While the warm-up lasts, a piece is cut at
+// warmAt - filled references: a reference fills at most one frame, so
+// every reference of such a piece is a warm-up reference, and the
+// warm-up ends, if it does, exactly at its end.
 func (f *Family) accessRecords(packed []uint64) {
+	var sc scratch
 	for len(packed) > 0 {
 		n := min(len(packed), recordRefs)
-		f.recordPiece(packed[:n])
+		if f.filled < f.warmAt {
+			n = min(n, f.warmAt-f.filled)
+		}
+		f.recordPiece(packed[:n], &sc)
 		packed = packed[n:]
 	}
 }
 
-// recordRefs is recordPiece's longest piece: its victim buffer is 2 KiB
-// of stack.
+// recordRefs is recordPiece's longest piece.
 const recordRefs = 256
 
-// recordPiece runs the batch loop over at most recordRefs references.
-// The probe compares the block number with all four ways' tags into 0/1
+// scratch is recordPiece's buffers, 4 KiB on the caller's stack:
+// victims[k] is the valid word the k'th block miss of the piece evicted
+// (zero for an unfilled way), and writes[k] is the k'th write miss's
+// newly loaded bits, zero for a block miss.
+type scratch struct {
+	victims [recordRefs]uint64
+	writes  [recordRefs]uint64
+}
+
+// recordPiece runs the batch loop over at most recordRefs references,
+// all of them warm-up references or none (see accessRecords).  The
+// probe compares the block number with all four ways' tags into 0/1
 // flags without a jump (at most one flag is set: a block is resident
 // once), and the frame they select -- the hit way, else the order
 // byte's LRU field -- takes its tag, valid word and order byte as
 // unconditional stores, each of which rewrites the value it replaces
-// where the reference changes nothing.  The loop's one branch is the
-// rare call that records a write's or a warm-up read's sub-block
-// misses.  Retiring the victims and counting the reference kinds run
-// after it, from the victims it buffers and from the packed words, and
-// the counted read sub-block misses are never recorded: FlushUsage
-// derives them.
-func (f *Family) recordPiece(packed []uint64) {
+// where the reference changes nothing.  The loop appends each block
+// miss's victim and each write miss's sub-block bits (zero for a block
+// miss) to sc, also as unconditional stores, so it has no call and no
+// branch; everything else is counted after it.
+func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 	// New sizes both to a power of two; the emptiness test, never true,
 	// lets the compiler prove the masked indexes below in bounds.
 	sets, refBits := f.sets, f.refBits
@@ -376,19 +362,8 @@ func (f *Family) recordPiece(packed []uint64) {
 	}
 	setMask, woMask := uint64(len(sets)-1), uint64(len(refBits)-1)
 	baShift := (2 + f.blockShift - f.wordShift) & 63
-	// rem is filled - warmAt: negative, top bit set, while the warm-up
-	// lasts.
-	rem := uint64(f.filled - f.warmAt)
-	rem0 := rem
-	// evicted[:nm] holds the victim's valid word of every block miss,
-	// zero for an unfilled way; nU counts the references of the
-	// warm-up, which are a prefix of the piece; misses packs the counted
-	// read and the write block misses in two 32-bit fields.
-	var evicted [recordRefs]uint64
-	var nm, nU, misses uint64
+	var nv, nw uint64
 	for _, v := range packed {
-		w := v >> 1 & 1 // 1 on a write
-		uw := rem >> 63 // 1 in the warm-up
 		ba := v >> baShift
 		need := refBits[v>>2&woMask]
 		s := &sets[ba&setMask]
@@ -403,52 +378,63 @@ func (f *Family) recordPiece(packed []uint64) {
 		// lowest unfilled way while one remains (see New).
 		way := (h1 | h3 | (h2|h3)<<1 | o&-miss) & 3
 		old := s.valid[way]
+		keep := old & hitMask
 		s.tags[way] = ba
 		// Demand fetch loads exactly the referenced sub-block of every
 		// lane: a tag hit ORs the bits in, a fill starts from them.
-		s.valid[way] = old&hitMask | need
+		s.valid[way] = keep | need
 		s.order = mruTab[(o<<2|way)&1023]
-		evicted[nm&(recordRefs-1)] = old
-		nm += miss
-		rem += miss & flag(old == 0)
-		nU += uw
-		misses += ((w | uw) ^ 1 | w<<32) & -miss
-		// The lanes whose referenced bit was missing on a tag hit take a
-		// sub-block miss; record the write and warm-up ones.
-		if rec := need &^ old & hitMask & -(w | uw); rec != 0 {
-			f.recordMisses(rec, w)
+		sc.victims[nv&(recordRefs-1)] = old
+		nv += miss
+		// A write that loads bits appends them, or zero on a block miss.
+		loaded := need &^ keep
+		sc.writes[nw&(recordRefs-1)] = loaded & hitMask
+		nw += v >> 1 & 1 & flag(loaded != 0)
+	}
+	victims, writes := sc.victims[:nv], sc.writes[:nw]
+	// The zero victims are fills, the others evictions; the zero write
+	// records are write block misses.
+	var fills, writeBlockMisses uint64
+	for _, old := range victims {
+		fills += flag(old == 0)
+	}
+	for _, rec := range writes {
+		writeBlockMisses += flag(rec == 0)
+	}
+	// An evicted frame's valid bits are its touched bits.  A write block
+	// miss loads one sub-block in every lane.
+	for i := range f.lanes {
+		ln := &f.lanes[i]
+		var touched, writeMisses uint64
+		for _, old := range victims {
+			touched += uint64(bits.OnesCount64(old & ln.mask))
 		}
-	}
-	// A filled frame's valid word is never zero, so the nonzero victims
-	// are the evictions; their valid bits -- their touched bits --
-	// ripple into the vertical counters.
-	evictions := uint64(0)
-	for _, carry := range evicted[:nm] {
-		if carry != 0 {
-			evictions++
-			f.ripple(carry)
+		for _, rec := range writes {
+			writeMisses += uint64(bits.OnesCount64(rec & ln.mask))
 		}
+		ln.stats.ResidencyTouched += touched
+		ln.stats.WriteMisses += writeMisses + writeBlockMisses
 	}
-	// Reference kinds, from the packed words: the first nU are the
-	// warm-up's.
-	var wU, nW, nR uint64
-	for _, v := range packed[:nU] {
-		wU += v >> 1 & 1
-	}
-	for _, v := range packed[nU:] {
+	var nW, nR uint64
+	for _, v := range packed {
 		nW += v >> 1 & 1
 		nR += v & 1
 	}
-	mC, mW := misses&(1<<32-1), misses>>32
-	f.filled += int(rem - rem0)
-	f.ifetches += uint64(len(packed)) - nU - nW - nR
-	f.reads += nR
-	f.writes += wU + nW
-	f.warmupAccesses += nU - wU
-	f.blockMisses += mC
-	f.writeBlockMisses += mW
-	f.warmupBlockMisses += nm - mC - mW
-	f.evictions += evictions
+	n := uint64(len(packed))
+	warm := f.filled < f.warmAt
+	f.filled += int(fills)
+	f.evictions += nv - fills
+	f.writes += nW
+	if !warm {
+		f.ifetches += n - nW - nR
+		f.reads += nR
+		f.blockMisses += nv - writeBlockMisses
+		return
+	}
+	f.warmupAccesses += n - nW
+	if f.filled == f.warmAt {
+		f.endWarmup()
+	}
 }
 
 // flag is 1 if b holds and 0 otherwise; on amd64 it compiles to a
@@ -460,95 +446,68 @@ func flag(b bool) uint64 {
 	return 0
 }
 
-// recordMisses counts the sub-block misses in rec, a write's (w == 1)
-// or a warm-up read's, bit by bit.
-func (f *Family) recordMisses(rec, w uint64) {
-	row := &f.bitMiss[missWarm-w]
-	for ; rec != 0; rec &= rec - 1 {
-		row[bits.TrailingZeros64(rec)]++
+// residentBits counts the bits of mask set in the resident frames'
+// valid words; unfilled ways hold none.
+func (f *Family) residentBits(mask uint64) uint64 {
+	n := 0
+	for i := range f.sets {
+		for _, v := range f.sets[i].valid {
+			n += bits.OnesCount64(v & mask)
+		}
 	}
+	return uint64(n)
 }
 
-// ripple adds one retired frame's valid word to the vertical counters:
-// a ripple-carry add, spilling a carry out of the top level into
-// vcSpill.
-func (f *Family) ripple(carry uint64) {
-	for j := 0; carry != 0; j++ {
-		if j == vcDepth {
-			for m := carry; m != 0; m &= m - 1 {
-				f.vcSpill[bits.TrailingZeros64(m)] += 1 << vcDepth
-			}
-			return
-		}
-		t := f.vcTouch[j] & carry
-		f.vcTouch[j] ^= carry
-		carry = t
+// endWarmup fixes each lane's warm-up misses when the warm-up ends, or
+// at the flush if it never does.  Every reference sets at most one bit
+// of a lane -- a block miss exactly one, in a fresh frame -- and sets
+// it exactly when the lane misses, so the bits set so far, in evicted
+// and resident frames, count the lane's misses so far: by then all of
+// them are warm-up and write misses.
+func (f *Family) endWarmup() {
+	for i := range f.lanes {
+		st := &f.lanes[i].stats
+		st.WarmupMisses = st.ResidencyTouched + f.residentBits(f.lanes[i].mask) - st.WriteMisses
 	}
 }
 
 // FlushUsage finalises every lane's statistics: it folds still-resident
 // blocks into the residency counters and distributes the family-level
-// tag counters into each lane's cache.Stats, deriving Hits and Misses
-// from the partition identities.  Call exactly once at end of trace;
-// further calls are no-ops, and counters read before the flush are
-// incomplete.
+// tag counters into each lane's cache.Stats, deriving the counted misses
+// from the residency count and Hits from the partition identity.  Call
+// exactly once at end of trace; further calls are no-ops, and counters
+// read before the flush are incomplete.
 func (f *Family) FlushUsage() {
 	if f.flushed {
 		return
 	}
 	f.flushed = true
-	resident := uint64(0)
-	for i := range f.sets {
-		s := &f.sets[i]
-		for w, tag := range s.tags {
-			if tag != noTag {
-				resident++
-				f.ripple(s.valid[w])
-			}
-		}
+	if f.filled < f.warmAt {
+		f.endWarmup()
 	}
-
-	// Reassemble the vertical counters into per-lane residency totals,
-	// and fold in the recorded sub-block misses, which must land before
-	// the counted ones are derived below.
-	for b := 0; b < 64; b++ {
-		cnt := f.vcSpill[b]
-		for j := 0; j < vcDepth; j++ {
-			cnt += (f.vcTouch[j] >> uint(b) & 1) << uint(j)
-		}
-		st := &f.lanes[f.laneOfBit[b]].stats
-		st.ResidencyTouched += cnt
-		st.WriteMisses += f.bitMiss[missWrite][b]
-		st.WarmupMisses += f.bitMiss[missWarm][b]
-	}
-
-	allocated := f.evictions + resident
+	// Frames are never invalidated, so the filled ones are resident.
+	allocated := f.evictions + uint64(f.filled)
 	accesses := f.ifetches + f.reads
 	for i := range f.lanes {
 		ln := &f.lanes[i]
 		st := &ln.stats
-		// Under demand fetch a valid bit is set only by the reference
-		// that touches it: the allocation, one bit per lane, or a
-		// sub-block miss.  Every allocation is evicted or resident, so
-		// ResidencyTouched less the allocations and the recorded write
-		// and warm-up sub-block misses leaves the counted read ones.
-		// Every counted fill -- block miss or sub-block miss -- loads
-		// one sub-block in one transaction.
-		st.SubBlockMisses = st.ResidencyTouched - allocated - st.WriteMisses - st.WarmupMisses
-		fills := f.blockMisses + st.SubBlockMisses
-		st.TxHist[ln.wordsPerSub] = fills
-		st.SubBlockFills = fills
-		st.WordsFetched = fills * uint64(ln.wordsPerSub)
+		st.ResidencyTouched += f.residentBits(ln.mask)
+		// As in endWarmup, the lane's bits set over the whole trace count
+		// all its misses; less the warm-up and write ones, the counted
+		// ones.  Every counted miss -- block or sub-block -- loads one
+		// sub-block in one transaction.
+		st.Misses = st.ResidencyTouched - st.WarmupMisses - st.WriteMisses
+		st.SubBlockMisses = st.Misses - f.blockMisses
+		st.TxHist[ln.wordsPerSub] = st.Misses
+		st.SubBlockFills = st.Misses
+		st.WordsFetched = st.Misses * uint64(ln.wordsPerSub)
 		st.Accesses = accesses
 		st.IFetches = f.ifetches
 		st.Reads = f.reads
 		st.BlockMisses = f.blockMisses
-		st.Misses = f.blockMisses + st.SubBlockMisses
 		st.Hits = accesses - st.Misses
 		st.WarmupAccesses = f.warmupAccesses
-		st.WarmupMisses += f.warmupBlockMisses
 		st.WriteAccesses = f.writes
-		st.WriteMisses += f.writeBlockMisses
 		st.Evictions = f.evictions
 		st.WriteThroughWords = f.writes
 		// Every retirement and every block resident at flush time

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -72,10 +73,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmit decodes, resolves and submits one sweep request.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var wire SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
+	wire, err := decodeSubmit(w, r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Status: "invalid", Error: err.Error()})
 		return
 	}
@@ -113,6 +112,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, resp)
+}
+
+// decodeSubmit decodes a POST /v1/sweeps body: at most 1 MiB, and a
+// field SweepRequest does not name (an engine or shard count, say) is
+// an error.
+func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (SweepRequest, error) {
+	var wire SweepRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&wire)
+	return wire, err
 }
 
 // handleStatus reports one job (or cached result) by fingerprint id.

@@ -180,11 +180,18 @@ func (st *diskStore) get(fp string) ([]byte, storeStatus) {
 // the LRU size cap (their checkpoint journals stay, as cheap-resume
 // insurance).  The entry just written is never evicted by its own put.
 func (st *diskStore) put(fp string, payload []byte) (expired, evicted []string, err error) {
+	// The envelope stores the payload compacted and HTML-escaped, as
+	// json.Marshal writes a RawMessage, and get verifies what is stored:
+	// checksum that form, not the bytes given.
+	stored, err := json.Marshal(json.RawMessage(payload))
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: cache %s: %w", fp, err)
+	}
 	env := storeEnvelope{
 		V: storeVersion, FP: fp,
 		WrittenUnix: time.Now().UnixMilli(),
-		Sum:         payloadSum(payload),
-		Payload:     payload,
+		Sum:         payloadSum(stored),
+		Payload:     stored,
 	}
 	b, err := json.Marshal(env)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"strings"
@@ -158,6 +159,123 @@ func TestShardedDecodePaths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRunContextMatchesRunOne: RunContext must reproduce per-point
+// RunOne bit for bit on whatever the input draws -- up to eight points
+// of any fetch policy, an override of associativity, replacement,
+// write policy, copy-back, warm start and one-word OBL prefetch
+// (fuzzOverride), one or two workloads a few chunks long plus a tail,
+// and one to three shards.  The seeds are TestShardedDecodePaths'
+// cases, the Z8000 warm-up across chunk boundaries first.
+func FuzzRunContextMatchesRunOne(f *testing.F) {
+	var twoPlane []Point
+	for _, sub := range []int{16, 8, 4, 2} {
+		twoPlane = append(twoPlane,
+			Point{Net: 1024, Block: 64, Sub: sub},
+			Point{Net: 1024, Block: 64, Sub: sub, Fetch: cache.LoadForward})
+	}
+	f.Add(uint8(synth.Z8000), uint8(0), uint8(3), uint16(123), uint8(4|1),
+		fuzzPoints(Point{Net: 64, Block: 8, Sub: 2}, Point{Net: 1024, Block: 16, Sub: 4}, Point{Net: 1024, Block: 16, Sub: 16}, Point{Net: 4096, Block: 32, Sub: 8}))
+	f.Add(uint8(synth.PDP11), uint8(3), uint8(2), uint16(7), uint8(4|2),
+		fuzzPoints(Point{Net: 256, Block: 8, Sub: 2}, Point{Net: 256, Block: 8, Sub: 8}, Point{Net: 1024, Block: 16, Sub: 4}, Point{Net: 1024, Block: 16, Sub: 16}))
+	f.Add(uint8(synth.PDP11), uint8(0), uint8(2), uint16(7), uint8(4|1), fuzzPoints(twoPlane...))
+	f.Add(uint8(synth.PDP11), uint8(1<<7), uint8(2), uint16(7), uint8(4|2),
+		fuzzPoints(Point{Net: 256, Block: 8, Sub: 2}, Point{Net: 256, Block: 8, Sub: 4}, Point{Net: 256, Block: 8, Sub: 8}, Point{Net: 64, Block: 16, Sub: 2}, Point{Net: 64, Block: 16, Sub: 8}))
+
+	f.Fuzz(func(t *testing.T, archSel, policy, chunks uint8, tail uint16, layout uint8, pointBytes []byte) {
+		arch := synth.AllArchs()[archSel&3]
+		var pts []Point
+		seen := make(map[Point]bool)
+		for ; len(pointBytes) >= 2 && len(pts) < 8; pointBytes = pointBytes[2:] {
+			p := decodeFuzzPoint(pointBytes[0], pointBytes[1], arch.WordSize())
+			if !seen[p] {
+				seen[p] = true
+				pts = append(pts, p)
+			}
+		}
+		refs := int(chunks%4)*trace.ChunkRefs + int(tail)%trace.ChunkRefs
+		if len(pts) == 0 || refs == 0 {
+			return
+		}
+		suite := synth.Workloads(arch)
+		first := int(layout>>3) % len(suite)
+		profs := suite[first : first+1]
+		if layout&4 != 0 && first+1 < len(suite) {
+			profs = suite[first : first+2]
+		}
+		req := Request{Arch: arch, Points: pts, Refs: refs, Shards: 1 + int(layout&3)%3,
+			Override: fuzzOverride(policy, archSel&4 != 0)}
+		want := make(map[Point][]metrics.Run)
+		for _, prof := range profs {
+			req.Workloads = append(req.Workloads, prof.Name)
+			for _, p := range pts {
+				cfg := pointConfig(p, req)
+				if cfg.Validate() != nil {
+					return
+				}
+				run, err := RunOne(prof, cfg, refs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[p] = append(want[p], run)
+			}
+		}
+		got, err := RunContext(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			if !reflect.DeepEqual(got.Runs[p], want[p]) {
+				t.Fatalf("%v (%v, %d refs, %d shards): runs differ from per-point RunOne\n got:  %v\n want: %v",
+					p, pointConfig(p, req), refs, req.Shards, got.Runs[p], want[p])
+			}
+		}
+	})
+}
+
+// fuzzOverride decodes FuzzRunContextMatchesRunOne's policy byte: bits
+// 0-1 pick the associativity (the point's own, 1, 2 or 8, capped at the
+// frame count), bits 2-3 the replacement (LRU, FIFO, Random, LRU),
+// bits 4-5 the write policy (allocate, no-allocate, ignore, allocate),
+// bit 6 copy-back and bit 7 OBL prefetch on one-word sub-blocks;
+// flipWarm inverts the architecture's warm start.
+func fuzzOverride(policy uint8, flipWarm bool) func(*cache.Config) {
+	return func(c *cache.Config) {
+		if a := [4]int{0, 1, 2, 8}[policy&3]; a != 0 {
+			c.Assoc = min(a, c.NetSize/c.BlockSize)
+		}
+		c.Replacement = [4]cache.Replacement{cache.LRU, cache.FIFO, cache.Random, cache.LRU}[policy>>2&3]
+		c.RandomSeed = 7
+		c.Write = [4]cache.WritePolicy{cache.WriteAllocate, cache.WriteNoAllocate, cache.WriteIgnore, cache.WriteAllocate}[policy>>4&3]
+		c.CopyBack = policy>>6&1 == 1
+		c.PrefetchOBL = policy>>7 == 1 && c.SubBlockSize == c.WordSize
+		c.WarmStart = c.WarmStart != flipWarm
+	}
+}
+
+// decodeFuzzPoint decodes two fuzz bytes into a grid point: b0 bits
+// 0-1 pick the net size (64 to 4096 bytes) and bits 2-4 the block
+// size (2 to 64 bytes, at most the net and at least a word); b1 bits
+// 0-2 halve the block into the sub-block (down to a word) and bits 3-4
+// pick the fetch policy.
+func decodeFuzzPoint(b0, b1 uint8, wordSize int) Point {
+	net := 64 << (2 * (b0 & 3))
+	block := min(max(2<<(b0>>2&7%6), wordSize), net)
+	sub := max(block>>(b1&7), wordSize)
+	return Point{Net: net, Block: block, Sub: sub, Fetch: cache.Fetch(b1 >> 3 & 3)}
+}
+
+// fuzzPoints encodes points for decodeFuzzPoint.
+func fuzzPoints(pts ...Point) []byte {
+	var b []byte
+	for _, p := range pts {
+		netCode := bits.TrailingZeros(uint(p.Net/64)) / 2
+		blockCode := bits.TrailingZeros(uint(p.Block / 2))
+		subShift := bits.TrailingZeros(uint(p.Block / p.Sub))
+		b = append(b, uint8(netCode|blockCode<<2), uint8(subShift|int(p.Fetch)<<3))
+	}
+	return b
 }
 
 // TestHugeShardCount: a shard count far beyond the unit count is
