@@ -24,8 +24,8 @@ type runCtx struct {
 	// (sweep normalises it to the no-op recorder).
 	recorder telemetry.Recorder
 	// engine runs every sweep.  It is left at the default except by
-	// TestEngineGoldenArtifacts, which regenerates artifacts under each
-	// engine and compares them.
+	// TestEngineGoldenArtifacts, which regenerates artifacts under both
+	// engines and compares them.
 	engine sweep.Engine
 
 	mu     sync.Mutex

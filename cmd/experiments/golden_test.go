@@ -15,25 +15,25 @@ import (
 )
 
 // TestEngineGoldenArtifacts is the golden regression gate for the
-// single-pass sweep kernels: Table 7 and Figures 1-4 -- the paper
+// single-pass sweep kernel: Table 7 and Figures 1-4 -- the paper
 // anchors checked by internal/sweep and internal/paperdata -- are
-// regenerated with every engine at a reduced trace length, written
+// regenerated with both engines at a reduced trace length, written
 // through the same artifact writer cmd/experiments uses for the
 // results/ directory, and every emitted file (txt, csv, svg) is
-// compared byte for byte.  If the multipass or stack-distance kernel
-// drifts from the reference simulator by even one counter anywhere in
-// the grid, some cell of these artifacts changes and this test fails.
-// The command itself always runs the default engine, multipass; the
-// test picks each engine through runCtx.engine.
+// compared byte for byte.  If the multipass kernel drifts from the
+// reference simulator by even one counter anywhere in the grid, some
+// cell of these artifacts changes and this test fails.  The command
+// itself always runs the default engine, multipass; the test picks
+// each engine through runCtx.engine.
 func TestEngineGoldenArtifacts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates five artifacts three times")
+		t.Skip("regenerates five artifacts twice")
 	}
 	const refs = 4000
 	ids := []string{"table7", "fig1", "fig2", "fig3", "fig4"}
 
 	dirs := map[sweep.Engine]string{}
-	for _, eng := range []sweep.Engine{sweep.Reference, sweep.MultiPass, sweep.StackDist} {
+	for _, eng := range []sweep.Engine{sweep.Reference, sweep.MultiPass} {
 		dir := t.TempDir()
 		dirs[eng] = dir
 		var events bytes.Buffer
@@ -81,22 +81,20 @@ func TestEngineGoldenArtifacts(t *testing.T) {
 		}
 	}
 
-	for _, eng := range []sweep.Engine{sweep.MultiPass, sweep.StackDist} {
-		for _, id := range ids {
-			for _, ext := range []string{".txt", ".csv", ".svg"} {
-				want, errW := os.ReadFile(filepath.Join(dirs[sweep.Reference], id+ext))
-				got, errG := os.ReadFile(filepath.Join(dirs[eng], id+ext))
-				if os.IsNotExist(errW) && os.IsNotExist(errG) {
-					continue // artifact has no rendering of this kind
-				}
-				if errW != nil || errG != nil {
-					t.Errorf("%s%s: read errors: reference=%v %s=%v", id, ext, errW, eng, errG)
-					continue
-				}
-				if string(want) != string(got) {
-					t.Errorf("%s%s: %s artifact differs from reference (%d vs %d bytes)",
-						id, ext, eng, len(got), len(want))
-				}
+	for _, id := range ids {
+		for _, ext := range []string{".txt", ".csv", ".svg"} {
+			want, errW := os.ReadFile(filepath.Join(dirs[sweep.Reference], id+ext))
+			got, errG := os.ReadFile(filepath.Join(dirs[sweep.MultiPass], id+ext))
+			if os.IsNotExist(errW) && os.IsNotExist(errG) {
+				continue // artifact has no rendering of this kind
+			}
+			if errW != nil || errG != nil {
+				t.Errorf("%s%s: read errors: reference=%v multipass=%v", id, ext, errW, errG)
+				continue
+			}
+			if string(want) != string(got) {
+				t.Errorf("%s%s: multipass artifact differs from reference (%d vs %d bytes)",
+					id, ext, len(got), len(want))
 			}
 		}
 	}

@@ -13,7 +13,7 @@
 // per trace (-refs 1000000, the default).  Sweeps run on the multipass
 // engine with a shard count picked from the machine; neither choice
 // changes the artifacts, which TestEngineGoldenArtifacts checks
-// against the other engines byte for byte.
+// against the reference engine byte for byte.
 //
 // The shared observability bundle (internal/telemetry) adds profiling
 // (-pprof, -cpuprofile, -memprofile), a structured JSONL event stream

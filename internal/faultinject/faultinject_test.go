@@ -117,30 +117,25 @@ func runsByWorkload(runs []metrics.Run) map[string]metrics.Run {
 }
 
 // TestCampaignAttributedOrSurvived drives a deterministic seed-derived
-// fault campaign through every engine/shard strategy and asserts the
-// attributed-or-survived invariant for each injection.
+// fault campaign through both engines at one and two shards and
+// asserts the attributed-or-survived invariant for each injection.
 func TestCampaignAttributedOrSurvived(t *testing.T) {
 	points := testPoints()
 	var workloads []string
 	for _, p := range synth.Workloads(synth.PDP11) {
 		workloads = append(workloads, p.Name)
 	}
-	// Every engine runs at one shard, the executor's degenerate case,
-	// and at two.  The multipass one-shard variant is "-1shard"; the
-	// others keep their established subtest ids ("-legacy",
-	// "-materialised") so campaign results stay comparable across
-	// revisions.
+	// Each engine runs at one shard, the executor's degenerate case,
+	// and at two.
 	variants := []struct {
 		name   string
 		engine sweep.Engine
 		shards int
 	}{
-		{"reference-legacy", sweep.Reference, 1},
+		{"reference-1shard", sweep.Reference, 1},
 		{"reference-sharded", sweep.Reference, 2},
 		{"multipass-1shard", sweep.MultiPass, 1},
 		{"multipass-sharded", sweep.MultiPass, 2},
-		{"stackdist-materialised", sweep.StackDist, 1},
-		{"stackdist-sharded", sweep.StackDist, 2},
 	}
 	injections := Plan(campaignSeed, 10, workloads, testRefs, len(points), 2)
 

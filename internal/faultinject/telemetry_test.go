@@ -44,7 +44,7 @@ func TestCampaignErrorsMirroredInEvents(t *testing.T) {
 	}
 	injections := Plan(campaignSeed, 10, workloads, testRefs, len(points), 2)
 
-	for _, eng := range []sweep.Engine{sweep.MultiPass, sweep.StackDist} {
+	for _, eng := range []sweep.Engine{sweep.Reference, sweep.MultiPass} {
 		for _, in := range injections {
 			in := in
 			t.Run(eng.String()+"/"+in.String(), func(t *testing.T) {

@@ -1,6 +1,9 @@
-// Package kernelbench times the three sweep engines' access kernels on
-// two extreme reference streams.  perfbench's traced run reports the
-// figures as its *.hit_ns and *.miss_ns rows, which the layer record
+// Package kernelbench times the access kernels of the two sweep engines
+// and of the stack-distance kernel on two extreme reference streams.
+// The stack-distance kernel is no sweep engine (sweep.StackDist only
+// selects it here); perfbench times it as a comparison until its next
+// benchmark change.  perfbench's traced run reports the figures as its
+// *.hit_ns and *.miss_ns rows, which the layer record
 // (BENCH_layers.json, written by scripts/bench-layers.sh) commits and
 // checks against the previous record.
 //
@@ -81,7 +84,7 @@ func Streams(cfg cache.Config) (hit, miss []trace.Ref) {
 	return hit, miss
 }
 
-// batcher is the common surface of the three engine kernels.
+// batcher is the common surface of the three kernels.
 type batcher interface {
 	AccessBatch([]trace.Ref)
 }
@@ -100,7 +103,7 @@ func Time(k batcher, chunk []trace.Ref) float64 {
 	return time.Since(start).Seconds() * 1e9 / float64(reps*len(chunk))
 }
 
-// Bench measures hit and miss ns for the named engine.
+// Bench measures hit and miss ns for the named engine's kernel.
 func Bench(eng sweep.Engine) (hitNs, missNs float64, err error) {
 	cfgs := Geometry()
 	hit, miss := Streams(cfgs[0])

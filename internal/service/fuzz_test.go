@@ -152,21 +152,29 @@ func readEnvelope(t *testing.T, path string) storeEnvelope {
 
 // FuzzSubmitBody: arbitrary bytes decoded as a POST /v1/sweeps body
 // (decodeSubmit) and resolved must never panic, and a request the
-// server accepts must sweep a non-empty grid under a fingerprint that
-// survives the admission journal's round trip: the request marshalled
-// as submit journals it resolves to the same fingerprint and sweep on
-// replay (resolveJournaled) and when posted again.  Only decoding and
-// resolution run: the server's queue must stay empty.
+// server accepts must be one valid JSON value and sweep a non-empty
+// grid under a fingerprint that survives the admission journal's round
+// trip: the request marshalled as submit journals it resolves to the
+// same fingerprint and sweep on replay (resolveJournaled) and when
+// posted again.  The refused seeds must stay refused.  Only decoding
+// and resolution run: the server's queue must stay empty.
 func FuzzSubmitBody(f *testing.F) {
+	f.Add([]byte(`{"arch":"PDP-11","nets":[64],"refs":1000}`))
+	f.Add([]byte(`{"arch":"Z8000","nets":[64,256,1024],"refs":100000,"workloads":["CCP","C1"],"tenant":"t","timeout_sec":1.5}` + "\n"))
+	f.Add([]byte(`{"arch":"PDP-11","nets":[2],"refs":1000,"workloads":[]}`))
+	refused := map[string]bool{}
 	for _, body := range []string{
-		`{"arch":"PDP-11","nets":[64],"refs":1000}`,
-		`{"arch":"Z8000","nets":[64,256,1024],"refs":100000,"workloads":["CCP","C1"],"tenant":"t","timeout_sec":1.5}`,
 		`{"arch":"VAX-11","nets":[64],"refs":1000,"engine":"multipass"}`,
 		`{"arch":"System/370","nets":[3],"refs":1000}`,
 		`{"arch":"PDP-11","nets":[64],"refs":0}`,
 		`{"arch":"PDP-11","nets":[64],"refs":1000} trailing`,
+		`{"arch":"PDP-11","nets":[64],"refs":1000} trailing {"x"`,
+		`{"arch":"PDP-11","nets":[64],"refs":1000} {"arch":"PDP-11","nets":[64],"refs":1000}`,
+		`{"arch":"PDP-11","nets":[64],"refs":1000}}`,
+		`{"arch":"PDP-11","nets":[64],"refs":1000,"workloads":["OPSYS","OPSYS","PLOT"]}`,
 		``,
 	} {
+		refused[body] = true
 		f.Add([]byte(body))
 	}
 	s, err := New(Options{Dir: f.TempDir(), Workers: 1})
@@ -183,6 +191,9 @@ func FuzzSubmitBody(f *testing.F) {
 		req, fp, err := s.resolve(&wire)
 		if err != nil {
 			return
+		}
+		if refused[string(data)] || !json.Valid(data) {
+			t.Fatalf("accepted %q", data)
 		}
 		if len(req.Points) == 0 || fp == "" {
 			t.Fatalf("accepted %q with %d points and fingerprint %q", data, len(req.Points), fp)

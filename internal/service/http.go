@@ -114,15 +114,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// decodeSubmit decodes a POST /v1/sweeps body: at most 1 MiB, and a
-// field SweepRequest does not name (an engine or shard count, say) is
-// an error.
+// decodeSubmit decodes a POST /v1/sweeps body: at most 1 MiB holding
+// exactly one JSON object, optionally followed by whitespace.  A field
+// SweepRequest does not name (an engine or shard count, say) is an
+// error, and so is anything after the object.
 func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (SweepRequest, error) {
 	var wire SweepRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&wire)
-	return wire, err
+	if err := dec.Decode(&wire); err != nil {
+		return wire, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return wire, errors.New("request body continues after its JSON object")
+	}
+	return wire, nil
 }
 
 // handleStatus reports one job (or cached result) by fingerprint id.

@@ -83,17 +83,23 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 		for _, p := range synth.Workloads(arch) {
 			known[p.Name] = true
 		}
+		seen := make(map[string]bool, len(wire.Workloads))
 		for _, w := range wire.Workloads {
 			if !known[w] {
 				return sweep.Request{}, "", fmt.Errorf("workload %q not in the %s suite", w, arch)
 			}
+			if seen[w] {
+				return sweep.Request{}, "", fmt.Errorf("workload %q named twice", w)
+			}
+			seen[w] = true
 		}
 	}
-	req := sweep.Request{
-		Arch:      arch,
-		Points:    points,
-		Refs:      wire.Refs,
-		Workloads: wire.Workloads,
+	req := sweep.Request{Arch: arch, Points: points, Refs: wire.Refs}
+	if len(wire.Workloads) > 0 {
+		// "workloads":[] means the whole suite, as an absent list
+		// does, and must resolve to the same request: the journal
+		// records the request without the empty list.
+		req.Workloads = wire.Workloads
 	}
 	fp, err := sweep.RequestFingerprint(req)
 	if err != nil {

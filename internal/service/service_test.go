@@ -161,11 +161,12 @@ func TestServiceEndToEnd(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	bad := []SweepRequest{
-		{Arch: "PDP-12", Nets: []int{64}, Refs: 1000},                              // unknown arch
-		{Arch: "PDP-11", Nets: []int{64}, Refs: 0},                                 // refs out of range
-		{Arch: "PDP-11", Nets: nil, Refs: 1000},                                    // no nets
-		{Arch: "PDP-11", Nets: []int{96}, Refs: 1000},                              // not a power of two
-		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"nope"}}, // unknown workload
+		{Arch: "PDP-12", Nets: []int{64}, Refs: 1000},                                                // unknown arch
+		{Arch: "PDP-11", Nets: []int{64}, Refs: 0},                                                   // refs out of range
+		{Arch: "PDP-11", Nets: nil, Refs: 1000},                                                      // no nets
+		{Arch: "PDP-11", Nets: []int{96}, Refs: 1000},                                                // not a power of two
+		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"nope"}},                   // unknown workload
+		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"OPSYS", "OPSYS", "PLOT"}}, // repeated workload
 	}
 	for i, req := range bad {
 		if code, resp := post(t, ts, req, false); code != http.StatusBadRequest {
@@ -174,27 +175,40 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	// The service picks the engine and shard count itself.  A client
 	// written for a server that took them gets a 400 naming the field,
-	// because the body is decoded strictly.
-	for _, field := range []string{`"engine":"reference"`, `"shards":2`} {
-		body := `{"arch":"PDP-11","nets":[64],"refs":1000,` + field + `}`
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	// because the body is decoded strictly.  The body is one request
+	// object: a second value, a stray brace or any other bytes after it
+	// but whitespace are a 400 too.
+	postBody := func(body string) (int, SubmitResponse) {
+		resp, err := http.Post(ts.URL+"/v1/sweeps?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
 		var out SubmitResponse
 		json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		name := field[:strings.Index(field, ":")]
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, name) {
-			t.Errorf("POST with %s: code %d (%s), want 400 naming %s", field, resp.StatusCode, out.Error, name)
+		return resp.StatusCode, out
+	}
+	const obj = `{"arch":"PDP-11","nets":[64],"refs":1000}`
+	for _, tc := range []struct{ body, want string }{
+		{`{"arch":"PDP-11","nets":[64],"refs":1000,"engine":"reference"}`, `"engine"`},
+		{`{"arch":"PDP-11","nets":[64],"refs":1000,"shards":2}`, `"shards"`},
+		{obj + ` trailing {"x"`, "after its JSON object"},
+		{obj + ` {"arch":"PDP-11","nets":[64],"refs":1001}`, "after its JSON object"},
+		{obj + `}`, "after its JSON object"},
+		{obj + `,`, "after its JSON object"},
+		{obj + `0`, "after its JSON object"},
+	} {
+		if code, out := postBody(tc.body); code != http.StatusBadRequest || !strings.Contains(out.Error, tc.want) {
+			t.Errorf("POST %s: code %d (%s), want 400 naming %s", tc.body, code, out.Error, tc.want)
 		}
 	}
 	if got := s.Stats().Counter(telemetry.RequestsAdmitted); got != 0 {
 		t.Errorf("requests_admitted = %d after only invalid submits, want 0", got)
 	}
-	// The refusals left the daemon serving.
-	if code, resp := post(t, ts, smallRequest(1000), true); code != http.StatusOK {
-		t.Errorf("valid request after the refusals: code %d (%s), want 200", code, resp.Error)
+	// The refusals left the daemon serving, and whitespace after the
+	// object is not trailing data.
+	if code, out := postBody(obj + "\n\t \r\n"); code != http.StatusOK {
+		t.Errorf("valid request after the refusals: code %d (%s), want 200", code, out.Error)
 	}
 }
 

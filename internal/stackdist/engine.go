@@ -1,13 +1,21 @@
-// The one-pass stack-distance sweep engine.
+// The one-pass stack-distance kernel.
 //
 // The Profiler in stackdist.go answers "what is this reference's LRU
 // stack distance" for one fixed (block size, set count).  The Engine
-// here generalises that into a first-class sweep kernel: shared LRU
-// recency state per stack group -- configurations sharing a block
-// size and write policy -- simulates *every* (net size, associativity,
+// here generalises that into a whole-group kernel: shared LRU recency
+// state per stack group -- configurations sharing a block size and
+// write policy -- simulates *every* (net size, associativity,
 // sub-block size, fetch policy) combination of the group exactly, in a
 // single trace pass, byte-for-byte equal to cache.Cache and
 // multipass.Family.
+//
+// It is not a sweep engine: the sweep runs multipass families and
+// reference caches, and sweep.RunContext refuses sweep.StackDist,
+// because on the Table 7 grid this kernel costs 2.8x the family
+// kernel.  perfbench still times it as a comparison (one Engine per
+// Group, replayed beside the families and checked against the sweep)
+// until its next benchmark change, and kernelbench times its hit and
+// miss paths.
 //
 // Why shared recency lists suffice (Mattson et al. 1970, plus
 // bit-selection set mapping): under LRU, the recency order of the
@@ -50,9 +58,9 @@
 // the trace footprint.
 //
 // Eligibility: Supported requires LRU (FIFO and Random break the stack
-// property) on top of MultiPassSafe.  The sweep harness declares
-// unsupported configurations explicitly and simulates them by other
-// engines in the same pass; this package never approximates.
+// property) on top of MultiPassSafe.  Group declares unsupported
+// configurations explicitly, to be simulated some other way; this
+// package never approximates.
 package stackdist
 
 import (

@@ -6,7 +6,7 @@
 // sweep with Request.Checkpoint set records each workload the moment
 // it completes (single atomic append + fsync), and a restarted sweep
 // restores matching entries instead of re-simulating them.  Because
-// every engine and shard count produces bit-identical runs, entries
+// both engines and every shard count produce bit-identical runs, entries
 // are keyed only by what determines results -- architecture, trace
 // length, and the point set -- so a resume may freely change engine,
 // shard count or parallelism, and a partial-suite run can seed a

@@ -25,7 +25,6 @@ import (
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
 	"subcache/internal/multipass"
-	"subcache/internal/stackdist"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
 )
@@ -152,10 +151,9 @@ type Hooks struct {
 	// (shard-scope).
 	BeforeChunk func(workload string, shard, chunk int)
 	// BeforeUnit is called before one simulation unit (a multipass
-	// family, a stack-distance set partition, or a reference cache)
-	// processes a chunk; shard is its owning worker and points lists
-	// the grid points the unit carries.  A panic here kills exactly
-	// that unit.
+	// family or a reference cache) processes a chunk; shard is its
+	// owning worker and points lists the grid points the unit carries.
+	// A panic here kills exactly that unit.
 	BeforeUnit func(workload string, shard int, points []Point, chunk int)
 }
 
@@ -167,30 +165,21 @@ func (h *Hooks) wrapSource(workload string, src PackedSource) PackedSource {
 }
 
 // simUnit is one independently failable simulation unit: a multipass
-// family, a stack-distance engine (one set partition of a stack
-// group), or a single reference cache, plus the grid points it
-// carries.  Exactly one goroutine drives a unit, so no locking is
-// needed; dead units stop simulating but their stream keeps flowing to
-// the rest.
+// family or a single reference cache, plus the grid points it carries.
+// Exactly one goroutine drives a unit, so no locking is needed; dead
+// units stop simulating but their stream keeps flowing to the rest.
 type simUnit struct {
 	fam   *multipass.Family
-	stack *stackdist.Engine
 	cache *cache.Cache
 	idxs  []int   // config indexes into the request's cfgs/points
 	pts   []Point // attributed points, aligned with idxs (nil for RunConfigs)
-	// gid is the stack group id plus one (zero for non-stack units).
-	// Sibling set partitions of one group share a gid and an idxs
-	// slice: their statistics merge at collect time, and one dead
-	// sibling poisons the whole group.
-	gid  int
-	dead bool
+	dead  bool
 }
 
 // accessBatch feeds one chunk to the unit inside a recovery boundary,
 // calling the BeforeUnit hook (if any) inside the same boundary.
-// Families and stack engines read the packed words as broadcast;
-// reference caches read refs, the same chunk decoded by the owning
-// shard.
+// Families read the packed words as broadcast; reference caches read
+// refs, the same chunk decoded by the owning shard.
 func (u *simUnit) accessBatch(packed []uint64, refs []trace.Ref, hooks *Hooks, workload string, shard, chunk int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -203,19 +192,15 @@ func (u *simUnit) accessBatch(packed []uint64, refs []trace.Ref, hooks *Hooks, w
 	switch {
 	case u.fam != nil:
 		u.fam.AccessBatchPacked(nil, packed)
-	case u.stack != nil:
-		u.stack.AccessBatchPacked(nil, packed)
 	default:
 		u.cache.AccessBatch(refs)
 	}
 	return nil
 }
 
-// collect finalises a family or reference-cache unit and writes its
-// runs into runs (indexed by config index), inside a recovery boundary
-// of its own: a panic while flushing loses only this unit's points.
-// Stack units are not collected here; the executor flushes them and
-// merges sibling set partitions by group.
+// collect finalises a unit and writes its runs into runs (indexed by
+// config index), inside a recovery boundary of its own: a panic while
+// flushing loses only this unit's points.
 func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -236,14 +221,10 @@ func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 }
 
 // unitFailure records one dead unit inside a single-workload executor,
-// before translation into per-point PointErrors.  gid carries the
-// stack group id plus one (zero otherwise) so failures of sibling set
-// partitions, which share an index list, can be deduplicated to one
-// attribution per lost point.
+// before translation into per-point PointErrors.
 type unitFailure struct {
 	idxs  []int
 	shard int
-	gid   int
 	cause error
 }
 

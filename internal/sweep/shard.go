@@ -1,4 +1,4 @@
-// The sweep executor, for every engine: one workload's simulation
+// The sweep executor, for both engines: one workload's simulation
 // units are partitioned across shard workers, all fed from a single
 // trace generation by broadcasting fixed-size chunks of the word
 // stream, in trace.PackRefs form, through a ring of reusable buffers.
@@ -6,10 +6,9 @@
 // word source generates straight into that form.  A one-shard run is
 // the degenerate case, not a separate path.
 //
-// Sharding is across configurations (or, for stack-distance groups,
-// across disjoint set partitions), never across the trace: every
-// family, stack engine and reference cache still consumes the complete
-// ordered access stream, and each one is owned by exactly one worker,
+// Sharding is across configurations, never across the trace: every
+// family and reference cache still consumes the complete ordered
+// access stream, and each one is owned by exactly one worker,
 // so per-point counters are bit-identical to replaying the trace
 // through one cache.Cache per configuration (RunOne) -- only the
 // scheduling changes.  The trace is never materialised; memory stays
@@ -37,7 +36,6 @@ import (
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
 	"subcache/internal/multipass"
-	"subcache/internal/stackdist"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
@@ -162,96 +160,26 @@ func referencePlans(n, shards int) []multipass.ShardPlan {
 
 // shardUnitLists realises an engine's plan over cfgs as per-shard unit
 // lists plus the planner's per-shard cost estimates, attributing
-// construction failures to the owning shard index.  Lists may number
+// construction failures to the owning shard index.  MultiPass plans
+// families and fallback caches with multipass.PartitionShards;
+// Reference gives every configuration its own cache.  Lists may number
 // fewer than shards when the planner cannot fill them all.
 func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int) (lists [][]*simUnit, costs []int, failed []unitFailure) {
-	switch eng {
-	case StackDist:
-		// Stack groups fan out across shards by set partitioning;
-		// configurations stack analysis refuses (stackdist.Supported)
-		// ride the same pass on reference caches -- none is in the
-		// family kernel's class -- planned by multipass.PartitionShards
-		// over the leftover indexes and remapped back.
-		splans, rest := stackdist.Partition(cfgs, shards)
-		var mplans []multipass.ShardPlan
-		if len(rest) > 0 {
-			restCfgs := make([]cache.Config, len(rest))
-			for i, k := range rest {
-				restCfgs[i] = cfgs[k]
-			}
-			mplans = multipass.PartitionShards(restCfgs, shards)
-			for pi := range mplans {
-				for _, idxs := range mplans[pi].Families {
-					for j, k := range idxs {
-						idxs[j] = rest[k]
-					}
-				}
-				for j, k := range mplans[pi].Rest {
-					mplans[pi].Rest[j] = rest[k]
-				}
-			}
-		}
-		n := len(splans)
-		if len(mplans) > n {
-			n = len(mplans)
-		}
-		lists = make([][]*simUnit, n)
-		costs = make([]int, n)
-		for si := 0; si < n; si++ {
-			if si < len(splans) {
-				us, fs := planStackUnits(splans[si], cfgs, points, si)
-				lists[si] = append(lists[si], us...)
-				failed = append(failed, fs...)
-				costs[si] += splans[si].Cost()
-			}
-			if si < len(mplans) {
-				us, fs := planUnits(mplans[si], cfgs, points, si)
-				lists[si] = append(lists[si], us...)
-				failed = append(failed, fs...)
-				costs[si] += mplans[si].Cost()
-			}
-		}
-	case MultiPass:
-		plans := multipass.PartitionShards(cfgs, shards)
-		lists = make([][]*simUnit, len(plans))
-		costs = make([]int, len(plans))
-		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, si)
-			lists[si] = us
-			failed = append(failed, fs...)
-			costs[si] = plan.Cost()
-		}
-	default: // Reference
-		plans := referencePlans(len(cfgs), shards)
-		lists = make([][]*simUnit, len(plans))
-		costs = make([]int, len(plans))
-		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, si)
-			lists[si] = us
-			failed = append(failed, fs...)
-			costs[si] = plan.Cost()
-		}
+	var plans []multipass.ShardPlan
+	if eng == MultiPass {
+		plans = multipass.PartitionShards(cfgs, shards)
+	} else {
+		plans = referencePlans(len(cfgs), shards)
+	}
+	lists = make([][]*simUnit, len(plans))
+	costs = make([]int, len(plans))
+	for si, plan := range plans {
+		us, fs := planUnits(plan, cfgs, points, si)
+		lists[si] = us
+		failed = append(failed, fs...)
+		costs[si] = plan.Cost()
 	}
 	return lists, costs, failed
-}
-
-// planStackUnits realises one shard's stack units -- each a set
-// partition of one stack group -- attributing construction failures to
-// the given shard.
-func planStackUnits(plan stackdist.Plan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
-	for _, u := range plan.Units {
-		ucfgs := make([]cache.Config, len(u.Idxs))
-		for j, k := range u.Idxs {
-			ucfgs[j] = cfgs[k]
-		}
-		e, err := stackdist.NewEngine(ucfgs, u.Parts, u.Part)
-		if err != nil {
-			failed = append(failed, unitFailure{idxs: u.Idxs, shard: shard, gid: u.Gid + 1, cause: err})
-			continue
-		}
-		units = append(units, &simUnit{stack: e, idxs: u.Idxs, pts: unitPoints(points, u.Idxs), gid: u.Gid + 1})
-	}
-	return units, failed
 }
 
 // planUnits realises one shard plan's families and fallback caches as
@@ -294,9 +222,9 @@ func unitPoints(points []Point, idxs []int) []Point {
 }
 
 // runConfigsSharded is the chunk-broadcast executor.  eng selects how
-// configurations are planned into units: stack-distance engines plus
-// fallbacks (StackDist), multipass families plus fallbacks (MultiPass),
-// or one reference cache per configuration (Reference); points
+// configurations are planned into units: multipass families plus
+// fallbacks (MultiPass) or one reference cache per configuration
+// (Reference); points
 // (optional, aligned with cfgs) gives failures their grid-point
 // attribution.
 //
@@ -309,10 +237,7 @@ func unitPoints(points []Point, idxs []int) []Point {
 //     from the unit, its hooks, or its whole shard).  Under fail-fast
 //     (continueOnError false) the first failure stops the pass and runs
 //     is nil; under continueOnError survivors complete the full stream
-//     and ok[i] marks which runs are valid.  A dead stack unit poisons
-//     its whole group -- sibling set partitions cover disjoint set
-//     spaces, so a group with a lost partition has no complete point --
-//     and the group's points are attributed exactly once.
+//     and ok[i] marks which runs are valid.
 func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Config, points []Point, refs, wordSize, shards int, eng Engine, continueOnError bool, hooks *Hooks, rec telemetry.Recorder) (runs []metrics.Run, ok []bool, failed []unitFailure, err error) {
 	enabled := rec.Enabled()
 	lists, costs, failed := shardUnitLists(eng, cfgs, points, shards)
@@ -336,7 +261,7 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		total += len(units)
 	}
 	if total == 0 {
-		return make([]metrics.Run, len(cfgs)), make([]bool, len(cfgs)), dedupGroupFailures(failed), nil
+		return make([]metrics.Run, len(cfgs)), make([]bool, len(cfgs)), failed, nil
 	}
 
 	src, err := synth.NewWordSource(prof, refs, wordSize)
@@ -530,12 +455,12 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	}
 	fsp := telemetry.StartSpan(rec, telemetry.Span{Name: "flush", Parent: parentSpan, Workload: prof.Name})
 	defer fsp.End()
-	var families, stackUnits uint64
+	var families uint64
 	runs = make([]metrics.Run, len(cfgs))
 	ok = make([]bool, len(cfgs))
 	for _, rn := range runners {
 		for _, u := range rn.units {
-			if u.dead || u.stack != nil {
+			if u.dead {
 				continue
 			}
 			if uerr := u.collect(prof.Name, runs); uerr != nil {
@@ -554,81 +479,11 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		}
 	}
 
-	// Stack units merge by group: sibling set partitions hold disjoint
-	// slices of each configuration's counters (every flushed counter is
-	// a per-partition linear sum), so adding them reconstructs the
-	// whole-stream statistics exactly.  A group with any dead sibling is
-	// poisoned -- a partial merge would silently undercount -- and its
-	// points are attributed through the recorded failure instead.
-	deadG := make(map[int]bool)
-	for _, f := range failed {
-		if f.gid > 0 {
-			deadG[f.gid] = true
-		}
-	}
-	type stackGroup struct {
-		first *simUnit
-		stats []cache.Stats
-	}
-	groups := make(map[int]*stackGroup)
-	for _, rn := range runners {
-		for _, u := range rn.units {
-			if u.stack == nil || u.dead || deadG[u.gid] {
-				continue
-			}
-			if uerr := safeCall(u.stack.FlushUsage); uerr != nil {
-				failed = append(failed, unitFailure{idxs: u.idxs, shard: rn.shard, gid: u.gid, cause: uerr})
-				deadG[u.gid] = true
-				if !continueOnError {
-					return nil, nil, failed[len(failed)-1:], nil
-				}
-				continue
-			}
-			stackUnits++
-			g := groups[u.gid]
-			if g == nil {
-				g = &stackGroup{first: u, stats: make([]cache.Stats, len(u.idxs))}
-				groups[u.gid] = g
-			}
-			for j := range u.idxs {
-				g.stats[j].Add(u.stack.Stats(j))
-			}
-		}
-	}
-	for gid, g := range groups {
-		if deadG[gid] {
-			continue
-		}
-		for j, k := range g.first.idxs {
-			runs[k] = metrics.NewRun(prof.Name, g.first.stack.Config(j), &g.stats[j])
-			ok[k] = true
-		}
-	}
-
 	if enabled {
 		rec.Observe(telemetry.StageFlush, time.Since(flushStart))
 		rec.Add(telemetry.FamiliesFlushed, families)
-		rec.Add(telemetry.StackUnitsFlushed, stackUnits)
 	}
-	return runs, ok, dedupGroupFailures(failed), nil
-}
-
-// dedupGroupFailures collapses sibling stack-partition failures, which
-// share one index list, to the first per group, so pointErrors reports
-// each lost point exactly once.
-func dedupGroupFailures(failed []unitFailure) []unitFailure {
-	seen := make(map[int]bool)
-	kept := failed[:0]
-	for _, f := range failed {
-		if f.gid > 0 {
-			if seen[f.gid] {
-				continue
-			}
-			seen[f.gid] = true
-		}
-		kept = append(kept, f)
-	}
-	return kept
+	return runs, ok, failed, nil
 }
 
 // processChunk feeds one broadcast chunk of packed words to every live
@@ -646,7 +501,7 @@ func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hook
 				}
 				u.dead = true
 				rn.live--
-				fail(unitFailure{idxs: u.idxs, shard: rn.shard, gid: u.gid, cause: herr}, 1)
+				fail(unitFailure{idxs: u.idxs, shard: rn.shard, cause: herr}, 1)
 			}
 			rn.chunk++
 			return
@@ -671,7 +526,7 @@ func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hook
 		if uerr := u.accessBatch(words, refs, hooks, workload, rn.shard, rn.chunk); uerr != nil {
 			u.dead = true
 			rn.live--
-			fail(unitFailure{idxs: u.idxs, shard: rn.shard, gid: u.gid, cause: uerr}, 1)
+			fail(unitFailure{idxs: u.idxs, shard: rn.shard, cause: uerr}, 1)
 			continue
 		}
 		rn.simRefs += uint64(len(words))

@@ -20,7 +20,7 @@ import (
 // TestShardedDifferential: the chunk-broadcast executor must reproduce
 // an oracle that does not use it -- RunOne, one cache.Cache fed straight
 // from the generator per (workload, point) -- bit for bit, every run
-// and every summary, for every engine at every shard count, because
+// and every summary, for both engines at every shard count, because
 // sharding partitions configurations, never the trace.  It covers the
 // whole Table 7 grid of every architecture: the 4-byte words of the
 // VAX-11 and System/370, the Z8000 warm start and net 1024.  PDP-11
@@ -49,7 +49,7 @@ func TestShardedDifferential(t *testing.T) {
 		want[a] = o
 	}
 
-	for _, eng := range []Engine{Reference, MultiPass, StackDist} {
+	for _, eng := range []Engine{Reference, MultiPass} {
 		for _, sc := range []struct {
 			name     string
 			shards   int
@@ -91,7 +91,7 @@ func TestShardedDifferential(t *testing.T) {
 // so every path that reads them -- the family kernel's warm-up across
 // chunk boundaries and the shard-side decode for reference caches,
 // alone or hosted beside families -- must still match the RunOne oracle
-// bit for bit, for every engine at one and two shards.
+// bit for bit, for both engines at one and two shards.
 func TestShardedDecodePaths(t *testing.T) {
 	var twoPlane []Point
 	for _, sub := range []int{16, 8, 4, 2} {
@@ -139,7 +139,7 @@ func TestShardedDecodePaths(t *testing.T) {
 				want[p] = append(want[p], run)
 			}
 		}
-		for _, eng := range []Engine{Reference, MultiPass, StackDist} {
+		for _, eng := range []Engine{Reference, MultiPass} {
 			for _, shards := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%v/shards=%d", tc.name, eng, shards), func(t *testing.T) {
 					req := tc.req
@@ -282,7 +282,7 @@ func fuzzPoints(pts ...Point) []byte {
 // clamped by the planners -- it used to size one plan per requested
 // shard and run the process out of memory -- and changes no result.
 func TestHugeShardCount(t *testing.T) {
-	for _, eng := range []Engine{Reference, MultiPass, StackDist} {
+	for _, eng := range []Engine{Reference, MultiPass} {
 		req := Request{Arch: synth.PDP11, Points: Grid([]int{64}, 2), Refs: 3000,
 			Workloads: []string{"ED"}, Engine: eng}
 		want, err := Run(req)
@@ -428,8 +428,8 @@ func TestRunConfigsValidation(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelled: a pre-cancelled context aborts every engine
-// and shard variant with context.Canceled, not a partial result.
+// TestRunContextCancelled: a pre-cancelled context aborts both engines
+// at every shard variant with context.Canceled, not a partial result.
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -443,7 +443,6 @@ func TestRunContextCancelled(t *testing.T) {
 		{"reference/sharded", Reference, 2},
 		{"multipass/one-shard", MultiPass, 1},
 		{"multipass/sharded", MultiPass, 2},
-		{"stackdist/sharded", StackDist, 2},
 	} {
 		res, err := RunContext(ctx, Request{Arch: synth.PDP11, Points: pts,
 			Refs: 5000, Engine: tc.engine, Shards: tc.shards})

@@ -4,7 +4,7 @@
 // A sweep generates each workload's trace once, splits it to data-path
 // words, and streams it in fixed-size chunks to shard workers that
 // together hold every requested cache organisation (the chunk-broadcast
-// executor in shard.go, the one path every engine runs on).  Results
+// executor in shard.go, the one path both engines run on).  Results
 // come back as metrics.Run values keyed by (workload, point) plus
 // unweighted per-architecture averages, the paper's aggregation (§3.3).
 //
@@ -30,8 +30,9 @@ import (
 )
 
 // Engine selects how a sweep simulates its points.  Results are
-// bit-identical across engines, so production callers leave it at the
-// zero value, MultiPass; tests and benchmarks name the others.
+// bit-identical across the two sweep engines, so production callers
+// leave it at the zero value, MultiPass; tests and benchmarks name
+// Reference.
 type Engine int
 
 const (
@@ -46,19 +47,12 @@ const (
 	// Reference gives every point its own cache.Cache, which replays
 	// the whole trace: one pass per (workload, point) pair in
 	// Result.TracePasses, though every cache is fed from the workload's
-	// one streamed generation.  It is the oracle the single-pass engines
-	// are checked against.
+	// one streamed generation.  It is the oracle MultiPass is checked
+	// against.
 	Reference
-	// StackDist also makes a single pass per workload, but collapses
-	// further: every LRU point of one block size -- all net sizes,
-	// associativities, sub-block sizes and fetch policies at once --
-	// shares a single stack-distance recency list (stackdist.Engine),
-	// deriving each point's counters from per-set LRU depths.  Points
-	// stack analysis cannot compute exactly (non-LRU replacement,
-	// write-no-allocate, prefetch; see stackdist.Supported) fall back
-	// to reference caches on the same pass.
-	// Results are bit-identical to Reference; sharding partitions sets
-	// rather than configurations.
+	// StackDist names the stack-distance kernel (stackdist.Engine) for
+	// kernelbench, which times it beside the two sweep engines as a
+	// comparison.  It is not a sweep engine: RunContext refuses it.
 	StackDist
 )
 
@@ -175,8 +169,9 @@ type Request struct {
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
 	// Engine selects the simulation strategy; the zero value is
-	// MultiPass.  Every engine gives bit-identical results, so only
+	// MultiPass.  Both engines give bit-identical results, so only
 	// tests and benchmarks set it (Reference is their oracle).
+	// StackDist is refused.
 	Engine Engine
 	// Shards selects intra-workload parallelism: each workload's
 	// simulation units are partitioned across that many shard workers,
@@ -302,7 +297,9 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("sweep: negative shard count %d (want 0 for auto, or a positive count)", req.Shards)
 	}
 	switch req.Engine {
-	case Reference, MultiPass, StackDist:
+	case Reference, MultiPass:
+	case StackDist:
+		return nil, fmt.Errorf("sweep: engine %v is a kernel comparison, not a sweep engine (want multipass or reference)", req.Engine)
 	default:
 		return nil, fmt.Errorf("sweep: unknown engine %v", req.Engine)
 	}
@@ -353,7 +350,7 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 		ck = &ckState{j: j, fp: fp, points: req.Points}
 	}
 
-	// Every engine runs on the chunk-broadcast executor (shard.go).  A
+	// Both engines run on the chunk-broadcast executor (shard.go).  A
 	// Reference point's cache replays the whole trace on its own, so it
 	// counts as one pass per point.
 	passesPerWorkload := 1
@@ -558,7 +555,9 @@ func pointConfig(p Point, req Request) cache.Config {
 	return cfg
 }
 
-// selectWorkloads resolves the request's workload list.
+// selectWorkloads resolves the request's workload list.  A name may
+// appear once: a repeat would simulate the workload twice and count it
+// twice in the unweighted per-point average.
 func selectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
 	all := synth.Workloads(arch)
 	if len(names) == 0 {
@@ -569,11 +568,16 @@ func selectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
 		byName[p.Name] = p
 	}
 	out := make([]synth.Profile, 0, len(names))
+	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		p, ok := byName[n]
 		if !ok {
 			return nil, fmt.Errorf("sweep: workload %q not in %v suite", n, arch)
 		}
+		if seen[n] {
+			return nil, fmt.Errorf("sweep: workload %q named twice", n)
+		}
+		seen[n] = true
 		out = append(out, p)
 	}
 	return out, nil

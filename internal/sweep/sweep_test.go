@@ -144,20 +144,32 @@ func TestRunUnknownWorkload(t *testing.T) {
 }
 
 func TestRunValidatesRequest(t *testing.T) {
-	if _, err := Run(Request{Arch: synth.PDP11, Refs: 0, Points: []Point{{Net: 64, Block: 8, Sub: 2}}}); err == nil {
-		t.Error("accepted zero refs")
+	pt := []Point{{Net: 64, Block: 8, Sub: 2}}
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"zero refs", Request{Arch: synth.PDP11, Refs: 0, Points: pt}},
+		{"empty points", Request{Arch: synth.PDP11, Refs: 100}},
+		{"negative shard count", Request{Arch: synth.PDP11, Refs: 100, Shards: -1, Points: pt}},
+		{"an Override that changes the word size", Request{Arch: synth.PDP11, Refs: 100,
+			Points:   []Point{{Net: 64, Block: 8, Sub: 4}},
+			Override: func(c *cache.Config) { c.WordSize = 4 }}},
+		// The stack-distance kernel is kernelbench's comparison, not a
+		// sweep engine.
+		{"the stack-distance engine", Request{Arch: synth.PDP11, Refs: 100, Points: pt, Engine: StackDist}},
+		// A repeat would simulate OPSYS twice and count it twice in the
+		// unweighted average.
+		{"a repeated workload", Request{Arch: synth.PDP11, Refs: 100, Points: pt,
+			Workloads: []string{"OPSYS", "OPSYS", "PLOT"}}},
+	} {
+		if _, err := Run(tc.req); err == nil {
+			t.Errorf("accepted %s", tc.name)
+		}
 	}
-	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100}); err == nil {
-		t.Error("accepted empty points")
-	}
-	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100, Shards: -1,
-		Points: []Point{{Net: 64, Block: 8, Sub: 2}}}); err == nil {
-		t.Error("accepted a negative shard count")
-	}
-	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100,
-		Points:   []Point{{Net: 64, Block: 8, Sub: 4}},
-		Override: func(c *cache.Config) { c.WordSize = 4 }}); err == nil {
-		t.Error("accepted an Override that changes the word size")
+	_, err := Run(Request{Arch: synth.PDP11, Refs: 100, Points: pt, Engine: StackDist})
+	if err == nil || !strings.Contains(err.Error(), "stackdist") {
+		t.Errorf("Engine StackDist: got %v, want an error naming stackdist", err)
 	}
 }
 

@@ -48,11 +48,6 @@ const (
 	// EventsDropped counts events the sink failed to write (disk
 	// errors); the only self-referential counter.
 	EventsDropped
-	// StackUnitsFlushed counts stack-distance engine units (one per
-	// set partition of a stack group) finalised by FlushUsage at the
-	// end of a pass, the stackdist engine's analogue of
-	// FamiliesFlushed.
-	StackUnitsFlushed
 	// RequestsAdmitted counts sweep requests the service accepted onto
 	// its worker queue (cache hits and dedup joins are not admissions).
 	RequestsAdmitted
@@ -100,7 +95,6 @@ var counterNames = [numCounters]string{
 	PointsFailed:            "points_failed",
 	PointsResumed:           "points_resumed",
 	EventsDropped:           "events_dropped",
-	StackUnitsFlushed:       "stack_units_flushed",
 	RequestsAdmitted:        "requests_admitted",
 	RequestsRejected:        "requests_rejected",
 	RequestsDeduped:         "requests_deduped",

@@ -78,8 +78,7 @@ type Event struct {
 type RunStart struct {
 	// Arch names the architecture suite being swept.
 	Arch string `json:"arch"`
-	// Engine is the simulation strategy ("multipass", "stackdist" or
-	// "reference").
+	// Engine is the simulation strategy ("multipass" or "reference").
 	Engine string `json:"engine"`
 	// Shards is the shard workers per workload that the sweep ran:
 	// the auto count it resolved, or the count a test asked for.
