@@ -37,7 +37,7 @@ const (
 	ParseError
 	// SourcePanic makes the trace source panic mid-stream.
 	SourcePanic
-	// UnitPanic panics inside one simulation unit (a multipass family
+	// UnitPanic panics inside one simulation unit (a multipass bundle
 	// or fallback cache) at a chosen chunk, killing exactly that unit.
 	UnitPanic
 	// ShardPanic panics inside one shard worker at a chosen chunk,

@@ -69,8 +69,9 @@ func fuzzFamilies() [][]cache.Config {
 // FuzzMultiPassEquivalence: for arbitrary reference streams, every
 // counter of every lane must match a reference simulation of the same
 // configuration, through every entry point (see diffFamily), on a
-// family whose geometry the input's first byte picks (fuzzGeometry)
-// and on the Table 7 families of fuzzFamilies.  The seed corpus reuses
+// family whose geometry the input's first byte picks (fuzzGeometry),
+// on that geometry's net-64 and net-256 families as one bundle
+// (diffBundle), and on the Table 7 families of fuzzFamilies.  The seed corpus reuses
 // the internal/trace fuzz seeds (raw din text and binary trace bytes)
 // plus structured streams that exercise eviction and write paths.
 func FuzzMultiPassEquivalence(f *testing.F) {
@@ -106,6 +107,7 @@ func FuzzMultiPassEquivalence(f *testing.F) {
 		geo := fuzzGeometry(data[0])
 		if refs := decodeRefs(data[1:], geo[0].WordSize); len(refs) > 0 {
 			diffFamily(t, geo, refs)
+			diffBundle(t, [][]cache.Config{fuzzGeometry(data[0] &^ 0x80), fuzzGeometry(data[0] | 0x80)}, refs)
 		}
 		refs := decodeRefs(data, 2)
 		if len(refs) == 0 {

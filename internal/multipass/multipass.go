@@ -314,45 +314,56 @@ func (f *Family) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
 }
 
 // accessRecords runs the batch loop over packed in pieces of at most
+// recordRefs references, on buffers of its own stack.
+func (f *Family) accessRecords(packed []uint64) {
+	var sc scratch
+	f.records(packed, &sc)
+}
+
+// records runs the batch loop over packed in pieces of at most
 // recordRefs references.  While the warm-up lasts, a piece is cut at
 // warmAt - filled references: a reference fills at most one frame, so
 // every reference of such a piece is a warm-up reference, and the
 // warm-up ends, if it does, exactly at its end.
-func (f *Family) accessRecords(packed []uint64) {
-	var sc scratch
+func (f *Family) records(packed []uint64, sc *scratch) {
 	for len(packed) > 0 {
 		n := min(len(packed), recordRefs)
-		if f.filled < f.warmAt {
+		if f.warming() {
 			n = min(n, f.warmAt-f.filled)
 		}
-		f.recordPiece(packed[:n], &sc)
+		f.recordPiece(packed[:n], sc)
 		packed = packed[n:]
 	}
 }
 
+// warming reports whether the family is still in its warm-up.
+func (f *Family) warming() bool { return f.filled < f.warmAt }
+
 // recordRefs is recordPiece's longest piece.
 const recordRefs = 256
 
-// scratch is recordPiece's buffers, 4 KiB on the caller's stack:
+// scratch is the batch loops' buffers, 4 KiB on the caller's stack:
 // victims[k] is the valid word the k'th block miss of the piece evicted
 // (zero for an unfilled way), and writes[k] is the k'th write miss's
-// newly loaded bits, zero for a block miss.
+// newly loaded bits.
 type scratch struct {
 	victims [recordRefs]uint64
 	writes  [recordRefs]uint64
 }
 
 // recordPiece runs the batch loop over at most recordRefs references,
-// all of them warm-up references or none (see accessRecords).  The
-// probe compares the block number with all four ways' tags into 0/1
-// flags without a jump (at most one flag is set: a block is resident
-// once), and the frame they select -- the hit way, else the order
-// byte's LRU field -- takes its tag, valid word and order byte as
-// unconditional stores, each of which rewrites the value it replaces
-// where the reference changes nothing.  The loop appends each block
-// miss's victim and each write miss's sub-block bits (zero for a block
-// miss) to sc, also as unconditional stores, so it has no call and no
-// branch; everything else is counted after it.
+// all of them warm-up references or none (see records).  The probe
+// compares the block number with all four ways' tags into 0/1 flags
+// without a jump (at most one flag is set: a block is resident once),
+// and the frame they select -- the hit way, else the order byte's LRU
+// field -- takes its tag, valid word and order byte as unconditional
+// stores, each of which rewrites the value it replaces where the
+// reference changes nothing.  The loop appends each block miss's victim
+// and each write miss's newly loaded sub-block bits to sc, also as
+// unconditional stores, so it has no call and no branch; everything
+// else is counted after it (settle).  probeRuns runs the same probe on
+// folded runs: the probe is too large for the compiler to inline, and
+// a call per reference would cost more than the copy.
 func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 	// New sizes both to a power of two; the emptiness test, never true,
 	// lets the compiler prove the masked indexes below in bounds.
@@ -361,8 +372,8 @@ func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 		return
 	}
 	setMask, woMask := uint64(len(sets)-1), uint64(len(refBits)-1)
-	baShift := (2 + f.blockShift - f.wordShift) & 63
-	var nv, nw uint64
+	baShift := f.baShift()
+	var nv, nw, writeBlockMisses, nW, nR uint64
 	for _, v := range packed {
 		ba := v >> baShift
 		need := refBits[v>>2&woMask]
@@ -372,13 +383,12 @@ func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 		h2 := flag(s.tags[2] == ba)
 		h3 := flag(s.tags[3] == ba)
 		miss := (h0 | h1 | h2 | h3) ^ 1
-		hitMask := miss - 1 // all ones on a tag hit
 		o := uint64(s.order)
 		// The hit way, else the order byte's LRU field, which is the
 		// lowest unfilled way while one remains (see New).
 		way := (h1 | h3 | (h2|h3)<<1 | o&-miss) & 3
 		old := s.valid[way]
-		keep := old & hitMask
+		keep := old & (miss - 1) // miss - 1 is all ones on a tag hit
 		s.tags[way] = ba
 		// Demand fetch loads exactly the referenced sub-block of every
 		// lane: a tag hit ORs the bits in, a fill starts from them.
@@ -386,23 +396,34 @@ func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 		s.order = mruTab[(o<<2|way)&1023]
 		sc.victims[nv&(recordRefs-1)] = old
 		nv += miss
-		// A write that loads bits appends them, or zero on a block miss.
+		// A write that loads bits appends them; on a block miss it loads
+		// one sub-block in every lane.
+		w := v >> 1 & 1
 		loaded := need &^ keep
-		sc.writes[nw&(recordRefs-1)] = loaded & hitMask
-		nw += v >> 1 & 1 & flag(loaded != 0)
+		sc.writes[nw&(recordRefs-1)] = loaded
+		nw += w & flag(loaded != 0)
+		writeBlockMisses += w & miss
+		nW += w
+		nR += v & 1
 	}
+	f.settle(sc, nv, nw, writeBlockMisses, uint64(len(packed)), nW, nR)
+}
+
+// baShift is the right shift from a packed word to its block number.
+func (f *Family) baShift() uint64 { return uint64(2+f.blockShift-f.wordShift) & 63 }
+
+// settle counts one piece from the batch loop's records: sc's first nv
+// victims (writeBlockMisses of those block misses were writes) and nw
+// write records, over n references of which nW were writes and nR
+// reads.  The zero victims are fills and the others evictions.  An
+// evicted frame's valid bits are its touched bits, and a lane's write
+// misses are its bits of the write records.
+func (f *Family) settle(sc *scratch, nv, nw, writeBlockMisses, n, nW, nR uint64) {
 	victims, writes := sc.victims[:nv], sc.writes[:nw]
-	// The zero victims are fills, the others evictions; the zero write
-	// records are write block misses.
-	var fills, writeBlockMisses uint64
+	var fills uint64
 	for _, old := range victims {
 		fills += flag(old == 0)
 	}
-	for _, rec := range writes {
-		writeBlockMisses += flag(rec == 0)
-	}
-	// An evicted frame's valid bits are its touched bits.  A write block
-	// miss loads one sub-block in every lane.
 	for i := range f.lanes {
 		ln := &f.lanes[i]
 		var touched, writeMisses uint64
@@ -413,15 +434,9 @@ func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 			writeMisses += uint64(bits.OnesCount64(rec & ln.mask))
 		}
 		ln.stats.ResidencyTouched += touched
-		ln.stats.WriteMisses += writeMisses + writeBlockMisses
+		ln.stats.WriteMisses += writeMisses
 	}
-	var nW, nR uint64
-	for _, v := range packed {
-		nW += v >> 1 & 1
-		nR += v & 1
-	}
-	n := uint64(len(packed))
-	warm := f.filled < f.warmAt
+	warm := f.warming()
 	f.filled += int(fills)
 	f.evictions += nv - fills
 	f.writes += nW

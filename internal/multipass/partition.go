@@ -1,20 +1,22 @@
 package multipass
 
 import (
+	"fmt"
 	"sort"
 
 	"subcache/internal/cache"
 )
 
 // ShardPlan is one shard worker's slice of a configuration set.
-// Families lists single-pass family groups (each a list of indexes into
-// the partitioned configuration slice, formed by Group or a part of
-// one); Rest lists the indexes that need the reference simulator.  A
-// plan set produced by PartitionShards covers every input index exactly
-// once across all shards.
+// Bundles lists its multipass bundles (see NewBundle): each is a list
+// of families, and each family a list of indexes into the partitioned
+// configuration slice, formed by Group or a part of one.  Rest lists
+// the indexes that need the reference simulator.  A plan set produced
+// by PartitionShards covers every input index exactly once across all
+// shards.
 type ShardPlan struct {
-	Families [][]int
-	Rest     []int
+	Bundles [][][]int
+	Rest    []int
 }
 
 // Cost is the partitioner's estimated per-access simulation cost of the
@@ -22,8 +24,8 @@ type ShardPlan struct {
 // telemetry layer can report estimated versus observed shard load.
 func (p ShardPlan) Cost() int {
 	c := 0
-	for _, idxs := range p.Families {
-		c += shardUnit{idxs: idxs, family: true}.cost()
+	for _, fams := range p.Bundles {
+		c += shardUnit{fams: fams}.cost()
 	}
 	for range p.Rest {
 		c += shardUnit{}.cost()
@@ -31,65 +33,109 @@ func (p ShardPlan) Cost() int {
 	return c
 }
 
-// shardUnit is the indivisible (or, for families, divisible) scheduling
-// unit PartitionShards balances: either one family's lane set or one
-// reference-simulated configuration.
+// shardUnit is the scheduling unit PartitionShards balances: either one
+// bundle's families, which it may divide, or one reference-simulated
+// configuration (fams nil, rest its index).
 type shardUnit struct {
-	idxs   []int
-	family bool
+	fams [][]int
+	rest int
 }
 
-// cost estimates the unit's per-access simulation work.  A family pays
-// one shared tag probe plus one lane update per member; a reference
-// cache pays the full probe-and-fill path on its own.
+// cost estimates the unit's per-access simulation work.  A lone family
+// pays one tag probe (2) plus one lane update per member; a reference
+// cache pays the full probe-and-fill path on its own (3).  A bundle of
+// several families pays one fold (2), and each family probes the
+// folded runs, about one and a half references each, so its probe
+// costs 1.
 func (u shardUnit) cost() int {
-	if u.family {
-		return 2 + len(u.idxs)
+	switch len(u.fams) {
+	case 0:
+		return 3
+	case 1:
+		return 2 + len(u.fams[0])
 	}
-	return 3
+	c := 2
+	for _, idxs := range u.fams {
+		c += 1 + len(idxs)
+	}
+	return c
+}
+
+// first is the unit's lowest-order configuration index, its tie-break.
+func (u shardUnit) first() int {
+	if u.fams == nil {
+		return u.rest
+	}
+	return u.fams[0][0]
+}
+
+// bundleGroups gathers Group's families into bundles: the families that
+// share a block size, a word size and a lane layout (the sub-block
+// sizes of their lanes, in order), in first-appearance order.
+func bundleGroups(cfgs []cache.Config, families [][]int) [][][]int {
+	var bundles [][][]int
+	at := make(map[string]int)
+	for _, idxs := range families {
+		key := fmt.Sprint(cfgs[idxs[0]].BlockSize, cfgs[idxs[0]].WordSize)
+		for _, k := range idxs {
+			key += fmt.Sprint(",", cfgs[k].SubBlockSize)
+		}
+		bi, ok := at[key]
+		if !ok {
+			bi = len(bundles)
+			at[key] = bi
+			bundles = append(bundles, nil)
+		}
+		bundles[bi] = append(bundles[bi], idxs)
+	}
+	return bundles
 }
 
 // PartitionShards splits cfgs across at most shards single-pass
 // workers, balancing estimated per-access cost.  The units of work are
-// Group's families and one reference cache per configuration in its
-// rest.  Families are the preferred unit -- their lanes share one tag
-// probe, so keeping them together is cheapest -- but when there are
-// fewer units than shards, the largest families are split in two (any
-// subset of a family is itself a valid family: lane state is private,
-// so membership never affects results, and a subset needs no more lane
-// bits), trading shared probes for parallelism.  The partition is
-// deterministic, covers every index exactly once, and returns only
+// bundles of Group's families (bundleGroups) and one reference cache
+// per configuration in its rest.  Bundles are the preferred unit --
+// their families share one fold of the trace, and a family's lanes one
+// tag probe -- but when there are fewer units than shards, the costliest
+// bundle of several families is split in two, and only when every
+// bundle is down to one family is the widest family halved (any subset
+// of a family is itself a valid family: lane state is private, so
+// membership never affects results, and a subset needs no more lane
+// bits).  Each split trades shared work for parallelism.  The partition
+// is deterministic, covers every index exactly once, and returns only
 // non-empty plans, so the result may have fewer than shards entries.
 func PartitionShards(cfgs []cache.Config, shards int) []ShardPlan {
 	if shards < 1 {
 		shards = 1
 	}
 	families, rest := Group(cfgs)
-	units := make([]shardUnit, 0, len(families)+len(rest))
-	for _, idxs := range families {
-		units = append(units, shardUnit{idxs: idxs, family: true})
+	bundles := bundleGroups(cfgs, families)
+	units := make([]shardUnit, 0, len(bundles)+len(rest))
+	for _, fams := range bundles {
+		units = append(units, shardUnit{fams: fams})
 	}
 	for _, k := range rest {
-		units = append(units, shardUnit{idxs: []int{k}})
+		units = append(units, shardUnit{rest: k})
 	}
 
-	// Fill idle shards by halving the widest families until every shard
-	// has a unit or nothing divisible remains.
+	// Fill idle shards by splitting bundles, then halving families,
+	// until every shard has a unit or nothing divisible remains.
 	for len(units) < shards {
-		widest := -1
-		for i, u := range units {
-			if u.family && len(u.idxs) >= 2 &&
-				(widest < 0 || len(u.idxs) > len(units[widest].idxs)) {
-				widest = i
-			}
-		}
-		if widest < 0 {
+		i := splittable(units)
+		if i < 0 {
 			break
 		}
-		u := units[widest]
-		mid := len(u.idxs) / 2
-		units[widest] = shardUnit{idxs: u.idxs[:mid], family: true}
-		units = append(units, shardUnit{idxs: u.idxs[mid:], family: true})
+		u := units[i]
+		if len(u.fams) >= 2 {
+			mid := len(u.fams) / 2
+			units[i] = shardUnit{fams: u.fams[:mid]}
+			units = append(units, shardUnit{fams: u.fams[mid:]})
+			continue
+		}
+		idxs := u.fams[0]
+		mid := len(idxs) / 2
+		units[i] = shardUnit{fams: [][]int{idxs[:mid]}}
+		units = append(units, shardUnit{fams: [][]int{idxs[mid:]}})
 	}
 
 	// More shards than units would only be dropped below as empty plans.
@@ -102,7 +148,7 @@ func PartitionShards(cfgs []cache.Config, shards int) []ShardPlan {
 		if ci, cj := units[i].cost(), units[j].cost(); ci != cj {
 			return ci > cj
 		}
-		return units[i].idxs[0] < units[j].idxs[0]
+		return units[i].first() < units[j].first()
 	})
 	plans := make([]ShardPlan, shards)
 	loads := make([]int, shards)
@@ -114,17 +160,40 @@ func PartitionShards(cfgs []cache.Config, shards int) []ShardPlan {
 			}
 		}
 		loads[best] += u.cost()
-		if u.family {
-			plans[best].Families = append(plans[best].Families, u.idxs)
+		if u.fams != nil {
+			plans[best].Bundles = append(plans[best].Bundles, u.fams)
 		} else {
-			plans[best].Rest = append(plans[best].Rest, u.idxs[0])
+			plans[best].Rest = append(plans[best].Rest, u.rest)
 		}
 	}
 	out := plans[:0]
 	for _, p := range plans {
-		if len(p.Families) > 0 || len(p.Rest) > 0 {
+		if len(p.Bundles) > 0 || len(p.Rest) > 0 {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// splittable picks the unit PartitionShards divides next: the costliest
+// bundle of several families, else the widest family of at least two
+// lanes; ties go to the earlier unit.  It returns -1 when no unit is
+// divisible.
+func splittable(units []shardUnit) int {
+	best := -1
+	for i, u := range units {
+		if len(u.fams) >= 2 && (best < 0 || u.cost() > units[best].cost()) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	for i, u := range units {
+		if len(u.fams) == 1 && len(u.fams[0]) >= 2 &&
+			(best < 0 || len(u.fams[0]) > len(units[best].fams[0])) {
+			best = i
+		}
+	}
+	return best
 }

@@ -1,7 +1,9 @@
 package multipass
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"subcache/internal/cache"
@@ -54,10 +56,10 @@ func TestPartitionCoversEveryIndex(t *testing.T) {
 		}
 		seen := make(map[int]int)
 		for pi, plan := range plans {
-			if len(plan.Families) == 0 && len(plan.Rest) == 0 {
+			if len(plan.Bundles) == 0 && len(plan.Rest) == 0 {
 				t.Errorf("shards=%d: plan %d is empty", shards, pi)
 			}
-			for _, fam := range plan.Families {
+			for _, fam := range planFamilies(plan) {
 				if len(fam) == 0 {
 					t.Errorf("shards=%d: plan %d has an empty family", shards, pi)
 				}
@@ -77,16 +79,35 @@ func TestPartitionCoversEveryIndex(t *testing.T) {
 	}
 }
 
+// planFamilies lists a plan's families, bundle by bundle.
+func planFamilies(plan ShardPlan) [][]int {
+	var fams [][]int
+	for _, b := range plan.Bundles {
+		fams = append(fams, b...)
+	}
+	return fams
+}
+
 // TestPartitionFamilyInvariants: every planned family must be a real
 // single-pass family -- all members in the kernel's class and sharing
-// one FamilyKey -- and every Rest index must be a configuration the
-// kernel cannot host.
+// one FamilyKey -- every planned bundle one NewBundle accepts, and
+// every Rest index a configuration the kernel cannot host.
 func TestPartitionFamilyInvariants(t *testing.T) {
-	cfgs := partitionSuite()
+	cfgs := append(partitionSuite(), partitionCfg(1024, 16, 2), partitionCfg(1024, 16, 4),
+		partitionCfg(64, 16, 2), partitionCfg(64, 16, 4), partitionCfg(64, 16, 8), partitionCfg(64, 16, 16))
 	for _, shards := range []int{1, 2, 3, len(cfgs) + 4} {
 		plans := PartitionShards(cfgs, shards)
 		for _, plan := range plans {
-			for _, fam := range plan.Families {
+			for _, b := range plan.Bundles {
+				fams := make([][]cache.Config, len(b))
+				for i, fam := range b {
+					fams[i] = pick(cfgs, fam)
+				}
+				if _, err := NewBundle(fams); err != nil {
+					t.Errorf("shards=%d: bundle %v: %v", shards, b, err)
+				}
+			}
+			for _, fam := range planFamilies(plan) {
 				key := cfgs[fam[0]].FamilyKey()
 				for _, k := range fam {
 					if !recordClass(cfgs[k]) {
@@ -174,8 +195,8 @@ func TestPartitionSplitsWideFamilies(t *testing.T) {
 		t.Fatalf("one 4-lane family across 2 shards: got %d plans, want 2", len(plans))
 	}
 	for pi, plan := range plans {
-		if len(plan.Families) != 1 || len(plan.Families[0]) != 2 {
-			t.Errorf("plan %d: want one 2-lane half-family, got %+v", pi, plan)
+		if fams := planFamilies(plan); len(plan.Bundles) != 1 || len(fams) != 1 || len(fams[0]) != 2 {
+			t.Errorf("plan %d: want one bundle of one 2-lane half-family, got %+v", pi, plan)
 		}
 	}
 
@@ -208,18 +229,97 @@ func TestPartitionBalance(t *testing.T) {
 	if len(plans) != 2 {
 		t.Fatalf("got %d plans, want 2", len(plans))
 	}
-	load := func(p ShardPlan) int {
-		n := 0
-		for _, fam := range p.Families {
-			n += 2 + len(fam)
-		}
-		return n + 3*len(p.Rest)
-	}
-	a, b := load(plans[0]), load(plans[1])
+	a, b := plans[0].Cost(), plans[1].Cost()
 	if a == 0 || b == 0 {
 		t.Fatalf("degenerate balance: loads %d/%d", a, b)
 	}
 	if a > 3*b || b > 3*a {
 		t.Errorf("poor balance: loads %d/%d", a, b)
+	}
+}
+
+// table7Cfgs is the PDP-11 Table 7 grid over nets 64, 256 and 1024: 18
+// families of six block sizes, so six bundles.
+func table7Cfgs() []cache.Config {
+	var cfgs []cache.Config
+	for _, net := range []int{64, 256, 1024} {
+		for block := 64; block >= 2; block /= 2 {
+			for sub := min(block, 32); sub >= 2; sub /= 2 {
+				if block == 64 && sub > 16 {
+					continue
+				}
+				cfgs = append(cfgs, partitionCfg(net, block, sub))
+			}
+		}
+	}
+	return cfgs
+}
+
+// TestPartitionKeepsBundlesWhole: the Table 7 grid plans one bundle per
+// block size, holding that block size's nets, and while there are at
+// least as many bundles as shards each bundle stays whole on one shard.
+func TestPartitionKeepsBundlesWhole(t *testing.T) {
+	cfgs := table7Cfgs()
+	families, _ := Group(cfgs)
+	bundles := bundleGroups(cfgs, families)
+	if len(families) != 18 || len(bundles) != 6 {
+		t.Fatalf("Table 7 grid: %d families in %d bundles, want 18 in 6", len(families), len(bundles))
+	}
+	for _, b := range bundles {
+		block := cfgs[b[0][0]].BlockSize
+		nets := map[int]bool{}
+		for _, fam := range b {
+			if c := cfgs[fam[0]]; c.BlockSize != block || nets[c.NetSize] {
+				t.Errorf("bundle %v mixes block sizes or repeats net %d", b, c.NetSize)
+			}
+			nets[cfgs[fam[0]].NetSize] = true
+		}
+		if len(nets) != 3 {
+			t.Errorf("bundle of %d-byte blocks holds nets %v, want 64, 256 and 1024", block, nets)
+		}
+	}
+	for shards := 1; shards <= len(bundles); shards++ {
+		var planned [][][]int
+		for _, plan := range PartitionShards(cfgs, shards) {
+			planned = append(planned, plan.Bundles...)
+		}
+		sort.Slice(planned, func(i, j int) bool { return planned[i][0][0] < planned[j][0][0] })
+		if !reflect.DeepEqual(planned, bundles) {
+			t.Errorf("shards=%d: planned bundles %v, want %v", shards, planned, bundles)
+		}
+	}
+}
+
+// TestPartitionSplitsBundlesFirst: past one shard per bundle, bundles
+// are split into their families before any family is halved -- up to
+// one shard per family every planned family is one of Group's, whole --
+// and only then are families halved.
+func TestPartitionSplitsBundlesFirst(t *testing.T) {
+	cfgs := table7Cfgs()
+	families, _ := Group(cfgs)
+	whole := map[string]bool{}
+	for _, fam := range families {
+		whole[fmt.Sprint(fam)] = true
+	}
+	for shards := 7; shards <= len(families)+1; shards++ {
+		plans := PartitionShards(cfgs, shards)
+		if len(plans) != shards {
+			t.Fatalf("shards=%d: %d plans", shards, len(plans))
+		}
+		halved := 0
+		for _, plan := range plans {
+			for _, fam := range planFamilies(plan) {
+				if !whole[fmt.Sprint(fam)] {
+					halved++
+				}
+			}
+		}
+		want := 0
+		if shards > len(families) {
+			want = 2 // one family, in two halves
+		}
+		if halved != want {
+			t.Errorf("shards=%d: %d planned families are parts of one, want %d", shards, halved, want)
+		}
 	}
 }

@@ -195,6 +195,58 @@ func TestJournalReplaysLegacyRequest(t *testing.T) {
 	}
 }
 
+// TestRecoveryFailsRepeatedNet: a journaled job whose request names a
+// net size twice, as a server that passed the list through admitted
+// it, no longer resolves.  Recovery journals it failed, naming the
+// repeat, instead of re-admitting it.
+func TestRecoveryFailsRepeatedNet(t *testing.T) {
+	const fp = "4795a61b00000000"
+	rec := JournalRecord{V: JournalVersion, Kind: KindAdmitted, FP: fp, Tenant: "t",
+		Req: json.RawMessage(`{"arch":"PDP-11","nets":[64,64],"refs":3000}`), UnixMS: 1760000000000}
+	sum, err := rec.sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Sum = sum
+	line, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.jsonl")
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Options{Dir: dir, Workers: 1})
+	if got := s.Stats().Counter(telemetry.JobsRecovered); got != 0 {
+		t.Errorf("jobs_recovered = %d, want 0", got)
+	}
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET the unresolvable job: code %d, want 404", resp.StatusCode)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateJournal(bytes.NewReader(data)); err != nil {
+		t.Errorf("journal after recovery invalid: %v", err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var last JournalRecord
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Kind != KindFailed || last.FP != fp || !strings.Contains(last.Error, "net size 64 named twice") {
+		t.Errorf("last journal record %+v, want %s failed naming the repeated net", last, fp)
+	}
+}
+
 // TestDrainThenRestart extends the drain contract across a restart: a
 // gracefully drained job was journaled canceled -- the client was told
 // -- so the next server over the same dir must NOT resurrect it, must

@@ -172,6 +172,7 @@ func FuzzSubmitBody(f *testing.F) {
 		`{"arch":"PDP-11","nets":[64],"refs":1000} {"arch":"PDP-11","nets":[64],"refs":1000}`,
 		`{"arch":"PDP-11","nets":[64],"refs":1000}}`,
 		`{"arch":"PDP-11","nets":[64],"refs":1000,"workloads":["OPSYS","OPSYS","PLOT"]}`,
+		`{"arch":"PDP-11","nets":[64,64],"refs":1000}`,
 		``,
 	} {
 		refused[body] = true

@@ -256,12 +256,14 @@ func (j *jobJournal) append(r JournalRecord) error {
 	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	t0 := time.Now()
 	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("service: job journal %s: %w", j.path, err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("service: job journal %s: %w", j.path, err)
 	}
+	j.rec.ObserveDur(telemetry.HistJournalAppend, time.Since(t0))
 	j.rec.Add(telemetry.JobJournalRecords, 1)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"subcache/internal/telemetry"
 )
@@ -48,6 +49,7 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 		"# TYPE sweepd_job_queue_wait_seconds histogram",
 		"sweepd_job_queue_wait_seconds_bucket",
 		"# TYPE sweepd_job_execution_seconds histogram",
+		"# TYPE sweepd_journal_append_seconds histogram",
 		"sweepd_requests_admitted_total 1",
 		"sweepd_workers 2",
 	} {
@@ -82,11 +84,40 @@ func TestServiceStatsCarriesVersionAndHists(t *testing.T) {
 	if stats.Telemetry == nil {
 		t.Fatal("/v1/stats missing telemetry snapshot")
 	}
-	for _, h := range []telemetry.Hist{telemetry.HistQueueWait, telemetry.HistExecution, telemetry.HistJobLatency} {
+	for _, h := range []telemetry.Hist{telemetry.HistQueueWait, telemetry.HistExecution, telemetry.HistJobLatency, telemetry.HistJournalAppend} {
 		hs := stats.Telemetry.Hist(h)
 		if hs == nil || hs.Count == 0 {
 			t.Errorf("histogram %s absent or empty after a completed job", h)
 		}
+	}
+}
+
+// TestJournalAppendTimed: every job-journal append -- the record's
+// write and fsync -- is one journal_append observation, so after a
+// completed job the histogram's count equals job_journal_records,
+// which holds at least the job's admitted, started and completed
+// records.
+func TestJournalAppendTimed(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	if code, resp := post(t, ts, smallRequest(4000), true); code != http.StatusOK {
+		t.Fatalf("submit: code %d (%s)", code, resp.Error)
+	}
+	// The completed record may land just after the reply.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := s.Stats()
+		records := st.Counter(telemetry.JobJournalRecords)
+		var appends uint64
+		if h := st.Hist(telemetry.HistJournalAppend); h != nil {
+			appends = h.Count
+		}
+		if records >= 3 && appends == records {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal_append count %d, job_journal_records %d: want equal, at least 3", appends, records)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

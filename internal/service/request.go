@@ -69,10 +69,17 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 	if len(wire.Nets) == 0 || len(wire.Nets) > maxNets {
 		return sweep.Request{}, "", fmt.Errorf("want 1-%d net sizes, got %d", maxNets, len(wire.Nets))
 	}
+	// A net size may appear once: a repeat would list its grid twice
+	// and give the same results a second cache identity.
+	seenNet := make(map[int]bool, len(wire.Nets))
 	for _, n := range wire.Nets {
 		if n < 2 || n > maxNetSize || n&(n-1) != 0 {
 			return sweep.Request{}, "", fmt.Errorf("net size %d not a power of two in [2, %d]", n, maxNetSize)
 		}
+		if seenNet[n] {
+			return sweep.Request{}, "", fmt.Errorf("net size %d named twice", n)
+		}
+		seenNet[n] = true
 	}
 	points := sweep.Grid(wire.Nets, arch.WordSize())
 	if len(points) == 0 {

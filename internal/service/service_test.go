@@ -167,6 +167,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Arch: "PDP-11", Nets: []int{96}, Refs: 1000},                                                // not a power of two
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"nope"}},                   // unknown workload
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"OPSYS", "OPSYS", "PLOT"}}, // repeated workload
+		{Arch: "PDP-11", Nets: []int{64, 64}, Refs: 1000},                                            // repeated net size
+		{Arch: "Z8000", Nets: []int{64, 256, 64}, Refs: 1000},                                        // repeated net size
 	}
 	for i, req := range bad {
 		if code, resp := post(t, ts, req, false); code != http.StatusBadRequest {
@@ -197,6 +199,7 @@ func TestSubmitValidation(t *testing.T) {
 		{obj + `}`, "after its JSON object"},
 		{obj + `,`, "after its JSON object"},
 		{obj + `0`, "after its JSON object"},
+		{`{"arch":"PDP-11","nets":[64,64],"refs":1000}`, "net size 64 named twice"},
 	} {
 		if code, out := postBody(tc.body); code != http.StatusBadRequest || !strings.Contains(out.Error, tc.want) {
 			t.Errorf("POST %s: code %d (%s), want 400 naming %s", tc.body, code, out.Error, tc.want)

@@ -4,7 +4,7 @@
 // A million-reference grid sweep is only trustworthy if partial
 // failures are detected and attributed rather than silently absorbed --
 // or worse, if one corrupt trace byte or one panicking worker discards
-// the whole grid.  Every simulation unit (a multipass family or a
+// the whole grid.  Every simulation unit (a multipass bundle or a
 // fallback reference cache) therefore runs its per-chunk work inside a
 // recovery boundary: a panic becomes a PanicError, which is wrapped in
 // a PointError naming the exact workload, point and shard that died.
@@ -151,7 +151,7 @@ type Hooks struct {
 	// (shard-scope).
 	BeforeChunk func(workload string, shard, chunk int)
 	// BeforeUnit is called before one simulation unit (a multipass
-	// family or a reference cache) processes a chunk; shard is its
+	// bundle or a reference cache) processes a chunk; shard is its
 	// owning worker and points lists the grid points the unit carries.
 	// A panic here kills exactly that unit.
 	BeforeUnit func(workload string, shard int, points []Point, chunk int)
@@ -165,20 +165,22 @@ func (h *Hooks) wrapSource(workload string, src PackedSource) PackedSource {
 }
 
 // simUnit is one independently failable simulation unit: a multipass
-// family or a single reference cache, plus the grid points it carries.
+// bundle or a single reference cache, plus the grid points it carries.
 // Exactly one goroutine drives a unit, so no locking is needed; dead
 // units stop simulating but their stream keeps flowing to the rest.
 type simUnit struct {
-	fam   *multipass.Family
-	cache *cache.Cache
-	idxs  []int   // config indexes into the request's cfgs/points
-	pts   []Point // attributed points, aligned with idxs (nil for RunConfigs)
-	dead  bool
+	bundle *multipass.Bundle
+	cache  *cache.Cache
+	// idxs are the config indexes into the request's cfgs/points: a
+	// bundle's lanes family by family, each family's in lane order.
+	idxs []int
+	pts  []Point // attributed points, aligned with idxs (nil for RunConfigs)
+	dead bool
 }
 
 // accessBatch feeds one chunk to the unit inside a recovery boundary,
 // calling the BeforeUnit hook (if any) inside the same boundary.
-// Families read the packed words as broadcast; reference caches read
+// Bundles read the packed words as broadcast; reference caches read
 // refs, the same chunk decoded by the owning shard.
 func (u *simUnit) accessBatch(packed []uint64, refs []trace.Ref, hooks *Hooks, workload string, shard, chunk int) (err error) {
 	defer func() {
@@ -190,8 +192,8 @@ func (u *simUnit) accessBatch(packed []uint64, refs []trace.Ref, hooks *Hooks, w
 		hooks.BeforeUnit(workload, shard, u.pts, chunk)
 	}
 	switch {
-	case u.fam != nil:
-		u.fam.AccessBatchPacked(nil, packed)
+	case u.bundle != nil:
+		u.bundle.AccessBatchPacked(packed)
 	default:
 		u.cache.AccessBatch(refs)
 	}
@@ -208,10 +210,14 @@ func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 		}
 	}()
 	switch {
-	case u.fam != nil:
-		u.fam.FlushUsage()
-		for j, k := range u.idxs {
-			runs[k] = metrics.NewRun(traceName, u.fam.Config(j), u.fam.Stats(j))
+	case u.bundle != nil:
+		u.bundle.FlushUsage()
+		idxs := u.idxs
+		for _, f := range u.bundle.Families() {
+			for j := 0; j < f.Lanes(); j++ {
+				runs[idxs[j]] = metrics.NewRun(traceName, f.Config(j), f.Stats(j))
+			}
+			idxs = idxs[f.Lanes():]
 		}
 	default:
 		u.cache.FlushUsage()

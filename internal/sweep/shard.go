@@ -98,14 +98,14 @@ type shardRunner struct {
 // RunConfigs evaluates every configuration against one workload in a
 // single chunk-streamed trace pass, sharded across shard workers
 // (0 or less picks GOMAXPROCS).  Configurations in the family kernel's
-// class are grouped into multipass families within each shard (see
-// multipass.Group); the rest ride the same pass on reference
-// simulators.  The returned runs
-// align with cfgs and are bit-identical to per-configuration
-// simulation.  All configurations must agree on WordSize, since they
-// consume one shared word-split trace.  Failures are fail-fast: the
-// first failing configuration (bad config or recovered panic) aborts
-// the pass and is returned, named by its index.
+// class are grouped into multipass families, and the families into
+// bundles (see multipass.PartitionShards); the rest ride the same pass
+// on reference simulators.  The returned runs align with cfgs and are
+// bit-identical to per-configuration simulation.  All configurations
+// must agree on WordSize, since they consume one shared word-split
+// trace.  Failures are fail-fast: the first failing configuration (bad
+// config or recovered panic) aborts the pass and is returned, named by
+// its index.
 func RunConfigs(ctx context.Context, prof synth.Profile, cfgs []cache.Config, refs, shards int) ([]metrics.Run, error) {
 	if refs <= 0 {
 		return nil, fmt.Errorf("sweep: non-positive trace length %d", refs)
@@ -161,7 +161,7 @@ func referencePlans(n, shards int) []multipass.ShardPlan {
 // shardUnitLists realises an engine's plan over cfgs as per-shard unit
 // lists plus the planner's per-shard cost estimates, attributing
 // construction failures to the owning shard index.  MultiPass plans
-// families and fallback caches with multipass.PartitionShards;
+// bundles of families and fallback caches with multipass.PartitionShards;
 // Reference gives every configuration its own cache.  Lists may number
 // fewer than shards when the planner cannot fill them all.
 func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int) (lists [][]*simUnit, costs []int, failed []unitFailure) {
@@ -182,20 +182,24 @@ func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int)
 	return lists, costs, failed
 }
 
-// planUnits realises one shard plan's families and fallback caches as
+// planUnits realises one shard plan's bundles and fallback caches as
 // simUnits, attributing construction failures to the given shard.
 func planUnits(plan multipass.ShardPlan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
-	for _, idxs := range plan.Families {
-		fcfgs := make([]cache.Config, len(idxs))
-		for j, k := range idxs {
-			fcfgs[j] = cfgs[k]
+	for _, fams := range plan.Bundles {
+		var idxs []int
+		fcfgs := make([][]cache.Config, len(fams))
+		for i, fam := range fams {
+			for _, k := range fam {
+				fcfgs[i] = append(fcfgs[i], cfgs[k])
+			}
+			idxs = append(idxs, fam...)
 		}
-		fam, err := multipass.New(fcfgs)
+		b, err := multipass.NewBundle(fcfgs)
 		if err != nil {
 			failed = append(failed, unitFailure{idxs: idxs, shard: shard, cause: err})
 			continue
 		}
-		units = append(units, &simUnit{fam: fam, idxs: idxs, pts: unitPoints(points, idxs)})
+		units = append(units, &simUnit{bundle: b, idxs: idxs, pts: unitPoints(points, idxs)})
 	}
 	for _, k := range plan.Rest {
 		c, err := cache.New(cfgs[k])
@@ -470,8 +474,8 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 				}
 				continue
 			}
-			if u.fam != nil {
-				families++
+			if u.bundle != nil {
+				families += uint64(len(u.bundle.Families()))
 			}
 			for _, k := range u.idxs {
 				ok[k] = true

@@ -293,6 +293,16 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	if len(req.Points) == 0 {
 		return nil, fmt.Errorf("sweep: no points requested")
 	}
+	// A point may appear once: a repeat would be simulated twice, as an
+	// extra lane, complete once, and give the same results a second
+	// request fingerprint.
+	seen := make(map[Point]bool, len(req.Points))
+	for _, p := range req.Points {
+		if seen[p] {
+			return nil, fmt.Errorf("sweep: point %v named twice", p)
+		}
+		seen[p] = true
+	}
 	if req.Shards < 0 {
 		return nil, fmt.Errorf("sweep: negative shard count %d (want 0 for auto, or a positive count)", req.Shards)
 	}

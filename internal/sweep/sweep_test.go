@@ -162,12 +162,22 @@ func TestRunValidatesRequest(t *testing.T) {
 		// unweighted average.
 		{"a repeated workload", Request{Arch: synth.PDP11, Refs: 100, Points: pt,
 			Workloads: []string{"OPSYS", "OPSYS", "PLOT"}}},
+		// A repeated point would be simulated twice, as an extra lane,
+		// complete once and fingerprint the same results differently.
+		{"a repeated point", Request{Arch: synth.PDP11, Refs: 100,
+			Points: []Point{pt[0], {Net: 64, Block: 8, Sub: 4}, pt[0]}}},
+		{"a net size's grid listed twice", Request{Arch: synth.PDP11, Refs: 100,
+			Points: Grid([]int{64, 64}, 2)}},
 	} {
 		if _, err := Run(tc.req); err == nil {
 			t.Errorf("accepted %s", tc.name)
 		}
 	}
-	_, err := Run(Request{Arch: synth.PDP11, Refs: 100, Points: pt, Engine: StackDist})
+	_, err := Run(Request{Arch: synth.PDP11, Refs: 100, Points: []Point{pt[0], pt[0]}})
+	if err == nil || !strings.Contains(err.Error(), pt[0].String()+" named twice") {
+		t.Errorf("repeated point: got %v, want an error naming %v", err, pt[0])
+	}
+	_, err = Run(Request{Arch: synth.PDP11, Refs: 100, Points: pt, Engine: StackDist})
 	if err == nil || !strings.Contains(err.Error(), "stackdist") {
 		t.Errorf("Engine StackDist: got %v, want an error naming stackdist", err)
 	}

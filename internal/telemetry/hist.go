@@ -44,16 +44,20 @@ const (
 	// HistJobLatency is a job's end-to-end latency: admission to
 	// terminal state, whatever the outcome.
 	HistJobLatency
+	// HistJournalAppend is the job journal's append latency: the
+	// record's write and its fsync, once per record appended.
+	HistJournalAppend
 	numHists
 )
 
 var histNames = [numHists]string{
-	HistQueueWait:    "job_queue_wait",
-	HistExecution:    "job_execution",
-	HistRetryBackoff: "job_retry_backoff",
-	HistCacheRead:    "cache_read",
-	HistCacheWrite:   "cache_write",
-	HistJobLatency:   "job_latency",
+	HistQueueWait:     "job_queue_wait",
+	HistExecution:     "job_execution",
+	HistRetryBackoff:  "job_retry_backoff",
+	HistCacheRead:     "cache_read",
+	HistCacheWrite:    "cache_write",
+	HistJobLatency:    "job_latency",
+	HistJournalAppend: "journal_append",
 }
 
 // String returns the histogram's wire name.
