@@ -176,10 +176,11 @@ func (f *Family) probeRuns(rs []run, sc *scratch) (nv, nw, writeBlockMisses uint
 		h2 := flag(s.tags[2] == ba)
 		h3 := flag(s.tags[3] == ba)
 		miss := (h0 | h1 | h2 | h3) ^ 1
+		hitMask := miss - 1
 		o := uint64(s.order)
 		way := (h1 | h3 | (h2|h3)<<1 | o&-miss) & 3
 		old := s.valid[way]
-		keep := old & (miss - 1)
+		keep := old & hitMask
 		s.tags[way] = ba
 		s.valid[way] = keep | r.need
 		s.order = mruTab[(o<<2|way)&1023]

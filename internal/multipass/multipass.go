@@ -63,6 +63,14 @@
 // warm-up ends, which is always at a piece's end) and its counted ones
 // need no per-reference bookkeeping, since they are the residency count
 // less the write misses.
+//
+// The families of one request that share a block size, a word size and
+// a lane layout -- the nets of one block size, in Table 7 and in every
+// sweepd request -- run as a Bundle, which folds each piece once into
+// runs of consecutive references to one block and lets every family
+// past its warm-up probe the runs instead of the references (see
+// bundle.go).  The sweep executor runs every family in a bundle, a lone
+// family in a bundle of one.
 package multipass
 
 import (
@@ -307,8 +315,9 @@ const batchPackRefs = 1024
 // chunk in trace.PackRefs form at this family's word granularity
 // (packed[i] = uint64(refs[i].Addr)>>log2(WordSize)<<2 |
 // uint64(refs[i].Kind)).  Only packed is read; refs may be nil.  The
-// sweep executor packs each broadcast chunk once and hands the same
-// words to every family and stack engine of the workload.
+// sweep executor does not call it: it hands each broadcast chunk to
+// the workload's bundles (Bundle.AccessBatchPacked), and a lone
+// family's bundle runs the same loop.
 func (f *Family) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
 	f.accessRecords(packed)
 }
@@ -383,12 +392,13 @@ func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 		h2 := flag(s.tags[2] == ba)
 		h3 := flag(s.tags[3] == ba)
 		miss := (h0 | h1 | h2 | h3) ^ 1
+		hitMask := miss - 1 // all ones on a tag hit
 		o := uint64(s.order)
 		// The hit way, else the order byte's LRU field, which is the
 		// lowest unfilled way while one remains (see New).
 		way := (h1 | h3 | (h2|h3)<<1 | o&-miss) & 3
 		old := s.valid[way]
-		keep := old & (miss - 1) // miss - 1 is all ones on a tag hit
+		keep := old & hitMask
 		s.tags[way] = ba
 		// Demand fetch loads exactly the referenced sub-block of every
 		// lane: a tag hit ORs the bits in, a fill starts from them.
