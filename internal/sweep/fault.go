@@ -178,6 +178,16 @@ type simUnit struct {
 	dead bool
 }
 
+// families is the number of families a bundle runs, and one for a
+// reference cache: the units that refs_simulated counts, as it did
+// before families ran in bundles.
+func (u *simUnit) families() int {
+	if u.bundle == nil {
+		return 1
+	}
+	return len(u.bundle.Families())
+}
+
 // accessBatch feeds one chunk to the unit inside a recovery boundary,
 // calling the BeforeUnit hook (if any) inside the same boundary.
 // Bundles read the packed words as broadcast; reference caches read

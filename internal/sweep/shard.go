@@ -475,7 +475,7 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 				continue
 			}
 			if u.bundle != nil {
-				families += uint64(len(u.bundle.Families()))
+				families += uint64(u.families())
 			}
 			for _, k := range u.idxs {
 				ok[k] = true
@@ -533,7 +533,7 @@ func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hook
 			fail(unitFailure{idxs: u.idxs, shard: rn.shard, cause: uerr}, 1)
 			continue
 		}
-		rn.simRefs += uint64(len(words))
+		rn.simRefs += uint64(len(words) * u.families())
 	}
 	rn.chunk++
 }

@@ -124,12 +124,15 @@ func TestTelemetryCountersDeterministic(t *testing.T) {
 	if s1.Counter(telemetry.PointsFailed) != 0 || s1.Counter(telemetry.EventsDropped) != 0 {
 		t.Errorf("clean run counted failures: %v", s1.Counters)
 	}
-	// Every workload's word trace is read once and feeds every unit, so
-	// refs_simulated is a whole multiple of refs_read.
+	// Every workload's word trace is read once and feeds every family,
+	// however the families are bundled, and every workload has the same
+	// families, so refs_simulated is refs_read times the families per
+	// workload.
 	refsRead := s1.Counter(telemetry.RefsRead)
 	refsSim := s1.Counter(telemetry.RefsSimulated)
-	if refsRead == 0 || refsSim == 0 || refsSim%refsRead != 0 {
-		t.Errorf("refs_simulated %d not a multiple of refs_read %d", refsSim, refsRead)
+	perWorkload := s1.Counter(telemetry.FamiliesFlushed) / uint64(workloads)
+	if refsRead == 0 || perWorkload == 0 || refsSim != refsRead*perWorkload {
+		t.Errorf("refs_simulated %d, want refs_read %d x %d families per workload", refsSim, refsRead, perWorkload)
 	}
 	if s1.Counter(telemetry.ChunksBroadcast) == 0 {
 		t.Error("sharded run broadcast no chunks")

@@ -16,8 +16,9 @@ const (
 	// regardless of how many configurations consume it.
 	RefsRead Counter = iota
 	// RefsSimulated counts references fed into simulation units: one
-	// reference consumed by k units counts k.  This is the pipeline's
-	// work measure and the numerator of the progress line's refs/sec.
+	// reference consumed by k units counts k, where a multipass bundle
+	// counts as its families.  This is the pipeline's work measure and
+	// the numerator of the progress line's refs/sec.
 	RefsSimulated
 	// ChunksBroadcast counts trace chunks the sharded executor's
 	// producer handed to its shard workers.
