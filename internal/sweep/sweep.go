@@ -41,8 +41,10 @@ const (
 	// (LRU with at most four ways, demand fetch, write-allocate and
 	// write-through; see multipass.Group) are grouped into
 	// multipass.Family kernels sharing one tag engine per (net, block)
-	// family, and the rest ride the same pass as individual reference
-	// caches.  It is the zero value, the default.
+	// family, the families of one block size folding the trace once
+	// between them (multipass.Bundle), and the rest ride the same pass
+	// as individual reference caches.  It is the zero value, the
+	// default.
 	MultiPass Engine = iota
 	// Reference gives every point its own cache.Cache, which replays
 	// the whole trace: one pass per (workload, point) pair in
