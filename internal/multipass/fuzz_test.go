@@ -71,9 +71,10 @@ func fuzzFamilies() [][]cache.Config {
 // configuration, through every entry point (see diffFamily), on a
 // family whose geometry the input's first byte picks (fuzzGeometry),
 // on that geometry's net-64 and net-256 families as one bundle
-// (diffBundle), and on the Table 7 families of fuzzFamilies.  The seed corpus reuses
-// the internal/trace fuzz seeds (raw din text and binary trace bytes)
-// plus structured streams that exercise eviction and write paths.
+// (diffBundle), and on the Table 7 families of fuzzFamilies.  The seed
+// corpus reuses the internal/trace fuzz seeds (raw din text and binary
+// trace bytes) plus structured streams that exercise eviction and
+// write paths.
 func FuzzMultiPassEquivalence(f *testing.F) {
 	// Seeds shared with internal/trace's FuzzTextReader / FuzzBinReader.
 	f.Add([]byte("0 100 2\n"))
