@@ -10,11 +10,13 @@
 //   - hit: a steady-state resident block is referenced word by word --
 //     after the first touch every access is a full hit.  For the
 //     reference and stack-distance kernels that is the same-block
-//     memo's best case; the multipass family has no memo and runs its
-//     full four-way probe on every hit.
+//     memo's best case; the multipass family folds each 256-reference
+//     piece of it into one same-block run, so it probes once per piece.
 //   - miss: successive references cycle through more set-mates than the
 //     set holds, so once warm every access is a block miss with an
 //     eviction -- victim search, retirement and refill on every call.
+//     The multipass family folds it into one-reference runs, so it pays
+//     the fold on top of every probe.
 //
 // The geometry is one Table 7 family (1024-byte net, 32-byte block,
 // 4-way, LRU, demand fetch, write-allocate) with the block's full

@@ -110,9 +110,10 @@ func workloadWords(t testing.TB, prof synth.Profile, n, wordSize int) []uint64 {
 // TestDiffBundleTable7: every architecture's Table 7 block sizes over
 // nets 64, 256 and 1024, as bundles of their nets, with and without
 // warm start, on a seeded trace and on a suite workload.  With warm
-// start the net-64 families leave the warm-up long before the net-1024
-// ones, so pieces run folded for two families and reference by
-// reference for the third; the test requires that to happen.
+// start the net-64 families leave the warm-up long before the net-256
+// ones and those before the net-1024 ones, so one fold of a piece serves
+// one family or two while the rest fold their own warm-up pieces; the
+// test requires both to happen.
 func TestDiffBundleTable7(t *testing.T) {
 	for _, arch := range synth.AllArchs() {
 		ws := arch.WordSize()
@@ -131,19 +132,20 @@ func TestDiffBundleTable7(t *testing.T) {
 			}
 		}
 	}
-	// The warm-up overlap: on the workload trace the net-1024 family
-	// of 16-byte blocks counts more than two pieces of warm-up
-	// accesses beyond the net-256 one, so at least one whole piece
-	// folds for nets 64 and 256 while net 1024 warms up.
-	refs := workloadTrace(t, synth.PDP11, 20000)
+	// The warm-up overlap: on the Z8000 workload trace each family of
+	// 2-byte blocks counts more than two pieces of warm-up accesses
+	// beyond the next smaller net's, so at least one whole piece folds
+	// for net 64 alone while nets 256 and 1024 warm up, and one for nets
+	// 64 and 256 while net 1024 warms up.
+	refs := workloadTrace(t, synth.Z8000, 20000)
 	var warmup [3]uint64
 	for i, net := range []int{64, 256, 1024} {
-		cfg := sweep.Point{Net: net, Block: 16, Sub: 16}.Config(synth.PDP11)
+		cfg := sweep.Point{Net: net, Block: 2, Sub: 2}.Config(synth.Z8000)
 		cfg.WarmStart = true
 		warmup[i] = runReference(t, cfg, refs).WarmupAccesses
 	}
-	if warmup[0] > warmup[1] || warmup[2] < warmup[1]+2*256 {
-		t.Errorf("warm-up accesses of nets 64, 256, 1024 = %v: no piece folds beside a warm-up", warmup)
+	if warmup[1] < warmup[0]+2*256 || warmup[2] < warmup[1]+2*256 {
+		t.Errorf("warm-up accesses of nets 64, 256, 1024 = %v: a warm-up overlap spans no whole piece", warmup)
 	}
 }
 
@@ -153,7 +155,11 @@ func TestDiffBundleTable7(t *testing.T) {
 // after a write of the same or another sub-block, and a run opened by a
 // write block miss -- each after a prior run that left the block
 // resident with one word's sub-block loaded, or after the block's
-// eviction, with and without warm start.
+// eviction, with and without warm start.  Every block of the patterns
+// maps to set 0 of both nets, so two references to odd blocks come
+// first: with warm start the net-64 family's warm-up then ends in the
+// first pattern, and the patterns run folded for it while the net-256
+// family, half of whose sets stay empty, folds its own warm-up pieces.
 func TestDiffBundleWriteOrder(t *testing.T) {
 	for _, warm := range []bool{false, true} {
 		base := cache.Config{NetSize: 64, BlockSize: 16, Assoc: 2, WordSize: 2, WarmStart: warm}
@@ -167,6 +173,8 @@ func TestDiffBundleWriteOrder(t *testing.T) {
 		ref := func(a addr.Addr, k trace.Kind) {
 			refs = append(refs, trace.Ref{Addr: a, Kind: k, Size: 2})
 		}
+		ref(16, trace.Read)
+		ref(48, trace.Read)
 		for evict := 0; evict < 2; evict++ {
 			for _, prior := range words {
 				for _, a := range words {
@@ -278,9 +286,12 @@ func TestBundleAccessNoAllocs(t *testing.T) {
 // BenchmarkTable7Bundles times each architecture's Table 7 families
 // (nets 64, 256 and 1024) over its suite at 100,000 references, fed in
 // 8192-word chunks as the sweep executor feeds them: once family by
-// family, as multipass.New units, and once as the executor's bundles
-// (multipass.PartitionShards on one shard).  It reports ns per word
-// reference; the trace is generated before the timer starts.
+// family, as multipass.New units that each fold every piece alone, and
+// once as the executor's bundles (multipass.PartitionShards on one
+// shard), which fold each piece once per block size.  It reports ns per
+// word reference and, per block size, the trace's references per
+// same-block run (refsPerRun), the locality the fold turns into fewer
+// probes; the trace is generated before the timer starts.
 //
 //	go test -run='^$' -bench=Table7Bundles -benchtime=3x ./internal/multipass
 func BenchmarkTable7Bundles(b *testing.B) {
@@ -341,9 +352,31 @@ func BenchmarkTable7Bundles(b *testing.B) {
 					elapsed += time.Since(t0)
 				}
 				b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*words), "ns/word")
+				for _, bundle := range plan.Bundles {
+					block := cfgs[bundle[0][0]].BlockSize
+					b.ReportMetric(refsPerRun(traces, block, ws), fmt.Sprintf("refs/run-block%d", block))
+				}
 			})
 		}
 	}
+}
+
+// refsPerRun is the mean length of the same-block runs of blocks of the
+// given size in packed word traces at word size ws, each cut into the
+// batch loop's 256-reference pieces as 8192-word chunks cut it.  It
+// reads the words only, not the kernel.
+func refsPerRun(traces [][]uint64, block, ws int) float64 {
+	shift := 2 + addr.Log2(uint64(block/ws))
+	refs, runs := 0, 0
+	for _, words := range traces {
+		for i, v := range words {
+			if i%256 == 0 || v>>shift != words[i-1]>>shift {
+				runs++
+			}
+		}
+		refs += len(words)
+	}
+	return float64(refs) / float64(runs)
 }
 
 // pick returns the configurations at idxs.

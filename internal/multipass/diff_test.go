@@ -275,11 +275,13 @@ func TestDiffTinyAndFullyAssociative(t *testing.T) {
 
 // TestDiffWarmupUnfinished: a trace shorter than the 512 frames of a
 // 1024-byte, 2-byte-block Z8000 cache never finishes the warm-up, so
-// every count stays in the warm-up and write fields.
+// every count stays in the warm-up and write fields, through every
+// family entry point and through a bundle of one.
 func TestDiffWarmupUnfinished(t *testing.T) {
 	cfg := sweep.Point{Net: 1024, Block: 2, Sub: 2}.Config(synth.Z8000)
 	refs := makeTrace(0x5a, 400, 0xffff, cfg.WordSize)
 	diffFamily(t, []cache.Config{cfg}, refs)
+	diffBundle(t, [][]cache.Config{{cfg}}, refs)
 	if st := runReference(t, cfg, refs); st.Accesses != 0 || st.WarmupAccesses == 0 {
 		t.Fatalf("%d refs finished the warm-up of %v: %+v", len(refs), cfg, st)
 	}
@@ -330,10 +332,11 @@ func TestDiffSixtyFourBitLanes(t *testing.T) {
 
 // TestDiffWarmupEndsAtPieceBoundary: a Z8000 family's warm-up ends at
 // the 255th, 256th and 257th reference -- one before, at and one after
-// the record loop's 256-reference piece boundary -- and a seeded trace
-// follows.  Reference 0 fills a frame, the next end - frames references
-// hit its block (every fifth a write to a new word), and each of the
-// rest fills one more frame.
+// the batch loop's 256-reference piece boundary -- and a seeded trace
+// follows, through every family entry point and through a bundle of
+// one.  Reference 0 fills a frame, the next end - frames references hit
+// its block (every fifth a write to a new word), and each of the rest
+// fills one more frame.
 func TestDiffWarmupEndsAtPieceBoundary(t *testing.T) {
 	base := sweep.Point{Net: 2048, Block: 16, Sub: 16}.Config(synth.Z8000)
 	cfgs := demandLanes(base, []int{16, 8, 4, 2})
@@ -358,6 +361,7 @@ func TestDiffWarmupEndsAtPieceBoundary(t *testing.T) {
 			}
 			refs = append(refs, makeTrace(uint64(end), 2000, 0xffff, 2)...)
 			diffFamily(t, cfgs, refs)
+			diffBundle(t, [][]cache.Config{cfgs}, refs)
 		})
 	}
 }
@@ -428,31 +432,5 @@ func TestLaneAccessors(t *testing.T) {
 		if fam.Config(i) != cfg {
 			t.Errorf("Config(%d) = %v, want %v", i, fam.Config(i), cfg)
 		}
-	}
-}
-
-// TestRunDrivesSource: Family.Run consumes a Source to EOF and flushes
-// residency, matching the reference Run helper.
-func TestRunDrivesSource(t *testing.T) {
-	cfg := cache.Config{NetSize: 128, BlockSize: 16, SubBlockSize: 4, Assoc: 2, WordSize: 2}
-	refs := makeTrace(33, 3000, 0xfff, 2)
-
-	fam, err := multipass.New([]cache.Config{cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fam.Run(trace.NewSliceSource(refs)); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := cache.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(trace.NewSliceSource(refs)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fam.Stats(0), c.Stats()) {
-		t.Errorf("Run diverges:\n got:  %+v\n want: %+v", fam.Stats(0), c.Stats())
 	}
 }

@@ -20,7 +20,7 @@
 // regression-tests the generated paper artifacts, and an exact digest
 // of the Table 7 counters, byte for byte across engines.
 //
-// To keep the per-reference loop tight, counters that are tag-level
+// To keep the batch loop tight, counters that are tag-level
 // facts -- identical in every lane by the set-refinement argument
 // (accesses, warm-up accesses, write accesses, block misses, evictions,
 // write-through words) -- are accumulated once per family and folded
@@ -49,33 +49,38 @@
 // The frames live in one record per set (setRec): four tags, four valid
 // words and the packed LRU order byte.  Unfilled ways hold a tag no
 // block number matches, so the probe compares all four ways with no
-// jump and no fill count, and the batch loop (recordPiece) resolves
-// hit, sub-block miss, fill and victim choice with masks and one store
-// per field.  The loop only probes and updates the frame: it appends
+// jump and no fill count.
+//
+// The batch loop has three steps per piece of at most 256 references.
+// Consecutive references mostly fall in the same block (the observation
+// behind way memoization, Ishihara & Fallah), and within a piece a run
+// of consecutive references to one block changes a set record exactly
+// as its first reference would, with the run's need bits; so fold
+// compacts the piece into such runs, and probeRuns resolves hit,
+// sub-block miss, fill and victim choice once per run with masks and
+// one store per field.  The probe only updates the frame: it appends
 // each block miss's victim and each write miss's loaded bits to stack
 // buffers, and everything else -- fills, evictions, reference kinds,
 // each lane's touched bits (a popcount of the victims under its mask)
-// and write misses -- is counted after each piece of at most 256
-// references.  Under demand fetch a valid bit is set only by the
-// reference that touches it, exactly when its lane misses, so the valid
-// word doubles as the touched word, and a lane's bits set over the
-// trace count all its misses: its warm-up misses (taken when the
-// warm-up ends, which is always at a piece's end) and its counted ones
-// need no per-reference bookkeeping, since they are the residency count
-// less the write misses.
+// and write misses -- is counted after the piece (settle).  Under demand
+// fetch a valid bit is set only by the reference that touches it,
+// exactly when its lane misses, so the valid word doubles as the
+// touched word, and a lane's bits set over the trace count all its
+// misses: its warm-up misses (taken when the warm-up ends, which is
+// always at a piece's end) and its counted ones need no per-reference
+// bookkeeping, since they are the residency count less the write
+// misses.
 //
-// The families of one request that share a block size, a word size and
-// a lane layout -- the nets of one block size, in Table 7 and in every
-// sweepd request -- run as a Bundle, which folds each piece once into
-// runs of consecutive references to one block and lets every family
-// past its warm-up probe the runs instead of the references (see
-// bundle.go).  The sweep executor runs every family in a bundle, a lone
-// family in a bundle of one.
+// The fold depends only on the block size, the word size and the lane
+// layout.  The families of one request that share them -- the nets of
+// one block size, in Table 7 and in every sweepd request -- run as a
+// Bundle, which folds each piece once for every family past its
+// warm-up (see bundle.go).  The sweep executor runs every family in a
+// bundle, a lone family in a bundle of one.
 package multipass
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 
 	"subcache/internal/addr"
@@ -314,10 +319,10 @@ const batchPackRefs = 1024
 // AccessBatchPacked is AccessBatch for a caller that already holds the
 // chunk in trace.PackRefs form at this family's word granularity
 // (packed[i] = uint64(refs[i].Addr)>>log2(WordSize)<<2 |
-// uint64(refs[i].Kind)).  Only packed is read; refs may be nil.  The
-// sweep executor does not call it: it hands each broadcast chunk to
-// the workload's bundles (Bundle.AccessBatchPacked), and a lone
-// family's bundle runs the same loop.
+// uint64(refs[i].Kind)).  Only packed is read; refs may be nil.  It
+// runs the same batch loop as a bundle of one; the sweep executor hands
+// each broadcast chunk to the workload's bundles instead
+// (Bundle.AccessBatchPacked).
 func (f *Family) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
 	f.accessRecords(packed)
 }
@@ -330,7 +335,8 @@ func (f *Family) accessRecords(packed []uint64) {
 }
 
 // records runs the batch loop over packed in pieces of at most
-// recordRefs references.  While the warm-up lasts, a piece is cut at
+// recordRefs references: it folds each piece into same-block runs and
+// probes the runs.  While the warm-up lasts, a piece is cut at
 // warmAt - filled references: a reference fills at most one frame, so
 // every reference of such a piece is a warm-up reference, and the
 // warm-up ends, if it does, exactly at its end.
@@ -340,7 +346,9 @@ func (f *Family) records(packed []uint64, sc *scratch) {
 		if f.warming() {
 			n = min(n, f.warmAt-f.filled)
 		}
-		f.recordPiece(packed[:n], sc)
+		nr, nW, nR := f.fold(packed[:n], sc)
+		nv, nw, writeBlockMisses := f.probeRuns(sc.runs[:nr], sc)
+		f.settle(sc, nv, nw, writeBlockMisses, uint64(n), nW, nR)
 		packed = packed[n:]
 	}
 }
@@ -348,44 +356,102 @@ func (f *Family) records(packed []uint64, sc *scratch) {
 // warming reports whether the family is still in its warm-up.
 func (f *Family) warming() bool { return f.filled < f.warmAt }
 
-// recordRefs is recordPiece's longest piece.
+// recordRefs is the batch loop's longest piece.
 const recordRefs = 256
 
-// scratch is the batch loops' buffers, 4 KiB on the caller's stack:
-// victims[k] is the valid word the k'th block miss of the piece evicted
-// (zero for an unfilled way), and writes[k] is the k'th write miss's
-// newly loaded bits.
+// scratch is the batch loop's buffers, 12 KiB on the caller's stack:
+// runs[k] is the piece's k'th same-block run, victims[k] the valid word
+// the k'th block miss of the piece evicted (zero for an unfilled way),
+// and writes[k] the k'th write miss's newly loaded bits.
 type scratch struct {
+	runs    [recordRefs]run
 	victims [recordRefs]uint64
 	writes  [recordRefs]uint64
 }
 
-// recordPiece runs the batch loop over at most recordRefs references,
-// all of them warm-up references or none (see records).  The probe
-// compares the block number with all four ways' tags into 0/1 flags
-// without a jump (at most one flag is set: a block is resident once),
-// and the frame they select -- the hit way, else the order byte's LRU
-// field -- takes its tag, valid word and order byte as unconditional
-// stores, each of which rewrites the value it replaces where the
-// reference changes nothing.  The loop appends each block miss's victim
-// and each write miss's newly loaded sub-block bits to sc, also as
-// unconditional stores, so it has no call and no branch; everything
-// else is counted after it (settle).  probeRuns runs the same probe on
-// folded runs: the probe is too large for the compiler to inline, and
-// a call per reference would cost more than the copy.
-func (f *Family) recordPiece(packed []uint64, sc *scratch) {
-	// New sizes both to a power of two; the emptiness test, never true,
-	// lets the compiler prove the masked indexes below in bounds.
-	sets, refBits := f.sets, f.refBits
-	if len(sets) == 0 || len(refBits) == 0 {
-		return
+// run is one same-block run of a piece: its block number, the OR of
+// its references' need bits, the bits a write needed first -- the need
+// bits of each write that no earlier reference of the run needed -- and
+// 1 if its first reference writes.
+type run struct {
+	block, need, writeFirst, write uint64
+}
+
+// fold compacts piece into same-block runs in sc.runs, with
+// unconditional stores and no jump: each reference rewrites the current
+// run's record, and a reference to another block than its predecessor's
+// opens the next one.  It returns the run count and the piece's write
+// and read counts.  The fold depends only on f's block size, word size
+// and lane layout, which a bundle's families share.
+func (f *Family) fold(piece []uint64, sc *scratch) (nr, nW, nR uint64) {
+	// New sizes refBits to a power of two; the emptiness test, never
+	// true, lets the compiler prove the masked index below in bounds.
+	refBits := f.refBits
+	if len(refBits) == 0 {
+		return 0, 0, 0
 	}
-	setMask, woMask := uint64(len(sets)-1), uint64(len(refBits)-1)
+	woMask := uint64(len(refBits) - 1)
 	baShift := f.baShift()
-	var nv, nw, writeBlockMisses, nW, nR uint64
-	for _, v := range packed {
+	k := ^uint64(0) // the current run's index; the first reference opens run 0
+	prev := noTag   // no block number matches it
+	var need, writeFirst, write uint64
+	for _, v := range piece {
 		ba := v >> baShift
-		need := refBits[v>>2&woMask]
+		rb := refBits[v>>2&woMask]
+		w := v >> 1 & 1
+		open := flag(ba != prev)
+		k += open
+		same := open - 1 // all ones within a run
+		need &= same
+		writeFirst = writeFirst&same | rb&^need&-w
+		write = write&same | w&-open
+		need |= rb
+		r := &sc.runs[k&(recordRefs-1)]
+		r.block, r.need, r.writeFirst, r.write = ba, need, writeFirst, write
+		prev = ba
+		nW += w
+		nR += v & 1
+	}
+	return k + 1, nW, nR
+}
+
+// baShift is the right shift from a packed word to its block number.
+func (f *Family) baShift() uint64 { return uint64(2+f.blockShift-f.wordShift) & 63 }
+
+// probeRuns runs a piece's folded runs through the family's set
+// records.  A run probes and updates its set record as its first
+// reference would, with the run's need bits: only the first can
+// block-miss, and it leaves the block resident and most recently used,
+// so the later references hit and only OR their need bits into the
+// valid word, and the order byte is unchanged by a second access to its
+// front way.  So the write misses are the bits a write of the run needed
+// first that the frame did not hold before it: the write-first bits
+// less the prior valid word, which is zero on a block miss.  A run whose
+// first reference writes and block-misses is a write block miss.
+//
+// The probe compares the block number with all four ways' tags into 0/1
+// flags without a jump (at most one flag is set: a block is resident
+// once), and the frame they select -- the hit way, else the order
+// byte's LRU field -- takes its tag, valid word and order byte as
+// unconditional stores, each of which rewrites the value it replaces
+// where the run changes nothing.  The loop appends each block miss's
+// victim and each write miss's newly loaded sub-block bits to sc, also
+// as unconditional stores, so it has no call and no branch; everything
+// else is counted after it (settle), which is left to the caller: a
+// call here would keep the piece's counts live across the loop.  It
+// returns the victim and write record counts in sc and the write block
+// misses.
+func (f *Family) probeRuns(rs []run, sc *scratch) (nv, nw, writeBlockMisses uint64) {
+	// New sizes sets to a power of two; the emptiness test, never true,
+	// lets the compiler prove the masked index below in bounds.
+	sets := f.sets
+	if len(sets) == 0 {
+		return 0, 0, 0
+	}
+	setMask := uint64(len(sets) - 1)
+	for i := range rs {
+		r := &rs[i]
+		ba := r.block
 		s := &sets[ba&setMask]
 		h0 := flag(s.tags[0] == ba)
 		h1 := flag(s.tags[1] == ba)
@@ -400,27 +466,21 @@ func (f *Family) recordPiece(packed []uint64, sc *scratch) {
 		old := s.valid[way]
 		keep := old & hitMask
 		s.tags[way] = ba
-		// Demand fetch loads exactly the referenced sub-block of every
+		// Demand fetch loads exactly the referenced sub-blocks of every
 		// lane: a tag hit ORs the bits in, a fill starts from them.
-		s.valid[way] = keep | need
+		s.valid[way] = keep | r.need
 		s.order = mruTab[(o<<2|way)&1023]
 		sc.victims[nv&(recordRefs-1)] = old
 		nv += miss
-		// A write that loads bits appends them; on a block miss it loads
-		// one sub-block in every lane.
-		w := v >> 1 & 1
-		loaded := need &^ keep
+		// The run's write misses: the bits its writes needed first that
+		// the frame did not hold before it.
+		loaded := r.writeFirst &^ keep
 		sc.writes[nw&(recordRefs-1)] = loaded
-		nw += w & flag(loaded != 0)
-		writeBlockMisses += w & miss
-		nW += w
-		nR += v & 1
+		nw += flag(loaded != 0)
+		writeBlockMisses += miss & r.write
 	}
-	f.settle(sc, nv, nw, writeBlockMisses, uint64(len(packed)), nW, nR)
+	return nv, nw, writeBlockMisses
 }
-
-// baShift is the right shift from a packed word to its block number.
-func (f *Family) baShift() uint64 { return uint64(2+f.blockShift-f.wordShift) & 63 }
 
 // settle counts one piece from the batch loop's records: sc's first nv
 // victims (writeBlockMisses of those block misses were writes) and nw
@@ -539,24 +599,5 @@ func (f *Family) FlushUsage() {
 		// contributes one block's worth of sub-blocks to the residency
 		// denominator.
 		st.ResidencySubBlocks = allocated * uint64(ln.subPerBlk)
-	}
-}
-
-// Run drives the family with every access from src until EOF, then
-// flushes residency usage.  src should already be word-split.  As for
-// cache.Cache.Run, the stream is consumed in fixed-size chunks through
-// AccessBatch.
-func (f *Family) Run(src trace.Source) error {
-	buf := make([]trace.Ref, trace.ChunkRefs)
-	for {
-		n, err := trace.ReadChunk(src, buf)
-		f.AccessBatch(buf[:n])
-		if err == io.EOF {
-			f.FlushUsage()
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("multipass: reading trace: %w", err)
-		}
 	}
 }

@@ -83,9 +83,8 @@ func CountWords(r Ref, wordSize int) int {
 // harness: 8192 references (~128 KiB of trace.Ref, 64 KiB packed by
 // PackRefs) keeps a chunk inside L2 while amortising per-chunk
 // overhead (channel traffic, cancellation checks, interface dispatch)
-// to a few operations per hundred thousand accesses.  Cache.Run,
-// multipass.Family.Run and the sweep executor all feed the access
-// kernels in chunks of this size.
+// to a few operations per hundred thousand accesses.  Cache.Run and
+// the sweep executor feed the access kernels in chunks of this size.
 const ChunkRefs = 8192
 
 // ReadChunk fills buf with the next references from src, returning how
