@@ -27,7 +27,7 @@ vet:
 # Deterministic fault-injection campaign plus the checkpoint, panic
 # isolation and corrupt-trace suites, under the race detector.
 test-faults:
-	$(GO) test -race -run 'Fault|Panic|Campaign|ContinueOnError|Journal|Checkpoint|Corrupt|Truncated|Latched|Cancel' ./internal/faultinject/... ./internal/sweep/... ./internal/trace/... .
+	$(GO) test -race -run 'Fault|Panic|Campaign|Journal|Checkpoint|Corrupt|Truncated|Latched|Cancel' ./internal/faultinject/... ./internal/sweep/... ./internal/trace/... .
 
 # Telemetry contracts under the race detector: schema round-trips,
 # counter exactness, bit-identical results with a recorder attached,

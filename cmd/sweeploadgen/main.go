@@ -1,28 +1,26 @@
-// Command sweeploadgen drives a running sweepd with a configurable
-// open-loop request load -- steady rates, RPS ramps and bursts,
-// modeled on the vhive/invitro trace synthesizer's Normal/Sweep/Burst
-// trio -- and records throughput, cache-hit rate and latency
-// percentiles into BENCH_service.json.
+// Command sweeploadgen is the load harness for a running sweepd: it
+// drives the service with an open-loop burst load, modeled on the
+// vhive/invitro trace synthesizer's burst mode, checks the service
+// contract, and records throughput, cache-hit rate and latency
+// percentiles into loadgen.json.  It is a correctness gate, not a
+// benchmark: the service's timing split is recorded in the layer
+// record's service.* rows (BENCH_layers.json).
 //
 // Usage:
 //
-//	sweeploadgen [-addr HOST:PORT] [-mode steady|ramp|burst]
-//	             [-duration DUR] [-start-rps F] [-target-rps F] [-slots N]
+//	sweeploadgen [-addr HOST:PORT] [-duration DUR] [-start-rps F]
 //	             [-burst-rps F] [-burst-every DUR] [-burst-len DUR]
 //	             [-fresh F] [-tenants N] [-seed N]
 //	             [-arch NAME] [-nets LIST] [-refs N]
 //	             [-retries N] [-retry-backoff DUR]
 //	             [-timeout DUR] [-poll DUR] [-out FILE]
 //
-// The generator fires sweep submissions at the scheduled rate: in
-// "steady" mode a flat -start-rps; in "ramp" mode -slots equal time
-// slices stepping linearly from -start-rps to -target-rps (the
-// synthesizer's RPS sweep); in "burst" mode a -start-rps baseline with
-// -burst-rps spikes of -burst-len every -burst-every (its burst mode).
-// A -fresh fraction of requests carries a never-seen fingerprint
-// (forcing a real simulation); the rest repeat a small pool of known
-// requests, which must be answered by the fingerprint cache or by
-// joining an identical in-flight sweep -- never by re-simulating.
+// The generator fires sweep submissions at the scheduled rate: a
+// -start-rps baseline with -burst-rps spikes of -burst-len every
+// -burst-every.  A -fresh fraction of requests carries a never-seen
+// fingerprint (forcing a real simulation); the rest repeat a small pool
+// of known requests, which must be answered by the fingerprint cache or
+// by joining an identical in-flight sweep -- never by re-simulating.
 //
 // Every request is driven to a terminal state: submissions poll until
 // done/failed, and a refused or unreachable submission (429 queue
@@ -66,13 +64,11 @@ type latencyStats struct {
 	Max  float64 `json:"max"`
 }
 
-type benchRecord struct {
-	Bench           string  `json:"bench"`
-	Mode            string  `json:"mode"`
+// loadRecord is what one run of the harness writes to -out.
+type loadRecord struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 	StartRPS        float64 `json:"start_rps"`
-	TargetRPS       float64 `json:"target_rps,omitempty"`
-	BurstRPS        float64 `json:"burst_rps,omitempty"`
+	BurstRPS        float64 `json:"burst_rps"`
 	FreshFraction   float64 `json:"fresh_fraction"`
 	Tenants         int     `json:"tenants"`
 	Refs            int     `json:"refs_per_workload"`
@@ -124,12 +120,9 @@ type outcome struct {
 func main() {
 	var (
 		addr       = flag.String("addr", "localhost:8080", "sweepd address (host:port)")
-		mode       = flag.String("mode", "ramp", "load shape: steady, ramp or burst")
 		duration   = flag.Duration("duration", 10*time.Second, "generation window")
-		startRPS   = flag.Float64("start-rps", 4, "starting (or baseline) requests per second")
-		targetRPS  = flag.Float64("target-rps", 16, "final RPS of the ramp")
-		slots      = flag.Int("slots", 4, "ramp slots (equal time slices start->target)")
-		burstRPS   = flag.Float64("burst-rps", 40, "burst-mode spike RPS")
+		startRPS   = flag.Float64("start-rps", 4, "baseline requests per second between bursts")
+		burstRPS   = flag.Float64("burst-rps", 40, "requests per second during a burst")
 		burstEvery = flag.Duration("burst-every", 3*time.Second, "burst period")
 		burstLen   = flag.Duration("burst-len", 500*time.Millisecond, "burst length")
 		fresh      = flag.Float64("fresh", 0.25, "fraction of requests with a never-seen fingerprint")
@@ -142,7 +135,7 @@ func main() {
 		backoff    = flag.Duration("retry-backoff", 100*time.Millisecond, "base submit-retry backoff (doubled per attempt, jittered, capped at 2s)")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-request completion deadline")
 		poll       = flag.Duration("poll", 50*time.Millisecond, "status poll interval")
-		out        = flag.String("out", "BENCH_service.json", "output file")
+		out        = flag.String("out", "loadgen.json", "output file")
 		version    = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -164,30 +157,10 @@ func main() {
 	}
 
 	rate := func(elapsed time.Duration) float64 {
-		switch *mode {
-		case "steady":
-			return *startRPS
-		case "ramp":
-			// Slot i of n runs at start + i*(target-start)/(n-1).
-			n := *slots
-			if n < 2 {
-				return *targetRPS
-			}
-			i := int(float64(n) * elapsed.Seconds() / duration.Seconds())
-			if i >= n {
-				i = n - 1
-			}
-			return *startRPS + float64(i)*(*targetRPS-*startRPS)/float64(n-1)
-		case "burst":
-			if elapsed%*burstEvery < *burstLen {
-				return *burstRPS
-			}
-			return *startRPS
-		default:
-			fmt.Fprintf(os.Stderr, "sweeploadgen: unknown -mode %q\n", *mode)
-			os.Exit(2)
-			return 0
+		if elapsed%*burstEvery < *burstLen {
+			return *burstRPS
 		}
+		return *startRPS
 	}
 
 	// The repeat pool: a small set of fixed fingerprints that exercise
@@ -205,13 +178,12 @@ func main() {
 		outcomes []outcome
 		wg       sync.WaitGroup
 	)
-	fire := func(req service.SweepRequest, isFresh bool) {
+	fire := func(req service.SweepRequest) {
 		defer wg.Done()
 		o := drive(client, base, req, *timeout, *poll, *retries, *backoff)
 		mu.Lock()
 		outcomes = append(outcomes, o)
 		mu.Unlock()
-		_ = isFresh
 	}
 
 	// Open-loop token-bucket dispatcher at 10ms granularity: arrivals
@@ -232,8 +204,7 @@ func main() {
 			tokens--
 			requests++
 			var req service.SweepRequest
-			isFresh := rng.Float64() < *fresh
-			if isFresh {
+			if rng.Float64() < *fresh {
 				freshSeq++
 				req = service.SweepRequest{Arch: *arch, Nets: netSizes, Refs: *refs + len(pool) + freshSeq}
 			} else {
@@ -241,14 +212,14 @@ func main() {
 			}
 			req.Tenant = "tenant-" + strconv.Itoa(rng.Intn(*tenants))
 			wg.Add(1)
-			go fire(req, isFresh)
+			go fire(req)
 		}
 	}
 	tick.Stop()
 	wg.Wait()
 	genSecs := time.Since(start).Seconds()
 
-	rec := summarise(outcomes, *mode, genSecs, *startRPS, *targetRPS, *burstRPS, *fresh, *tenants, *refs)
+	rec := summarise(outcomes, genSecs, *startRPS, *burstRPS, *fresh, *tenants, *refs)
 	if b, err := fetch(client, base+"/v1/stats"); err == nil {
 		rec.Server = b
 		var sv struct {
@@ -379,18 +350,11 @@ func drive(client *http.Client, base string, req service.SweepRequest, timeout, 
 	return o
 }
 
-// summarise folds outcomes into the benchmark record.
-func summarise(outcomes []outcome, mode string, secs, startRPS, targetRPS, burstRPS, fresh float64, tenants, refs int) benchRecord {
-	rec := benchRecord{
-		Bench: "sweep_service", Mode: mode, DurationSeconds: round3(secs),
-		StartRPS: startRPS, FreshFraction: fresh, Tenants: tenants, Refs: refs,
-		Requests: len(outcomes),
-	}
-	if mode == "ramp" {
-		rec.TargetRPS = targetRPS
-	}
-	if mode == "burst" {
-		rec.BurstRPS = burstRPS
+// summarise folds outcomes into the record.
+func summarise(outcomes []outcome, secs, startRPS, burstRPS, fresh float64, tenants, refs int) loadRecord {
+	rec := loadRecord{
+		DurationSeconds: round3(secs), StartRPS: startRPS, BurstRPS: burstRPS,
+		FreshFraction: fresh, Tenants: tenants, Refs: refs, Requests: len(outcomes),
 	}
 	admitted := map[string]int{}
 	var lat telemetry.Histogram

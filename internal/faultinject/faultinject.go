@@ -1,17 +1,18 @@
 // Package faultinject deterministically injects faults into sweep
 // execution, for testing the harness's fault tolerance end to end.
 //
-// A long simulation campaign is only trustworthy if every partial
-// failure is detected and attributed rather than silently absorbed.
-// This package provides the offensive half of that proof: seed-driven
-// wrappers that make trace sources fail or panic mid-stream, make shard
-// workers and simulation units panic at chosen chunks, cancel contexts
-// mid-pass, and corrupt serialised trace bytes -- all reproducibly, so
-// a failing injection can be replayed from its seed.  The test suites
-// (here and in internal/sweep) then assert the defensive half: every
-// injected fault either surfaces as an error attributed to its exact
-// workload/point/shard, or is survived with the surviving points
-// bit-identical to an undisturbed run.
+// A long simulation campaign is only trustworthy if every failure is
+// detected and attributed rather than silently absorbed.  This package
+// provides the offensive half of that proof: seed-driven wrappers that
+// make trace sources fail or panic mid-stream, make shard workers and
+// simulation units panic at chosen chunks, cancel contexts mid-pass,
+// and corrupt serialised trace bytes -- all reproducibly, so a failing
+// injection can be replayed from its seed.  The test suites (here and
+// in internal/sweep) then assert the defensive half, attributed or
+// clean: every injected fault either fails the sweep, with no result
+// and an error attributed to its exact workload, point and shard, or
+// never fires and leaves every run bit-identical to an undisturbed
+// sweep.
 package faultinject
 
 import (
@@ -38,10 +39,10 @@ const (
 	// SourcePanic makes the trace source panic mid-stream.
 	SourcePanic
 	// UnitPanic panics inside one simulation unit (a multipass bundle
-	// or fallback cache) at a chosen chunk, killing exactly that unit.
+	// or fallback cache) at a chosen chunk, losing that unit's points.
 	UnitPanic
 	// ShardPanic panics inside one shard worker at a chosen chunk,
-	// killing every unit the shard owns.
+	// losing every point the shard owns.
 	ShardPanic
 	// Cancel cancels the sweep's context at a chosen chunk.
 	Cancel
@@ -138,7 +139,7 @@ func SourceHooks(workload string, fault Fault, after int) *sweep.Hooks {
 // UnitPanicHooks returns hooks that panic inside the simulation unit
 // carrying the given point, on the named workload, when the unit
 // reaches the given chunk.  The panic fires inside the unit's recovery
-// boundary, so exactly that unit's points must be attributed.
+// boundary, so the sweep must fail with that unit's points attributed.
 func UnitPanicHooks(workload string, target sweep.Point, chunk int) *sweep.Hooks {
 	return &sweep.Hooks{
 		BeforeUnit: func(w string, shard int, points []sweep.Point, c int) {
@@ -156,8 +157,8 @@ func UnitPanicHooks(workload string, target sweep.Point, chunk int) *sweep.Hooks
 
 // ShardPanicHooks returns hooks that panic inside the given shard
 // worker on the named workload at the given chunk, before the shard
-// touches any of its units: the whole shard's points must be
-// attributed, and every other shard must survive bit-identically.
+// touches any of its units: the sweep must fail with the whole shard's
+// points attributed to that shard.
 func ShardPanicHooks(workload string, shard, chunk int) *sweep.Hooks {
 	return &sweep.Hooks{
 		BeforeChunk: func(w string, s, c int) {
@@ -224,15 +225,18 @@ func (in Injection) String() string {
 
 // Plan derives a deterministic fault campaign from a seed: n
 // injections across the given workloads, a trace of refs references,
-// points grid points and shards shard workers.  The same seed always
-// yields the same campaign, so a CI failure reproduces locally.
+// points grid points and shards shard workers.  Injection i injects
+// Fault(i % numFaults), so a campaign of at least numFaults injections
+// crosses every recovery boundary; every other field is drawn from the
+// seed.  The same seed always yields the same campaign, so a CI failure
+// reproduces locally.
 func Plan(seed uint64, n int, workloads []string, refs, points, shards int) []Injection {
 	r := rng.New(seed)
 	chunks := (refs + trace.ChunkRefs - 1) / trace.ChunkRefs
 	out := make([]Injection, n)
 	for i := range out {
 		out[i] = Injection{
-			Fault:    Fault(r.Intn(int(numFaults))),
+			Fault:    Fault(i % int(numFaults)),
 			Workload: workloads[r.Intn(len(workloads))],
 			After:    r.Intn(refs),
 			Chunk:    r.Intn(chunks),

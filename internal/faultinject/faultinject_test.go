@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"subcache/internal/metrics"
 	"subcache/internal/sweep"
 	"subcache/internal/synth"
 	"subcache/internal/trace"
@@ -23,17 +22,15 @@ const testRefs = 3*trace.ChunkRefs + 100
 
 func testPoints() []sweep.Point { return sweep.Grid([]int{64, 256}, 2) }
 
-func baseline(t *testing.T, req sweep.Request) *sweep.Result {
-	t.Helper()
-	req.Hooks = nil
-	res, err := sweep.Run(req)
-	if err != nil {
-		t.Fatalf("clean baseline: %v", err)
+// campaign is the CI smoke campaign over the PDP-11 suite: its points,
+// its workload names and the seed's ten injections.
+func campaign() ([]sweep.Point, []string, []Injection) {
+	points := testPoints()
+	var workloads []string
+	for _, p := range synth.Workloads(synth.PDP11) {
+		workloads = append(workloads, p.Name)
 	}
-	if len(res.Errors) != 0 {
-		t.Fatalf("clean baseline reported errors: %v", res.Errors)
-	}
-	return res
+	return points, workloads, Plan(campaignSeed, 10, workloads, testRefs, len(points), 2)
 }
 
 // injectedCause reports whether an attributed error traces back to this
@@ -47,84 +44,63 @@ func injectedCause(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// checkAttributedOrSurvived is the harness's central guarantee: after
-// any single injected fault, every (workload, point) pair is either
-// bit-identical to the undisturbed baseline or covered by an error
-// attributed to the injection's workload.
-func checkAttributedOrSurvived(t *testing.T, in Injection, res *sweep.Result, err error, base *sweep.Result, workloads []string, points []sweep.Point) {
+// checkAttributedOrClean is the harness's central guarantee: after any
+// single injected fault the sweep either fails, returning no result and
+// an error attributed to the injection, or the fault never fired and
+// every run is bit-identical to the undisturbed baseline.  In this
+// campaign only a shard panic aimed past a sweep's last shard cannot
+// fire.
+func checkAttributedOrClean(t *testing.T, in Injection, shards int, res *sweep.Result, err error, base *sweep.Result) {
 	t.Helper()
-	if err != nil {
-		// Only the cancellation fault aborts a ContinueOnError sweep.
-		if in.Fault != Cancel || !errors.Is(err, context.Canceled) {
-			t.Fatalf("sweep error is not the injected cancellation: %v", err)
+	if err == nil {
+		if in.Fault != ShardPanic || in.Shard < shards {
+			t.Fatalf("%v did not fail the sweep", in.Fault)
 		}
-		if res != nil {
-			t.Fatalf("cancelled sweep returned a partial result")
+		if !reflect.DeepEqual(res.Runs, base.Runs) {
+			t.Fatal("sweep succeeded, but its runs differ from the baseline")
 		}
 		return
 	}
-
-	// Index the errors by (workload, point); verify attribution.
-	lost := make(map[string]map[sweep.Point]bool)
-	for _, pe := range res.Errors {
-		if pe.Workload != in.Workload {
-			t.Errorf("error attributed to workload %q, injected into %q: %v", pe.Workload, in.Workload, pe)
+	if res != nil {
+		t.Fatalf("failed sweep returned a result: %v", err)
+	}
+	if in.Fault == Cancel {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled sweep: err = %v, want context.Canceled", err)
 		}
-		if !injectedCause(pe.Cause) {
-			t.Errorf("error cause does not trace to the injection: %v", pe)
+		return
+	}
+	var pe *sweep.PointError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error is not a *sweep.PointError: %v", err)
+	}
+	if pe.Workload != in.Workload {
+		t.Errorf("error attributed to workload %q, injected into %q: %v", pe.Workload, in.Workload, pe)
+	}
+	if !injectedCause(pe.Cause) {
+		t.Errorf("error cause does not trace to the injection: %v", pe)
+	}
+	switch in.Fault {
+	case ShortRead, ParseError, SourcePanic:
+		if !pe.WorkloadScope() {
+			t.Errorf("source fault attributed to point %v, want workload scope: %v", pe.Point, pe)
 		}
-		if lost[pe.Workload] == nil {
-			lost[pe.Workload] = make(map[sweep.Point]bool)
-		}
+	case UnitPanic, ShardPanic:
 		if pe.WorkloadScope() {
-			for _, p := range points {
-				lost[pe.Workload][p] = true
-			}
-		} else {
-			lost[pe.Workload][pe.Point] = true
+			t.Errorf("%v attributed to the whole workload, want one point: %v", in.Fault, pe)
 		}
-	}
-
-	// Every pair: survived bit-identical, or attributed.
-	for _, p := range points {
-		baseRuns := runsByWorkload(base.Runs[p])
-		gotRuns := runsByWorkload(res.Runs[p])
-		for _, w := range workloads {
-			got, ok := gotRuns[w]
-			if !ok {
-				if !lost[w][p] {
-					t.Errorf("workload %s point %v: missing with no attributed error", w, p)
-				}
-				continue
-			}
-			if lost[w][p] {
-				t.Errorf("workload %s point %v: both a run and an error", w, p)
-			}
-			if !reflect.DeepEqual(got, baseRuns[w]) {
-				t.Errorf("workload %s point %v: surviving run differs from baseline\n got:  %v\n want: %v",
-					w, p, got, baseRuns[w])
-			}
+		if in.Fault == ShardPanic && pe.Shard != in.Shard {
+			t.Errorf("shard panic attributed to shard %d, injected into shard %d", pe.Shard, in.Shard)
 		}
 	}
 }
 
-func runsByWorkload(runs []metrics.Run) map[string]metrics.Run {
-	out := make(map[string]metrics.Run, len(runs))
-	for _, r := range runs {
-		out[r.Trace] = r
-	}
-	return out
-}
-
-// TestCampaignAttributedOrSurvived drives a deterministic seed-derived
-// fault campaign through both engines at one and two shards and
-// asserts the attributed-or-survived invariant for each injection.
-func TestCampaignAttributedOrSurvived(t *testing.T) {
-	points := testPoints()
-	var workloads []string
-	for _, p := range synth.Workloads(synth.PDP11) {
-		workloads = append(workloads, p.Name)
-	}
+// TestCampaignAttributedOrClean drives a deterministic seed-derived
+// fault campaign, every fault kind among its injections, through both
+// engines at one and two shards and asserts the attributed-or-clean
+// invariant for each injection.
+func TestCampaignAttributedOrClean(t *testing.T) {
+	points, _, injections := campaign()
 	// Each engine runs at one shard, the executor's degenerate case,
 	// and at two.
 	variants := []struct {
@@ -137,32 +113,48 @@ func TestCampaignAttributedOrSurvived(t *testing.T) {
 		{"multipass-1shard", sweep.MultiPass, 1},
 		{"multipass-sharded", sweep.MultiPass, 2},
 	}
-	injections := Plan(campaignSeed, 10, workloads, testRefs, len(points), 2)
-
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			req := sweep.Request{
 				Arch: synth.PDP11, Points: points, Refs: testRefs,
-				Engine: v.engine, Shards: v.shards, ContinueOnError: true,
+				Engine: v.engine, Shards: v.shards,
 			}
-			base := baseline(t, req)
+			base, err := sweep.Run(req)
+			if err != nil {
+				t.Fatalf("clean baseline: %v", err)
+			}
 			for _, in := range injections {
 				in := in
 				t.Run(in.String(), func(t *testing.T) {
 					r := req
 					ctx := Apply(&r, in)
 					res, err := sweep.RunContext(ctx, r)
-					checkAttributedOrSurvived(t, in, res, err, base, workloads, points)
+					checkAttributedOrClean(t, in, v.shards, res, err, base)
 				})
 			}
 		})
 	}
 }
 
-// TestFailFastAttribution: without ContinueOnError an injected unit
-// panic surfaces as the sweep's error, typed and attributed, instead of
-// crashing the process.
+// TestPlanCoversEveryFault: the CI campaign injects every fault kind,
+// so it crosses every recovery boundary -- source, unit and shard --
+// and the caller's cancellation.
+func TestPlanCoversEveryFault(t *testing.T) {
+	_, _, injections := campaign()
+	seen := make(map[Fault]bool)
+	for _, in := range injections {
+		seen[in.Fault] = true
+	}
+	for f := Fault(0); f < numFaults; f++ {
+		if !seen[f] {
+			t.Errorf("campaign never injects %v", f)
+		}
+	}
+}
+
+// TestFailFastAttribution: an injected unit panic surfaces as the
+// sweep's error, typed and attributed, instead of crashing the process.
 func TestFailFastAttribution(t *testing.T) {
 	points := testPoints()
 	target := points[len(points)/2]
@@ -195,37 +187,26 @@ func TestFailFastAttribution(t *testing.T) {
 
 // TestWorkloadScopeNoPartialCounters: a mid-stream trace failure must
 // lose the whole workload -- its counters cover a truncated stream, so
-// reporting any of its points would be silently wrong.
+// reporting any of its points would be silently wrong.  The sweep fails
+// with a workload-scope error that the service retries as transient.
 func TestWorkloadScopeNoPartialCounters(t *testing.T) {
 	points := testPoints()
 	for _, shards := range []int{0, 2} {
 		req := sweep.Request{
 			Arch: synth.PDP11, Points: points, Refs: testRefs,
-			Engine: sweep.MultiPass, Shards: shards, ContinueOnError: true,
+			Engine: sweep.MultiPass, Shards: shards,
 			Hooks: SourceHooks("ED", ShortRead, testRefs/2),
 		}
 		res, err := sweep.Run(req)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+		var pe *sweep.PointError
+		if !errors.As(err, &pe) || pe.Workload != "ED" || !pe.WorkloadScope() {
+			t.Fatalf("shards=%d: err = %v, want a workload-scope PointError on ED", shards, err)
 		}
-		sawScope := false
-		for _, pe := range res.Errors {
-			if pe.Workload != "ED" {
-				t.Errorf("shards=%d: error on wrong workload: %v", shards, pe)
-			}
-			if pe.WorkloadScope() {
-				sawScope = true
-			}
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !sweep.Transient(err) {
+			t.Errorf("shards=%d: err = %v, want a transient unexpected EOF", shards, err)
 		}
-		if !sawScope {
-			t.Fatalf("shards=%d: no workload-scope error for the truncated trace; got %v", shards, res.Errors)
-		}
-		for p, runs := range res.Runs {
-			for _, r := range runs {
-				if r.Trace == "ED" {
-					t.Errorf("shards=%d: point %v reports a run for the truncated workload", shards, p)
-				}
-			}
+		if res != nil {
+			t.Errorf("shards=%d: failed sweep returned a result", shards)
 		}
 	}
 }

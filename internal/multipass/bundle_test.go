@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -285,15 +286,20 @@ func TestBundleAccessNoAllocs(t *testing.T) {
 
 // BenchmarkTable7Bundles times each architecture's Table 7 families
 // (nets 64, 256 and 1024) over its suite at 100,000 references, fed in
-// 8192-word chunks as the sweep executor feeds them: once family by
-// family, as multipass.New units that each fold every piece alone, and
-// once as the executor's bundles (multipass.PartitionShards on one
-// shard), which fold each piece once per block size.  It reports ns per
-// word reference and, per block size, the trace's references per
-// same-block run (refsPerRun), the locality the fold turns into fewer
-// probes; the trace is generated before the timer starts.
+// 8192-word chunks as the sweep executor feeds them, in two modes:
+// family by family, as multipass.New units that each fold every piece
+// alone, and as the executor's bundles (multipass.PartitionShards on
+// one shard), which fold each piece once per block size.  Every
+// iteration runs both modes, alternating which goes first, and times
+// each on the thread's CPU clock with the goroutine locked to its OS
+// thread (wall time off Linux), so that steal and waiting on a shared
+// host stay out of the figures.  It reports each mode's ns per word
+// reference (families-cpu-ns/word, bundles-cpu-ns/word) and, per block
+// size, the trace's references per same-block run (refsPerRun), the
+// locality the fold turns into fewer probes.  The trace is generated
+// and the units are built off the clock.
 //
-//	go test -run='^$' -bench=Table7Bundles -benchtime=3x ./internal/multipass
+//	go test -run='^$' -bench=Table7Bundles -benchtime=10x ./internal/multipass
 func BenchmarkTable7Bundles(b *testing.B) {
 	for _, arch := range synth.AllArchs() {
 		ws := arch.WordSize()
@@ -308,7 +314,39 @@ func BenchmarkTable7Bundles(b *testing.B) {
 			traces = append(traces, workloadWords(b, prof, 100000, ws))
 			words += len(traces[len(traces)-1])
 		}
-		feed := func(b *testing.B, access []func([]uint64)) {
+		// units builds one mode's access functions, bundles or families.
+		units := func(b *testing.B, bundled bool) []func([]uint64) {
+			var access []func([]uint64)
+			for _, bundle := range plan.Bundles {
+				var fams [][]cache.Config
+				for _, idxs := range bundle {
+					fams = append(fams, pick(cfgs, idxs))
+				}
+				if bundled {
+					bu, err := multipass.NewBundle(fams)
+					if err != nil {
+						b.Fatal(err)
+					}
+					access = append(access, bu.AccessBatchPacked)
+					continue
+				}
+				for _, fc := range fams {
+					f, err := multipass.New(fc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					access = append(access, func(p []uint64) { f.AccessBatchPacked(nil, p) })
+				}
+			}
+			return access
+		}
+		// feed drives one mode's units over every trace and returns the
+		// thread clock time it took.
+		feed := func(b *testing.B, access []func([]uint64)) time.Duration {
+			t0, err := threadClock()
+			if err != nil {
+				b.Fatal(err)
+			}
 			for _, packed := range traces {
 				for len(packed) > 0 {
 					n := min(len(packed), trace.ChunkRefs)
@@ -318,46 +356,35 @@ func BenchmarkTable7Bundles(b *testing.B) {
 					packed = packed[n:]
 				}
 			}
+			t1, err := threadClock()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return t1 - t0
 		}
-		for _, mode := range []string{"families", "bundles"} {
-			b.Run(fmt.Sprintf("%s/%s", arch, mode), func(b *testing.B) {
-				var elapsed time.Duration
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					var access []func([]uint64)
-					for _, bundle := range plan.Bundles {
-						var fams [][]cache.Config
-						for _, idxs := range bundle {
-							fams = append(fams, pick(cfgs, idxs))
-						}
-						if mode == "bundles" {
-							bu, err := multipass.NewBundle(fams)
-							if err != nil {
-								b.Fatal(err)
-							}
-							access = append(access, bu.AccessBatchPacked)
-							continue
-						}
-						for _, fc := range fams {
-							f, err := multipass.New(fc)
-							if err != nil {
-								b.Fatal(err)
-							}
-							access = append(access, func(p []uint64) { f.AccessBatchPacked(nil, p) })
-						}
-					}
-					b.StartTimer()
-					t0 := time.Now()
-					feed(b, access)
-					elapsed += time.Since(t0)
+		b.Run(arch.String(), func(b *testing.B) {
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			var families, bundles time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fs, bs := units(b, false), units(b, true)
+				b.StartTimer()
+				if i%2 == 0 {
+					families += feed(b, fs)
+					bundles += feed(b, bs)
+				} else {
+					bundles += feed(b, bs)
+					families += feed(b, fs)
 				}
-				b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*words), "ns/word")
-				for _, bundle := range plan.Bundles {
-					block := cfgs[bundle[0][0]].BlockSize
-					b.ReportMetric(refsPerRun(traces, block, ws), fmt.Sprintf("refs/run-block%d", block))
-				}
-			})
-		}
+			}
+			b.ReportMetric(float64(families)/float64(b.N*words), "families-"+clockName+"-ns/word")
+			b.ReportMetric(float64(bundles)/float64(b.N*words), "bundles-"+clockName+"-ns/word")
+			for _, bundle := range plan.Bundles {
+				block := cfgs[bundle[0][0]].BlockSize
+				b.ReportMetric(refsPerRun(traces, block, ws), fmt.Sprintf("refs/run-block%d", block))
+			}
+		})
 	}
 }
 

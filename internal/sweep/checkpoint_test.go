@@ -427,7 +427,9 @@ func TestCheckpointRefusesOverride(t *testing.T) {
 
 // TestCheckpointSkipsFailedWorkloads: a workload that failed is not
 // journaled, so a resumed run retries it rather than trusting a
-// partial result.
+// partial result.  ED is the PDP-11 suite's last workload, so at
+// Parallelism 1 every other workload completes and is journaled before
+// ED fails the sweep.
 func TestCheckpointSkipsFailedWorkloads(t *testing.T) {
 	pts := Grid([]int{64}, 2)
 	path := tmpJournal(t)
@@ -437,23 +439,25 @@ func TestCheckpointSkipsFailedWorkloads(t *testing.T) {
 		}
 	}}
 	res, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 9000,
-		Engine: MultiPass, Shards: 1, ContinueOnError: true,
+		Engine: MultiPass, Shards: 1, Parallelism: 1,
 		Checkpoint: path, Hooks: boom})
-	if err != nil {
-		t.Fatal(err)
+	var pe *PointError
+	if !errors.As(err, &pe) || pe.Workload != "ED" {
+		t.Fatalf("injected panic: err = %v, want a PointError on ED", err)
 	}
-	if len(res.Errors) == 0 {
-		t.Fatal("injected panic produced no errors")
+	if res != nil {
+		t.Fatal("failed sweep returned a result")
 	}
 
-	// The retry (no fault) must re-simulate ED and come out clean.
+	// The retry (no fault) must restore every other workload, re-simulate
+	// ED and come out clean.
 	got, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 9000,
 		Engine: MultiPass, Shards: 1, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Errors) != 0 {
-		t.Fatalf("retry inherited errors: %v", got.Errors)
+	if want := len(synth.Workloads(synth.PDP11)) - 1; got.Resumed != want {
+		t.Errorf("retry resumed %d workloads, want %d (all but ED)", got.Resumed, want)
 	}
 	want, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 9000, Engine: Reference})
 	if err != nil {

@@ -1,19 +1,18 @@
-// Fault tolerance for sweep execution: typed, attributed errors and
-// panic isolation.
+// Failure handling for sweep execution: typed, attributed errors and
+// panic recovery.
 //
-// A million-reference grid sweep is only trustworthy if partial
-// failures are detected and attributed rather than silently absorbed --
-// or worse, if one corrupt trace byte or one panicking worker discards
-// the whole grid.  Every simulation unit (a multipass bundle or a
-// fallback reference cache) therefore runs its per-chunk work inside a
-// recovery boundary: a panic becomes a PanicError, which is wrapped in
-// a PointError naming the exact workload, point and shard that died.
-// Under the default fail-fast policy the first PointError aborts the
-// sweep (as before, but without crashing the process); under
-// Request.ContinueOnError the dead unit is retired, its points are
-// reported in Result.Errors, and every other unit keeps consuming the
-// complete ordered stream -- so surviving points stay bit-identical to
-// an undisturbed run.
+// A million-reference grid sweep is only trustworthy if a failure is
+// detected and attributed rather than silently absorbed, and one
+// panicking worker must not crash the process.  Every simulation unit
+// (a multipass bundle or a fallback reference cache) therefore runs its
+// per-chunk work and its flush inside a recovery boundary, as do the
+// hooks and the trace source: a panic becomes a PanicError, which is
+// wrapped in a PointError naming the exact workload, point and shard
+// that failed.  Sweeps fail fast: the first failure cancels the sweep
+// and is its error, and no partial result is returned.  The paper's
+// per-architecture figures average every trace of a suite, so a
+// summary over the survivors would be a different figure; recovery is
+// the checkpoint journal, which resumes every completed workload.
 package sweep
 
 import (
@@ -21,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sort"
 
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
@@ -68,9 +68,9 @@ func (e *PointError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *PointError) Unwrap() error { return e.Cause }
 
-// event renders the attributed failure as its telemetry event: every
-// PointError a sweep reports is mirrored by exactly one
-// error-attributed event on the stream.
+// event renders the attributed failure as its telemetry event: a
+// failed workload emits one error-attributed event per PointError of
+// its failure, the one the sweep returns among them.
 func (e *PointError) event() *telemetry.Event {
 	var pe *PanicError
 	point := ""
@@ -142,18 +142,18 @@ func safeCall(fn func()) (err error) {
 type Hooks struct {
 	// WrapSource, if set, wraps each workload's packed word source
 	// before the executor starts streaming it -- after every
-	// simulation unit is built, so a fail-fast construction error
-	// streams nothing.  Faults injected here surface as workload-scope
-	// trace errors.
+	// simulation unit is built, so a construction error streams
+	// nothing.  Faults injected here surface as workload-scope trace
+	// errors.
 	WrapSource func(workload string, src PackedSource) PackedSource
 	// BeforeChunk is called by each shard worker before it simulates a
-	// chunk.  A panic here kills every unit the shard owns
-	// (shard-scope).
+	// chunk.  A panic here fails the sweep with every point the shard
+	// owns (shard-scope).
 	BeforeChunk func(workload string, shard, chunk int)
 	// BeforeUnit is called before one simulation unit (a multipass
 	// bundle or a reference cache) processes a chunk; shard is its
 	// owning worker and points lists the grid points the unit carries.
-	// A panic here kills exactly that unit.
+	// A panic here fails the sweep with exactly that unit's points.
 	BeforeUnit func(workload string, shard int, points []Point, chunk int)
 }
 
@@ -164,10 +164,9 @@ func (h *Hooks) wrapSource(workload string, src PackedSource) PackedSource {
 	return h.WrapSource(workload, src)
 }
 
-// simUnit is one independently failable simulation unit: a multipass
-// bundle or a single reference cache, plus the grid points it carries.
-// Exactly one goroutine drives a unit, so no locking is needed; dead
-// units stop simulating but their stream keeps flowing to the rest.
+// simUnit is one simulation unit: a multipass bundle or a single
+// reference cache, plus the grid points it carries.  Exactly one
+// goroutine drives a unit, so no locking is needed.
 type simUnit struct {
 	bundle *multipass.Bundle
 	cache  *cache.Cache
@@ -175,7 +174,6 @@ type simUnit struct {
 	// bundle's lanes family by family, each family's in lane order.
 	idxs []int
 	pts  []Point // attributed points, aligned with idxs (nil for RunConfigs)
-	dead bool
 }
 
 // families is the number of families a bundle runs, and one for a
@@ -236,22 +234,22 @@ func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 	return nil
 }
 
-// unitFailure records one dead unit inside a single-workload executor,
-// before translation into per-point PointErrors.
+// unitFailure records the failure that stopped a single-workload
+// executor -- a unit, or a whole shard -- before translation into
+// per-point PointErrors.  idxs are the config indexes it lost.
 type unitFailure struct {
 	idxs  []int
 	shard int
 	cause error
 }
 
-// pointErrors expands per-unit failures into one PointError per lost
-// point, in config-index order.
-func pointErrors(workload string, points []Point, failed []unitFailure) []*PointError {
-	var out []*PointError
-	for _, f := range failed {
-		for _, k := range f.idxs {
-			out = append(out, &PointError{Workload: workload, Point: points[k], Shard: f.shard, Cause: f.cause})
-		}
+// pointErrors expands the failure into one PointError per lost point,
+// in canonical point order (pointLess).
+func (f *unitFailure) pointErrors(workload string, points []Point) []*PointError {
+	out := make([]*PointError, len(f.idxs))
+	for i, k := range f.idxs {
+		out[i] = &PointError{Workload: workload, Point: points[k], Shard: f.shard, Cause: f.cause}
 	}
+	sort.Slice(out, func(i, j int) bool { return pointLess(out[i].Point, out[j].Point) })
 	return out
 }

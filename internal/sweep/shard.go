@@ -14,11 +14,11 @@
 // scheduling changes.  The trace is never materialised; memory stays
 // at O(buffers), not O(refs).
 //
-// Fault tolerance: each shard's simulation units (see fault.go) fail
-// independently.  A panicking unit is retired with its configurations
-// attributed; the broadcast keeps flowing to the rest, so survivors
-// stay bit-identical.  A trace-stream failure is workload-scope -- it
-// invalidates every unit's counters, so no partial runs are reported.
+// Failures are fail-fast (see fault.go): the first failing simulation
+// unit, shard hook, flush or trace read cancels the pass, which returns
+// that one failure and no runs.  A unit or shard failure names the
+// configurations it lost; a trace-stream failure is workload-scope --
+// it invalidates every unit's counters.
 package sweep
 
 import (
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,11 +69,10 @@ type chunk struct {
 
 // shardRunner is one worker's owned simulation state: the units its
 // plan assigned, plus its inbound chunk queue.  Only the owning
-// goroutine touches units/live/chunk/refs and the telemetry fields.
+// goroutine touches units/chunk/refs and the telemetry fields.
 type shardRunner struct {
 	shard int
 	units []*simUnit
-	live  int // units not yet dead
 	chunk int // next chunk index (identical across shards)
 	in    chan *chunk
 	// refs receives each chunk decoded back to trace.Ref form for the
@@ -84,7 +82,7 @@ type shardRunner struct {
 
 	// Telemetry, accumulated locally (single-writer) and published
 	// once at end of pass when timed: references fed to the shard,
-	// references consumed by its live units, wall time inside
+	// references consumed by its units, wall time inside
 	// processChunk and, of that, decoding chunks for reference caches,
 	// and the partitioner's cost estimate for its plan.
 	timed   bool
@@ -103,9 +101,8 @@ type shardRunner struct {
 // on reference simulators.  The returned runs align with cfgs and are
 // bit-identical to per-configuration simulation.  All configurations
 // must agree on WordSize, since they consume one shared word-split
-// trace.  Failures are fail-fast: the first failing configuration (bad
-// config or recovered panic) aborts the pass and is returned, named by
-// its index.
+// trace.  The first failing configuration (bad config or recovered
+// panic) aborts the pass and is returned, named by its index.
 func RunConfigs(ctx context.Context, prof synth.Profile, cfgs []cache.Config, refs, shards int) ([]metrics.Run, error) {
 	if refs <= 0 {
 		return nil, fmt.Errorf("sweep: non-positive trace length %d", refs)
@@ -122,21 +119,15 @@ func RunConfigs(ctx context.Context, prof synth.Profile, cfgs []cache.Config, re
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	runs, ok, failed, err := runConfigsSharded(ctx, prof, cfgs, nil, refs, ws, shards, MultiPass, false, nil, telemetry.Nop)
+	runs, failed, err := runConfigsSharded(ctx, prof, cfgs, nil, refs, ws, shards, MultiPass, nil, telemetry.Nop)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("sweep: %s trace: %w", prof.Name, err)
 	}
-	if len(failed) > 0 {
-		f := failed[0]
-		return nil, fmt.Errorf("sweep: cfgs[%d]: %w", f.idxs[0], f.cause)
-	}
-	for i := range ok {
-		if !ok[i] {
-			return nil, fmt.Errorf("sweep: cfgs[%d]: no result", i)
-		}
+	if failed != nil {
+		return nil, fmt.Errorf("sweep: cfgs[%d]: %w", failed.idxs[0], failed.cause)
 	}
 	return runs, nil
 }
@@ -159,12 +150,13 @@ func referencePlans(n, shards int) []multipass.ShardPlan {
 }
 
 // shardUnitLists realises an engine's plan over cfgs as per-shard unit
-// lists plus the planner's per-shard cost estimates, attributing
-// construction failures to the owning shard index.  MultiPass plans
-// bundles of families and fallback caches with multipass.PartitionShards;
-// Reference gives every configuration its own cache.  Lists may number
-// fewer than shards when the planner cannot fill them all.
-func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int) (lists [][]*simUnit, costs []int, failed []unitFailure) {
+// lists plus the planner's per-shard cost estimates, or returns the
+// first construction failure, attributed to its shard index.  MultiPass
+// plans bundles of families and fallback caches with
+// multipass.PartitionShards; Reference gives every configuration its
+// own cache.  Lists may number fewer than shards when the planner
+// cannot fill them all.
+func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int) (lists [][]*simUnit, costs []int, failed *unitFailure) {
 	var plans []multipass.ShardPlan
 	if eng == MultiPass {
 		plans = multipass.PartitionShards(cfgs, shards)
@@ -174,17 +166,18 @@ func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int)
 	lists = make([][]*simUnit, len(plans))
 	costs = make([]int, len(plans))
 	for si, plan := range plans {
-		us, fs := planUnits(plan, cfgs, points, si)
-		lists[si] = us
-		failed = append(failed, fs...)
+		if lists[si], failed = planUnits(plan, cfgs, points, si); failed != nil {
+			return nil, nil, failed
+		}
 		costs[si] = plan.Cost()
 	}
-	return lists, costs, failed
+	return lists, costs, nil
 }
 
 // planUnits realises one shard plan's bundles and fallback caches as
-// simUnits, attributing construction failures to the given shard.
-func planUnits(plan multipass.ShardPlan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
+// simUnits, or returns the first construction failure, attributed to
+// the given shard.
+func planUnits(plan multipass.ShardPlan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed *unitFailure) {
 	for _, fams := range plan.Bundles {
 		var idxs []int
 		fcfgs := make([][]cache.Config, len(fams))
@@ -196,20 +189,18 @@ func planUnits(plan multipass.ShardPlan, cfgs []cache.Config, points []Point, sh
 		}
 		b, err := multipass.NewBundle(fcfgs)
 		if err != nil {
-			failed = append(failed, unitFailure{idxs: idxs, shard: shard, cause: err})
-			continue
+			return nil, &unitFailure{idxs: idxs, shard: shard, cause: err}
 		}
 		units = append(units, &simUnit{bundle: b, idxs: idxs, pts: unitPoints(points, idxs)})
 	}
 	for _, k := range plan.Rest {
 		c, err := cache.New(cfgs[k])
 		if err != nil {
-			failed = append(failed, unitFailure{idxs: []int{k}, shard: shard, cause: err})
-			continue
+			return nil, &unitFailure{idxs: []int{k}, shard: shard, cause: err}
 		}
 		units = append(units, &simUnit{cache: c, idxs: []int{k}, pts: unitPoints(points, []int{k})})
 	}
-	return units, failed
+	return units, nil
 }
 
 // unitPoints resolves the points a unit carries; nil when the caller
@@ -232,29 +223,28 @@ func unitPoints(points []Point, idxs []int) []Point {
 // (optional, aligned with cfgs) gives failures their grid-point
 // attribution.
 //
-// The return contract implements the sweep's failure granularity:
+// The return contract implements the sweep's failure granularity; the
+// first failure stops the pass, and runs is nil unless every unit
+// completed the whole stream:
 //
 //   - err non-nil is workload scope: the trace stream failed (raw cause,
 //     unwrapped) or ctx was cancelled.  Every unit's counters cover a
-//     truncated stream, so runs is nil -- nothing is half-counted.
-//   - failed lists units that died (construction error, recovered panic
-//     from the unit, its hooks, or its whole shard).  Under fail-fast
-//     (continueOnError false) the first failure stops the pass and runs
-//     is nil; under continueOnError survivors complete the full stream
-//     and ok[i] marks which runs are valid.
-func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Config, points []Point, refs, wordSize, shards int, eng Engine, continueOnError bool, hooks *Hooks, rec telemetry.Recorder) (runs []metrics.Run, ok []bool, failed []unitFailure, err error) {
+//     truncated stream -- nothing is half-counted.
+//   - failed is the first unit failure: a construction error, or a
+//     recovered panic from a unit, its hooks, its flush or its whole
+//     shard, naming every configuration it lost.
+func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Config, points []Point, refs, wordSize, shards int, eng Engine, hooks *Hooks, rec telemetry.Recorder) (runs []metrics.Run, failed *unitFailure, err error) {
 	enabled := rec.Enabled()
 	lists, costs, failed := shardUnitLists(eng, cfgs, points, shards)
-	if len(failed) > 0 && !continueOnError {
-		return nil, nil, failed[:1], nil
+	if failed != nil {
+		return nil, failed, nil
 	}
 
 	runners := make([]*shardRunner, len(lists))
 	nbuf := 2*len(lists) + 2
 	wordShift := addr.Log2(uint64(wordSize))
-	total := 0
 	for si, units := range lists {
-		rn := &shardRunner{shard: si, units: units, live: len(units), in: make(chan *chunk, nbuf), wordShift: wordShift, timed: enabled, estCost: costs[si]}
+		rn := &shardRunner{shard: si, units: units, in: make(chan *chunk, nbuf), wordShift: wordShift, timed: enabled, estCost: costs[si]}
 		for _, u := range units {
 			if u.cache != nil {
 				rn.refs = make([]trace.Ref, chunkRefs)
@@ -262,33 +252,26 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 			}
 		}
 		runners[si] = rn
-		total += len(units)
-	}
-	if total == 0 {
-		return make([]metrics.Run, len(cfgs)), make([]bool, len(cfgs)), failed, nil
 	}
 
 	src, err := synth.NewWordSource(prof, refs, wordSize)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	wrapped := hooks.wrapSource(prof.Name, src)
 
 	// ictx governs the pass internally: it is cancelled by the caller's
-	// ctx, by the first failure under fail-fast, or when every unit is
-	// dead and streaming the rest of the trace would be wasted work.
+	// ctx or by the first failure.
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var live atomic.Int64
-	live.Store(int64(total))
-	var mu sync.Mutex // guards failed after the workers start
-	fail := func(f unitFailure, killed int) {
+	var mu sync.Mutex // guards failed while the workers run
+	fail := func(f *unitFailure) {
 		mu.Lock()
-		failed = append(failed, f)
-		mu.Unlock()
-		if !continueOnError || live.Add(-int64(killed)) == 0 {
-			cancel()
+		if failed == nil {
+			failed = f
 		}
+		mu.Unlock()
+		cancel()
 	}
 
 	// The free ring: every chunk buffer in existence.  At most nbuf
@@ -394,7 +377,7 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 			for ck := range rn.in {
 				// On cancellation keep draining (the producer may have
 				// broadcast chunks already) but stop simulating.
-				if ictx.Err() == nil && rn.live > 0 {
+				if ictx.Err() == nil {
 					if enabled {
 						t0 := time.Now()
 						rn.processChunk(ck.words, prof.Name, hooks, fail)
@@ -441,16 +424,13 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	}
 
 	if produceErr != nil {
-		return nil, nil, nil, produceErr
+		return nil, nil, produceErr
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, nil, nil, cerr
+		return nil, nil, cerr
 	}
-	if len(failed) > 0 && !continueOnError {
-		mu.Lock()
-		first := failed[:1]
-		mu.Unlock()
-		return nil, nil, first, nil
+	if failed != nil {
+		return nil, failed, nil
 	}
 
 	var flushStart time.Time
@@ -461,24 +441,13 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	defer fsp.End()
 	var families uint64
 	runs = make([]metrics.Run, len(cfgs))
-	ok = make([]bool, len(cfgs))
 	for _, rn := range runners {
 		for _, u := range rn.units {
-			if u.dead {
-				continue
-			}
 			if uerr := u.collect(prof.Name, runs); uerr != nil {
-				failed = append(failed, unitFailure{idxs: u.idxs, shard: rn.shard, cause: uerr})
-				if !continueOnError {
-					return nil, nil, failed[len(failed)-1:], nil
-				}
-				continue
+				return nil, &unitFailure{idxs: u.idxs, shard: rn.shard, cause: uerr}, nil
 			}
 			if u.bundle != nil {
 				families += uint64(u.families())
-			}
-			for _, k := range u.idxs {
-				ok[k] = true
 			}
 		}
 	}
@@ -487,27 +456,24 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		rec.Observe(telemetry.StageFlush, time.Since(flushStart))
 		rec.Add(telemetry.FamiliesFlushed, families)
 	}
-	return runs, ok, failed, nil
+	return runs, nil, nil
 }
 
-// processChunk feeds one broadcast chunk of packed words to every live
-// unit the shard owns, decoding it once first if the shard hosts
-// reference caches.  The BeforeChunk hook runs in its own recovery
-// boundary; a panic there is shard-scope and kills every unit the
-// shard still has.  A panic inside one unit (or its BeforeUnit hook)
-// kills only that unit.
-func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hooks, fail func(unitFailure, int)) {
+// processChunk feeds one broadcast chunk of packed words to every unit
+// the shard owns, decoding it once first if the shard hosts reference
+// caches.  The BeforeChunk hook runs in its own recovery boundary; a
+// panic there is shard-scope and fails every point the shard owns.  A
+// panic inside one unit (or its BeforeUnit hook) fails that unit's
+// points.  Either way the shard calls fail, which cancels the pass, and
+// stops the chunk.
+func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hooks, fail func(*unitFailure)) {
 	if hooks != nil && hooks.BeforeChunk != nil {
 		if herr := safeCall(func() { hooks.BeforeChunk(workload, rn.shard, rn.chunk) }); herr != nil {
+			var idxs []int
 			for _, u := range rn.units {
-				if u.dead {
-					continue
-				}
-				u.dead = true
-				rn.live--
-				fail(unitFailure{idxs: u.idxs, shard: rn.shard, cause: herr}, 1)
+				idxs = append(idxs, u.idxs...)
 			}
-			rn.chunk++
+			fail(&unitFailure{idxs: idxs, shard: rn.shard, cause: herr})
 			return
 		}
 	}
@@ -524,14 +490,9 @@ func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hook
 		}
 	}
 	for _, u := range rn.units {
-		if u.dead {
-			continue
-		}
 		if uerr := u.accessBatch(words, refs, hooks, workload, rn.shard, rn.chunk); uerr != nil {
-			u.dead = true
-			rn.live--
-			fail(unitFailure{idxs: u.idxs, shard: rn.shard, cause: uerr}, 1)
-			continue
+			fail(&unitFailure{idxs: u.idxs, shard: rn.shard, cause: uerr})
+			return
 		}
 		rn.simRefs += uint64(len(words) * u.families())
 	}
@@ -539,30 +500,28 @@ func (rn *shardRunner) processChunk(words []uint64, workload string, hooks *Hook
 }
 
 // simulateSharded evaluates every requested point over one workload via
-// the chunk-broadcast executor, planned by req.Engine, translating unit
-// failures into attributed PointErrors.  A workload aborted by the
+// the chunk-broadcast executor, planned by req.Engine: complete runs, or
+// the failure's attributed PointErrors.  A workload aborted by the
 // caller's cancellation returns (nil, nil): a casualty, not a cause.
 func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shards int) (map[Point]metrics.Run, []*PointError) {
 	cfgs := make([]cache.Config, len(req.Points))
 	for i, p := range req.Points {
 		cfgs[i] = pointConfig(p, req)
 	}
-	runs, ok, failed, err := runConfigsSharded(ctx, prof, cfgs, req.Points, req.Refs,
-		req.Arch.WordSize(), shards, req.Engine, req.ContinueOnError, req.Hooks,
-		telemetry.OrNop(req.Recorder))
+	runs, failed, err := runConfigsSharded(ctx, prof, cfgs, req.Points, req.Refs,
+		req.Arch.WordSize(), shards, req.Engine, req.Hooks, telemetry.OrNop(req.Recorder))
 	if err != nil {
 		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return nil, nil
 		}
 		return nil, []*PointError{{Workload: prof.Name, Shard: -1, Cause: fmt.Errorf("trace: %w", err)}}
 	}
-	pes := pointErrors(prof.Name, req.Points, failed)
-	sort.Slice(pes, func(i, j int) bool { return pointLess(pes[i].Point, pes[j].Point) })
+	if failed != nil {
+		return nil, failed.pointErrors(prof.Name, req.Points)
+	}
 	out := make(map[Point]metrics.Run, len(req.Points))
 	for i, run := range runs {
-		if ok[i] {
-			out[req.Points[i]] = run
-		}
+		out[req.Points[i]] = run
 	}
-	return out, pes
+	return out, nil
 }

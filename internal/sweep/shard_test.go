@@ -474,29 +474,40 @@ func TestShardedErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestReferenceShortCircuit: under fail-fast, a simulation unit that
-// fails to build aborts its workload before any trace is streamed, so
-// the WrapSource hook -- called as the stream starts -- never runs.
+// TestReferenceShortCircuit: a simulation unit that fails to build
+// aborts its workload before any trace is streamed, so the WrapSource
+// hook -- called as the stream starts -- never runs, and the sweep's
+// error is the point's construction failure.  Both engines build every
+// point as a reference cache here: multipass hands configurations its
+// kernel cannot host, as Assoc 999 is, to reference caches.
 func TestReferenceShortCircuit(t *testing.T) {
-	var wrapped atomic.Int32
-	pts := make([]Point, 40)
-	for i := range pts {
-		pts[i] = Point{Net: 64, Block: 8, Sub: 2}
-	}
-	_, err := Run(Request{
-		Arch: synth.PDP11, Points: pts, Refs: 2000,
-		Workloads: []string{"ED"}, Engine: Reference, Parallelism: 1,
-		Override: func(c *cache.Config) { c.Assoc = 999 },
-		Hooks: &Hooks{WrapSource: func(_ string, src PackedSource) PackedSource {
-			wrapped.Add(1)
-			return src
-		}},
-	})
-	if err == nil {
-		t.Fatal("sweep accepted an invalid config")
-	}
-	if n := wrapped.Load(); n != 0 {
-		t.Errorf("construction failure still streamed the trace: WrapSource ran %d times", n)
+	for _, eng := range []Engine{Reference, MultiPass} {
+		var wrapped atomic.Int32
+		req := Request{
+			Arch: synth.PDP11, Points: Grid([]int{64}, 2), Refs: 2000,
+			Workloads: []string{"ED"}, Engine: eng, Parallelism: 1,
+			Override: func(c *cache.Config) { c.Assoc = 999 },
+			Hooks: &Hooks{WrapSource: func(_ string, src PackedSource) PackedSource {
+				wrapped.Add(1)
+				return src
+			}},
+		}
+		_, err := Run(req)
+		var pe *PointError
+		if !errors.As(err, &pe) || pe.WorkloadScope() {
+			t.Fatalf("%v: err = %v, want a point-scope PointError", eng, err)
+		}
+		var pan *PanicError
+		if errors.As(pe.Cause, &pan) {
+			t.Errorf("%v: cause is a recovered panic, want the validation error: %v", eng, pe.Cause)
+		}
+		_, want := cache.New(pointConfig(pe.Point, req))
+		if want == nil || pe.Cause.Error() != want.Error() {
+			t.Errorf("%v: cause = %v, want %v's construction failure %v", eng, pe.Cause, pe.Point, want)
+		}
+		if n := wrapped.Load(); n != 0 {
+			t.Errorf("%v: construction failure still streamed the trace: WrapSource ran %d times", eng, n)
+		}
 	}
 }
 

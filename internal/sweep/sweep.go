@@ -8,10 +8,10 @@
 // come back as metrics.Run values keyed by (workload, point) plus
 // unweighted per-architecture averages, the paper's aggregation (§3.3).
 //
-// Execution is fault tolerant (see fault.go): worker panics become
-// attributed PointErrors, Request.ContinueOnError trades fail-fast
-// abort for partial results, and Request.Checkpoint journals completed
-// workloads so an interrupted sweep resumes instead of restarting.
+// Execution fails fast (see fault.go): the first failure -- a worker
+// panic included -- cancels the sweep and is returned as an attributed
+// PointError, and Request.Checkpoint journals completed workloads so a
+// failed or interrupted sweep resumes instead of restarting.
 package sweep
 
 import (
@@ -184,16 +184,6 @@ type Request struct {
 	// workloads, rounded up; only tests and benchmarks set another
 	// count.  Negative is an error.
 	Shards int
-	// ContinueOnError selects the degraded-completion failure policy:
-	// instead of the first failing point aborting the sweep
-	// (fail-fast, the default), the failure is recorded in
-	// Result.Errors with its exact workload/point/shard attribution
-	// and every unaffected simulation unit keeps running.  Surviving
-	// points are bit-identical to an undisturbed sweep: a unit is
-	// either fed the complete ordered trace or reported failed, never
-	// half-counted.  Cancellation of the caller's context still aborts
-	// the sweep with an error.
-	ContinueOnError bool
 	// Checkpoint, when non-empty, names a journal file to which every
 	// completed workload's runs are atomically appended, and from
 	// which a restarted sweep restores hash-verified entries instead
@@ -218,14 +208,9 @@ type Request struct {
 // Result holds a completed sweep.
 type Result struct {
 	Arch synth.Arch
-	// Runs maps point -> one run per workload, in catalog order.  With
-	// ContinueOnError a failed (workload, point) pair is simply absent
-	// from its point's slice; Errors says why.
+	// Runs maps point -> one run per workload, in catalog order.
 	Runs map[Point][]metrics.Run
 	// Summaries maps point -> the unweighted average across workloads.
-	// With ContinueOnError a point that failed for some workloads is
-	// averaged over its surviving runs (N says how many), and a point
-	// with no surviving runs has no summary.
 	Summaries map[Point]metrics.Summary
 	// TracePasses counts full replays of a workload's word trace summed
 	// across workloads: len(Points) per workload for the Reference
@@ -234,12 +219,6 @@ type Result struct {
 	// checkpoint cost no passes.  The sweep benchmarks report it as the
 	// single-pass kernels' headline saving.
 	TracePasses int
-	// Errors lists every attributed failure of a ContinueOnError
-	// sweep, ordered by workload (catalog order), then point.  Empty
-	// for a fully successful sweep; always empty under fail-fast,
-	// where the first failure is returned as the sweep's error
-	// instead.
-	Errors []*PointError
 	// Resumed counts workloads restored from the Checkpoint journal
 	// rather than simulated.
 	Resumed int
@@ -283,11 +262,9 @@ func Run(req Request) (*Result, error) {
 }
 
 // RunContext executes the sweep under a context: cancelling ctx aborts
-// every worker promptly.  Under the default fail-fast policy the first
-// failing point cancels the rest of the sweep and is returned as the
-// error (panics included, recovered and attributed); with
-// Request.ContinueOnError failures accumulate in Result.Errors
-// instead.
+// every worker promptly.  The first failure cancels the rest of the
+// sweep and is returned as a *PointError (panics included, recovered
+// and attributed), with no result.
 func RunContext(ctx context.Context, req Request) (*Result, error) {
 	if req.Refs <= 0 {
 		return nil, fmt.Errorf("sweep: non-positive trace length %d", req.Refs)
@@ -372,27 +349,24 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	fn := func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
 		return simulateSharded(ctx, prof, req, shards)
 	}
-	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, outer, fn)
+	perProf, resumed, err := runWorkloads(ctx, profiles, req, ck, outer, fn)
 	if err != nil {
 		return nil, err
 	}
 
+	// Every workload not resumed was simulated: a sweep that stopped
+	// short returned an error instead.
 	res := &Result{
-		Arch:      req.Arch,
-		Runs:      make(map[Point][]metrics.Run, len(req.Points)),
-		Summaries: make(map[Point]metrics.Summary, len(req.Points)),
-		Resumed:   resumed,
+		Arch:        req.Arch,
+		Runs:        make(map[Point][]metrics.Run, len(req.Points)),
+		Summaries:   make(map[Point]metrics.Summary, len(req.Points)),
+		TracePasses: (len(profiles) - resumed) * passesPerWorkload,
+		Resumed:     resumed,
 	}
-	for i, runs := range perProf {
+	for _, runs := range perProf {
 		for p, run := range runs {
 			res.Runs[p] = append(res.Runs[p], run)
 		}
-		if attempted[i] {
-			res.TracePasses += passesPerWorkload
-		}
-	}
-	for _, pes := range perrs {
-		res.Errors = append(res.Errors, pes...)
 	}
 	for p, runs := range res.Runs {
 		res.Summaries[p] = metrics.Average(runs)
@@ -416,22 +390,17 @@ func shardLayout(requested, par, workloads int) (outer, shards int) {
 	return par / shards, shards
 }
 
-// runWorkloads executes fn once per profile with bounded parallelism,
-// applying the sweep's failure policy and checkpointing:
+// runWorkloads executes fn once per profile with bounded parallelism
+// and checkpointing.  The first workload to fail cancels its siblings,
+// and the first failure in profile order is returned.  Profiles present
+// in the journal are restored without simulation, and every cleanly
+// completed workload is recorded the moment it finishes; a failed one
+// never is.
 //
-//   - fail-fast (default): the first workload reporting an error
-//     cancels its siblings, and the first error in profile order is
-//     returned;
-//   - ContinueOnError: per-workload errors accumulate and every other
-//     workload completes;
-//   - checkpointing: profiles present in the journal are restored
-//     without simulation, and every cleanly completed workload is
-//     recorded the moment it finishes.
-//
-// fn must return either complete runs for every point it does not
-// report an error for, or nil runs plus workload-scope errors -- never
-// half-counted partial counters.  A workload aborted by cancellation
-// returns no runs and no errors (it is a casualty, not a cause).
+// fn returns either complete runs for every point, or the PointErrors
+// of one failure, one per lost point -- never half-counted partial
+// counters.  A workload aborted by cancellation returns neither (it is
+// a casualty, not a cause).
 func runWorkloads(
 	ctx context.Context,
 	profiles []synth.Profile,
@@ -439,15 +408,15 @@ func runWorkloads(
 	ck *ckState,
 	outer int,
 	fn func(context.Context, synth.Profile) (map[Point]metrics.Run, []*PointError),
-) (perProf []map[Point]metrics.Run, perrs [][]*PointError, attempted []bool, resumed int, err error) {
+) (perProf []map[Point]metrics.Run, resumed int, err error) {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	n := len(profiles)
 	perProf = make([]map[Point]metrics.Run, n)
-	perrs = make([][]*PointError, n)
-	attempted = make([]bool, n)
+	// failed holds each failing workload's first PointError.
+	failed := make([]*PointError, n)
 	var mu sync.Mutex // guards resumed
 
 	rec := telemetry.OrNop(req.Recorder)
@@ -484,7 +453,6 @@ func runWorkloads(
 					sp.End()
 					continue
 				}
-				attempted[i] = true
 				rec.SetGauge(telemetry.ActiveWorkloads, active.Add(1))
 				sp := telemetry.StartSpan(rec, telemetry.Span{
 					Name: "workload", Workload: prof.Name,
@@ -498,7 +466,6 @@ func runWorkloads(
 						pes = append(pes, &PointError{Workload: prof.Name, Shard: -1, Cause: ckErr})
 					}
 				}
-				perrs[i] = pes
 				rec.Add(telemetry.PointsCompleted, uint64(len(runs)))
 				emitPointsDone(rec, prof.Name, req.Points, runs, false)
 				for _, pe := range pes {
@@ -506,10 +473,9 @@ func runWorkloads(
 					rec.Emit(pe.event())
 				}
 				if len(pes) > 0 {
+					failed[i] = pes[0]
 					sp.EndErr(pes[0].Cause.Error())
-					if !req.ContinueOnError {
-						cancel()
-					}
+					cancel()
 				} else {
 					sp.End()
 				}
@@ -522,17 +488,15 @@ func runWorkloads(
 	close(jobs)
 	wg.Wait()
 
-	if !req.ContinueOnError {
-		for _, pes := range perrs {
-			if len(pes) > 0 {
-				return nil, nil, nil, 0, pes[0]
-			}
+	for _, pe := range failed {
+		if pe != nil {
+			return nil, 0, pe
 		}
 	}
 	if cerr := parent.Err(); cerr != nil {
-		return nil, nil, nil, 0, cerr
+		return nil, 0, cerr
 	}
-	return perProf, perrs, attempted, resumed, nil
+	return perProf, resumed, nil
 }
 
 // emitPointsDone emits one point-done event per completed run, in the
