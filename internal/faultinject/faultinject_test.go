@@ -22,15 +22,15 @@ const testRefs = 3*trace.ChunkRefs + 100
 
 func testPoints() []sweep.Point { return sweep.Grid([]int{64, 256}, 2) }
 
-// campaign is the CI smoke campaign over the PDP-11 suite: its points,
-// its workload names and the seed's ten injections.
-func campaign() ([]sweep.Point, []string, []Injection) {
+// campaign is the CI smoke campaign over the PDP-11 suite: its points
+// and the seed's ten injections.
+func campaign() ([]sweep.Point, []Injection) {
 	points := testPoints()
 	var workloads []string
 	for _, p := range synth.Workloads(synth.PDP11) {
 		workloads = append(workloads, p.Name)
 	}
-	return points, workloads, Plan(campaignSeed, 10, workloads, testRefs, len(points), 2)
+	return points, Plan(campaignSeed, 10, workloads, testRefs, len(points), 2)
 }
 
 // injectedCause reports whether an attributed error traces back to this
@@ -100,7 +100,7 @@ func checkAttributedOrClean(t *testing.T, in Injection, shards int, res *sweep.R
 // engines at one and two shards and asserts the attributed-or-clean
 // invariant for each injection.
 func TestCampaignAttributedOrClean(t *testing.T) {
-	points, _, injections := campaign()
+	points, injections := campaign()
 	// Each engine runs at one shard, the executor's degenerate case,
 	// and at two.
 	variants := []struct {
@@ -141,7 +141,7 @@ func TestCampaignAttributedOrClean(t *testing.T) {
 // so it crosses every recovery boundary -- source, unit and shard --
 // and the caller's cancellation.
 func TestPlanCoversEveryFault(t *testing.T) {
-	_, _, injections := campaign()
+	_, injections := campaign()
 	seen := make(map[Fault]bool)
 	for _, in := range injections {
 		seen[in.Fault] = true

@@ -37,7 +37,7 @@ func (c *captureSink) all() []telemetry.Event {
 // matching error-attributed event on the stream, and the points_failed
 // counter equals the event count.
 func TestCampaignErrorsMirroredInEvents(t *testing.T) {
-	points, _, injections := campaign()
+	points, injections := campaign()
 	for _, eng := range []sweep.Engine{sweep.Reference, sweep.MultiPass} {
 		for _, in := range injections {
 			in := in

@@ -29,10 +29,11 @@ const (
 	// EventPointDone records one completed (workload, point) pair.
 	EventPointDone = "point-done"
 	// EventShardStat summarises one shard worker at end of a
-	// workload's pass: balance, throughput, survivors.
+	// workload's pass: balance and throughput.
 	EventShardStat = "shard-stat"
-	// EventErrorAttributed records one attributed simulation failure;
-	// every PointError a sweep reports has exactly one.
+	// EventErrorAttributed records one attributed simulation failure:
+	// one per point a failed workload lost, or one for a workload-scope
+	// failure.
 	EventErrorAttributed = "error-attributed"
 	// EventHeartbeat carries a periodic counter snapshot.
 	EventHeartbeat = "heartbeat"
