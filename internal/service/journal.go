@@ -263,8 +263,7 @@ func (j *jobJournal) append(r JournalRecord) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("service: job journal %s: %w", j.path, err)
 	}
-	j.rec.ObserveDur(telemetry.HistJournalAppend, time.Since(t0))
-	j.rec.Add(telemetry.JobJournalRecords, 1)
+	j.rec.Observe(telemetry.HistJournalAppend, time.Since(t0))
 	return nil
 }
 

@@ -3,9 +3,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -94,30 +97,55 @@ func TestServiceStatsCarriesVersionAndHists(t *testing.T) {
 
 // TestJournalAppendTimed: every job-journal append -- the record's
 // write and fsync -- is one journal_append observation, so after a
-// completed job the histogram's count equals job_journal_records,
-// which holds at least the job's admitted, started and completed
-// records.
+// completed job the histogram's count equals the records in the
+// journal file, at least the job's admitted, started and completed
+// ones.
 func TestJournalAppendTimed(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1})
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{Workers: 1, Dir: dir})
 	if code, resp := post(t, ts, smallRequest(4000), true); code != http.StatusOK {
 		t.Fatalf("submit: code %d (%s)", code, resp.Error)
 	}
 	// The completed record may land just after the reply.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := s.Stats()
-		records := st.Counter(telemetry.JobJournalRecords)
+		var records int
+		if b, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl")); err == nil {
+			if st, err := ValidateJournal(bytes.NewReader(b)); err == nil {
+				records = st.Records
+			}
+		}
 		var appends uint64
-		if h := st.Hist(telemetry.HistJournalAppend); h != nil {
+		if h := s.Stats().Hist(telemetry.HistJournalAppend); h != nil {
 			appends = h.Count
 		}
-		if records >= 3 && appends == records {
+		if records >= 3 && appends == uint64(records) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("journal_append count %d, job_journal_records %d: want equal, at least 3", appends, records)
+			t.Fatalf("journal_append count %d, journal records %d: want equal, at least 3", appends, records)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTerminalJobReleasesTelemetry: the server keeps every job for
+// its life, so a terminal job must not keep its closed recorder, the
+// recorder's sink and write buffer, or its spans.
+func TestTerminalJobReleasesTelemetry(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	code, sub := post(t, ts, smallRequest(4000), true)
+	if code != http.StatusOK {
+		t.Fatalf("submit: code %d (%s)", code, sub.Error)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[sub.ID]
+	if j == nil {
+		t.Fatalf("job %s not kept", sub.ID)
+	}
+	if j.rec != nil || j.span != nil || j.qspan != nil {
+		t.Errorf("terminal job still holds telemetry: rec %p, span %p, qspan %p", j.rec, j.span, j.qspan)
 	}
 }
 

@@ -164,9 +164,10 @@ type job struct {
 	// the job/queue spans cover the whole lifecycle, queue wait
 	// included.  admittedAt anchors the queue-wait and end-to-end
 	// latency histograms; span/qspan are the "job" and "queue" spans.
+	// closeRecorder drops rec and the spans, so a terminal job holds
+	// no telemetry for the rest of the daemon's life.
 	admittedAt time.Time
 	rec        *telemetry.Run
-	sink       *telemetry.JSONLSink
 	span       *telemetry.ActiveSpan
 	qspan      *telemetry.ActiveSpan
 
@@ -177,16 +178,19 @@ type job struct {
 	cancel  context.CancelFunc // set while running
 }
 
-// closeRecorder ends any spans still open and finalises the job's
-// event stream (terminal run-end, sink close).  Idempotent, like
-// everything it calls; safe on a job whose recorder never existed.
+// closeRecorder ends any spans still open, finalises the job's event
+// stream (terminal run-end, sink close) and releases the recorder, its
+// sink and the spans.  Idempotent; safe on a job whose recorder never
+// existed.
 func (j *job) closeRecorder(interrupted bool) error {
 	if j.rec == nil {
 		return nil
 	}
 	j.qspan.End()
 	j.span.End()
-	return j.rec.CloseInterrupted(interrupted)
+	err := j.rec.CloseInterrupted(interrupted)
+	j.rec, j.span, j.qspan = nil, nil, nil
+	return err
 }
 
 // Server schedules, deduplicates, caches and serves sweeps.  Create
@@ -317,7 +321,6 @@ func New(opts Options) (*Server, error) {
 		rec.Add(telemetry.JobsRecovered, 1)
 		s.queue <- j
 	}
-	rec.SetGauge(telemetry.QueueDepth, int64(s.queued))
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -339,7 +342,6 @@ func (s *Server) openJobRecorder(j *job) error {
 	if err != nil {
 		return err
 	}
-	j.sink = sink
 	j.rec = telemetry.NewRun(telemetry.Options{
 		Sink:      sink,
 		Heartbeat: s.opts.Heartbeat,
@@ -441,7 +443,6 @@ func (s *Server) submit(req sweep.Request, wire *SweepRequest, fp, tenant string
 	s.jobs[fp] = j
 	s.tenants[tenant]++
 	s.queued++
-	s.rec.SetGauge(telemetry.QueueDepth, int64(s.queued))
 	s.rec.Add(telemetry.RequestsAdmitted, 1)
 	s.queue <- j // buffered to QueueDepth; the bound above keeps this non-blocking
 	return submitOutcome{job: j, status: StatusQueued}, nil
@@ -467,7 +468,7 @@ func (s *Server) cachedLocked(fp string) []byte {
 	t0 := time.Now()
 	payload, status := s.store.get(fp)
 	// Disk-read latency only; memory-cache hits return above unobserved.
-	s.rec.ObserveDur(telemetry.HistCacheRead, time.Since(t0))
+	s.rec.Observe(telemetry.HistCacheRead, time.Since(t0))
 	switch status {
 	case storeHit:
 		s.memCache[fp] = payload
@@ -513,7 +514,6 @@ func (s *Server) worker() {
 	for j := range s.queue {
 		s.mu.Lock()
 		s.queued--
-		s.rec.SetGauge(telemetry.QueueDepth, int64(s.queued))
 		if s.draining {
 			// Drained before starting: nothing was simulated, nothing
 			// is lost; the client resubmits after restart.  The event
@@ -554,7 +554,7 @@ func (s *Server) finishLocked(j *job, status jobStatus, result []byte, errText s
 		s.memCache[j.fp] = result
 	}
 	if !j.admittedAt.IsZero() {
-		s.rec.ObserveDur(telemetry.HistJobLatency, time.Since(j.admittedAt))
+		s.rec.Observe(telemetry.HistJobLatency, time.Since(j.admittedAt))
 	}
 	// Best effort: a lost terminal record means replay re-admits the
 	// job, and the result cache / checkpoint journal absorb the rerun.
@@ -592,8 +592,8 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string) {
 	wait := time.Since(j.admittedAt)
 	j.qspan.End()
-	s.rec.ObserveDur(telemetry.HistQueueWait, wait)
-	j.rec.ObserveDur(telemetry.HistQueueWait, wait)
+	s.rec.Observe(telemetry.HistQueueWait, wait)
+	j.rec.Observe(telemetry.HistQueueWait, wait)
 	// The job deadline nests inside the drain context, so "drained" and
 	// "timed out" stay distinguishable below.
 	jctx := ctx
@@ -623,8 +623,8 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 		t0 := time.Now()
 		res, runErr = sweep.RunContext(telemetry.ContextWithSpan(jctx, asp.ID()), req)
 		exec := time.Since(t0)
-		s.rec.ObserveDur(telemetry.HistExecution, exec)
-		j.rec.ObserveDur(telemetry.HistExecution, exec)
+		s.rec.Observe(telemetry.HistExecution, exec)
+		j.rec.Observe(telemetry.HistExecution, exec)
 		if runErr != nil {
 			asp.EndErr(runErr.Error())
 		} else {
@@ -645,8 +645,8 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 		case <-jctx.Done():
 		}
 		backoff := time.Since(t0)
-		s.rec.ObserveDur(telemetry.HistRetryBackoff, backoff)
-		j.rec.ObserveDur(telemetry.HistRetryBackoff, backoff)
+		s.rec.Observe(telemetry.HistRetryBackoff, backoff)
+		j.rec.Observe(telemetry.HistRetryBackoff, backoff)
 	}
 
 	drained := ctx.Err() != nil
@@ -671,8 +671,8 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 		t0 := time.Now()
 		expired, evicted, err := s.store.put(j.fp, b)
 		wdur := time.Since(t0)
-		s.rec.ObserveDur(telemetry.HistCacheWrite, wdur)
-		j.rec.ObserveDur(telemetry.HistCacheWrite, wdur)
+		s.rec.Observe(telemetry.HistCacheWrite, wdur)
+		j.rec.Observe(telemetry.HistCacheWrite, wdur)
 		if err != nil {
 			csp.EndErr(err.Error())
 			return StatusFailed, nil, err.Error()

@@ -184,27 +184,14 @@ func (j *Journal) Record(fp, workload string, points []Point, runs map[Point]met
 	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	enabled := j.rec.Enabled()
-	var t0 time.Time
-	if enabled {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("sweep: checkpoint %s: %w", j.path, err)
-	}
-	var w time.Time
-	if enabled {
-		w = time.Now()
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("sweep: checkpoint %s: %w", j.path, err)
 	}
-	if enabled {
-		now := time.Now()
-		j.rec.Observe(telemetry.StageCheckpoint, now.Sub(t0))
-		j.rec.Add(telemetry.CheckpointFsyncNanos, uint64(now.Sub(w)))
-		j.rec.Add(telemetry.CheckpointRecords, 1)
-	}
+	j.rec.Observe(telemetry.StageCheckpoint, time.Since(t0))
 	j.done[journalKey(fp, workload)] = e
 	return nil
 }

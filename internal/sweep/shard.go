@@ -395,13 +395,13 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	}
 	wg.Wait()
 
-	// Publish per-shard telemetry: the aggregates, the simulate- and
-	// decode-stage times, and one shard-stat event per worker.  Emitted
-	// even for failed or cancelled passes -- a stalled shard is exactly
-	// what an observer wants to see attributed.
+	// Publish per-shard telemetry: the simulate- and decode-stage
+	// times, and one shard-stat event per worker carrying its fed
+	// references and busy time.  Emitted even for failed or cancelled
+	// passes -- a stalled shard is exactly what an observer wants to see
+	// attributed.
 	if enabled {
 		for _, rn := range runners {
-			rec.ShardObserve(rn.shard, rn.refsFed, rn.busy)
 			rec.Observe(telemetry.StageSimulate, rn.busy-rn.decode)
 			if rn.refs != nil {
 				rec.Observe(telemetry.StageDecode, rn.decode)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -140,21 +141,28 @@ func TestTelemetryCountersDeterministic(t *testing.T) {
 	// Each workload's producer observes its read and broadcast stages
 	// once, at end of stream.  The word source generates packed words
 	// directly, so there is no separate pack stage.
-	for _, st := range []telemetry.Stage{telemetry.StageTraceRead, telemetry.StageBroadcast} {
-		if got := s1.StagesN[st.String()]; got != uint64(workloads) {
-			t.Errorf("stage %s observed %d times, want once per workload (%d)", st, got, workloads)
+	for _, h := range []telemetry.Hist{telemetry.StageTraceRead, telemetry.StageBroadcast} {
+		if hs := s1.Hist(h); hs == nil || hs.Count != uint64(workloads) {
+			t.Errorf("%s = %+v, want one observation per workload (%d)", h, hs, workloads)
 		}
 	}
-	if n, ok := s1.StagesN["pack"]; ok {
-		t.Errorf("retired stage pack observed %d times", n)
+	if hs, ok := s1.Hists["stage_pack"]; ok {
+		t.Errorf("retired stage pack observed %d times", hs.Count)
 	}
-	// Shard aggregates cover the fed references exactly once per shard.
+	// The shard-stat events cover the fed references exactly once per
+	// shard.
 	var shardRefs uint64
-	for _, sh := range s1.Shards {
-		shardRefs += sh.Refs
+	for _, line := range bytes.Split(bytes.TrimSpace(buf1.Bytes()), []byte("\n")) {
+		var ev telemetry.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.ShardStat != nil {
+			shardRefs += ev.ShardStat.Refs
+		}
 	}
-	if want := refsRead * uint64(len(s1.Shards)); shardRefs != want {
-		t.Errorf("shard refs sum to %d, want refs_read x shards = %d", shardRefs, want)
+	if want := refsRead * uint64(req.Shards); shardRefs != want {
+		t.Errorf("shard-stat refs sum to %d, want refs_read x shards = %d", shardRefs, want)
 	}
 
 	// The stream is schema-valid and structurally complete: one
@@ -208,9 +216,13 @@ func TestTelemetryDecodeStage(t *testing.T) {
 		rec.Close()
 		s := rec.Snapshot()
 		want := tc.want * uint64(len(synth.Workloads(req.Arch)))
-		got, ok := s.StagesN[telemetry.StageDecode.String()]
-		if got != want || (want == 0 && ok) {
-			t.Errorf("%s: decode observed %d times (present %v), want %d", tc.name, got, ok, want)
+		var got uint64
+		hs := s.Hist(telemetry.StageDecode)
+		if hs != nil {
+			got = hs.Count
+		}
+		if got != want || (want == 0 && hs != nil) {
+			t.Errorf("%s: stage_decode observed %d times (present %v), want %d", tc.name, got, hs != nil, want)
 		}
 	}
 }
@@ -238,11 +250,8 @@ func TestTelemetryCheckpointCounters(t *testing.T) {
 	}
 	rec1.Close()
 	s1 := rec1.Snapshot()
-	if got := s1.Counter(telemetry.CheckpointRecords); got != workloads {
-		t.Errorf("first run checkpoint_records = %d, want %d", got, workloads)
-	}
-	if s1.Counter(telemetry.CheckpointFsyncNanos) == 0 {
-		t.Error("first run recorded no fsync time")
+	if hs := s1.Hist(telemetry.StageCheckpoint); hs == nil || hs.Count != workloads || hs.SumNanos == 0 {
+		t.Errorf("first run stage_checkpoint = %+v, want %d timed appends", hs, workloads)
 	}
 	if s1.Counter(telemetry.PointsResumed) != 0 || s1.Counter(telemetry.PointsCompleted) != planned {
 		t.Errorf("first run resumed/completed = %d/%d, want 0/%d",
@@ -265,9 +274,9 @@ func TestTelemetryCheckpointCounters(t *testing.T) {
 	if got := s2.Counter(telemetry.PointsResumed); got != planned {
 		t.Errorf("second run points_resumed = %d, want %d", got, planned)
 	}
-	if s2.Counter(telemetry.PointsCompleted) != 0 || s2.Counter(telemetry.CheckpointRecords) != 0 {
-		t.Errorf("second run completed/records = %d/%d, want 0/0",
-			s2.Counter(telemetry.PointsCompleted), s2.Counter(telemetry.CheckpointRecords))
+	if s2.Counter(telemetry.PointsCompleted) != 0 || s2.Hist(telemetry.StageCheckpoint) != nil {
+		t.Errorf("second run completed %d and stage_checkpoint %+v, want 0 and none",
+			s2.Counter(telemetry.PointsCompleted), s2.Hist(telemetry.StageCheckpoint))
 	}
 	done := sink2.byType(telemetry.EventPointDone)
 	if len(done) != int(planned) {
@@ -307,8 +316,8 @@ func TestTelemetryRunStartShards(t *testing.T) {
 		if got := starts[0].RunStart.Shards; got != tc.ran {
 			t.Errorf("%s: run-start shards = %d, want %d", tc.name, got, tc.ran)
 		}
-		if got := len(rec.Snapshot().Shards); got != tc.ran {
-			t.Errorf("%s: %d shard workers reported, want %d", tc.name, got, tc.ran)
+		if got := len(sink.byType(telemetry.EventShardStat)); got != tc.ran {
+			t.Errorf("%s: %d shard-stat events, want %d", tc.name, got, tc.ran)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 package telemetry
 
-// The counter/gauge/stage catalogue.  Every identifier is a dense
-// index into a pre-sized atomic array, so an update is one atomic add
-// with no map lookups and no allocation.  Names are the stable wire
-// vocabulary: they appear in heartbeat snapshots and RUN.json, and
-// docs/OBSERVABILITY.md documents each one; add new entries at the end
-// of an enum and to its name table together.
+// The counter and gauge catalogue (the histogram catalogue is in
+// hist.go).  Every identifier is a dense index into a pre-sized atomic
+// array, so an update is one atomic add with no map lookups and no
+// allocation.  Names are the stable wire vocabulary: they appear in
+// heartbeat snapshots and RUN.json, and docs/OBSERVABILITY.md documents
+// each one; add new entries at the end of an enum and to its name table
+// together.
 
 // Counter identifies one monotonic counter.
 type Counter int
@@ -26,12 +27,6 @@ const (
 	// FamiliesFlushed counts multipass families finalised by
 	// FlushUsage at the end of a pass.
 	FamiliesFlushed
-	// CheckpointRecords counts workload entries appended to the
-	// checkpoint journal.
-	CheckpointRecords
-	// CheckpointFsyncNanos accumulates the fsync latency of those
-	// appends; divide by CheckpointRecords for the mean.
-	CheckpointFsyncNanos
 	// PointsPlanned counts (workload, point) pairs a sweep set out to
 	// simulate, added at run-start.  The progress line's denominator.
 	PointsPlanned
@@ -77,9 +72,6 @@ const (
 	// journal at startup: admitted or started at crash time, never
 	// terminal.
 	JobsRecovered
-	// JobJournalRecords counts state-transition records appended to the
-	// service's job journal, fsync included.
-	JobJournalRecords
 	numCounters
 )
 
@@ -89,8 +81,6 @@ var counterNames = [numCounters]string{
 	RefsSimulated:           "refs_simulated",
 	ChunksBroadcast:         "chunks_broadcast",
 	FamiliesFlushed:         "families_flushed",
-	CheckpointRecords:       "checkpoint_records",
-	CheckpointFsyncNanos:    "checkpoint_fsync_nanos",
 	PointsPlanned:           "points_planned",
 	PointsCompleted:         "points_completed",
 	PointsFailed:            "points_failed",
@@ -104,7 +94,6 @@ var counterNames = [numCounters]string{
 	CacheCorruptQuarantined: "cache_corrupt_quarantined",
 	JobRetries:              "job_retries",
 	JobsRecovered:           "jobs_recovered",
-	JobJournalRecords:       "job_journal_records",
 }
 
 // String returns the counter's wire name.
@@ -127,16 +116,12 @@ const (
 	// ActiveWorkloads is the number of workload executors currently
 	// simulating.
 	ActiveWorkloads
-	// QueueDepth is the number of sweep requests waiting on the
-	// service's worker queue (admitted but not yet running).
-	QueueDepth
 	numGauges
 )
 
 var gaugeNames = [numGauges]string{
 	FreeRingOccupancy: "free_ring_occupancy",
 	ActiveWorkloads:   "active_workloads",
-	QueueDepth:        "queue_depth",
 }
 
 // String returns the gauge's wire name.
@@ -147,79 +132,19 @@ func (g Gauge) String() string {
 	return gaugeNames[g]
 }
 
-// Stage identifies one pipeline stage for monotonic wall-time
-// accumulation.  Stages overlap across goroutines (a sweep's shards
-// simulate while its producer reads), so stage times sum to more than
-// the wall clock on purpose: they answer "where do worker-seconds go",
-// not "what fraction of the run elapsed here".
-type Stage int
-
-const (
-	// StageTraceRead is producer time filling broadcast chunks from
-	// the word source, which generates the trace straight into packed
-	// words.
-	StageTraceRead Stage = iota
-	// StageDecode is shard time unpacking broadcast chunks back to
-	// references for the shard's reference caches (trace.UnpackRefs);
-	// only shards that host reference caches record it.
-	StageDecode
-	// StageBroadcast is producer time distributing chunks to shard
-	// queues, including time blocked on an empty free ring.
-	StageBroadcast
-	// StageSimulate is shard/unit time inside the access kernels,
-	// excluding decode.
-	StageSimulate
-	// StageFlush is time finalising usage counters at end of pass.
-	StageFlush
-	// StageCheckpoint is time appending to the checkpoint journal,
-	// fsync included.
-	StageCheckpoint
-	numStages
-)
-
-var stageNames = [numStages]string{
-	StageTraceRead:  "trace_read",
-	StageDecode:     "decode",
-	StageBroadcast:  "broadcast",
-	StageSimulate:   "simulate",
-	StageFlush:      "flush",
-	StageCheckpoint: "checkpoint",
-}
-
-// String returns the stage's wire name.
-func (s Stage) String() string {
-	if s < 0 || s >= numStages {
-		return "stage_unknown"
-	}
-	return stageNames[s]
-}
-
-// ShardSnap is one shard worker's aggregate in a snapshot.
-type ShardSnap struct {
-	Shard  int     `json:"shard"`
-	Refs   uint64  `json:"refs"`
-	BusyMS float64 `json:"busy_ms"`
-}
-
-// Snapshot is a consistent-enough copy of a recorder's state: counters
-// and gauges by wire name, stage wall-times in milliseconds with their
-// observation counts (mean stage latency = stages_ms[s]/stages_n[s]),
-// latency histograms, and per-shard aggregates.  Individual values are
-// read atomically; cross-counter consistency is not guaranteed while
-// workers run, which is fine for heartbeats and exact once the run has
-// quiesced.
+// Snapshot is a consistent-enough copy of a recorder's state:
+// counters, gauges and latency histograms by wire name.  Individual
+// values are read atomically; cross-counter consistency is not
+// guaranteed while workers run, which is fine for heartbeats and exact
+// once the run has quiesced.
 type Snapshot struct {
-	Counters map[string]uint64  `json:"counters"`
-	Gauges   map[string]int64   `json:"gauges,omitempty"`
-	StagesMS map[string]float64 `json:"stages_ms,omitempty"`
-	// StagesN counts Observe calls per stage, so any heartbeat or
-	// manifest yields a mean stage latency, not just a total.
-	StagesN map[string]uint64 `json:"stages_n,omitempty"`
-	// Hists carries the latency histograms: the service-level set
-	// (job_queue_wait, job_execution, ...) under their own names and
-	// each stage's under "stage_<name>".
-	Hists  map[string]*HistSnap `json:"hists,omitempty"`
-	Shards []ShardSnap          `json:"shards,omitempty"`
+	Counters map[string]uint64 `json:"counters"`
+	Gauges   map[string]int64  `json:"gauges,omitempty"`
+	// Hists carries every histogram that recorded anything: a stage's
+	// under "stage_<name>", whose count and sum are the stage's
+	// observations and total time, and the service set
+	// (job_queue_wait, job_execution, ...) under their own names.
+	Hists map[string]*HistSnap `json:"hists,omitempty"`
 }
 
 // Counter returns a counter's value by its identifier (0 if absent).

@@ -20,15 +20,38 @@ import (
 // most 64, and index 63 doubles as the overflow bucket.
 const histBuckets = 64
 
-// Hist identifies one service-level latency histogram.  Stage
-// histograms are recorded implicitly by Recorder.Observe; these cover
-// the request path around the sweep itself.
+// Hist identifies one latency histogram, the one record of every
+// duration the pipeline measures: the pipeline stages, whose
+// histograms' counts and sums are the stages' observations and total
+// times, then the request path around the sweep itself.
 type Hist int
 
 const (
+	// StageTraceRead is producer time filling broadcast chunks from
+	// the word source, which generates the trace straight into packed
+	// words.  Stages overlap across goroutines (a sweep's shards
+	// simulate while its producer reads), so stage times sum to more
+	// than the wall clock on purpose: they answer "where do
+	// worker-seconds go", not "what fraction of the run elapsed here".
+	StageTraceRead Hist = iota
+	// StageDecode is shard time unpacking broadcast chunks back to
+	// references for the shard's reference caches (trace.UnpackRefs);
+	// only shards that host reference caches record it.
+	StageDecode
+	// StageBroadcast is producer time distributing chunks to shard
+	// queues, including time blocked on an empty free ring.
+	StageBroadcast
+	// StageSimulate is shard/unit time inside the access kernels,
+	// excluding decode.
+	StageSimulate
+	// StageFlush is time finalising usage counters at end of pass.
+	StageFlush
+	// StageCheckpoint is time appending one workload entry to the
+	// checkpoint journal, fsync included.
+	StageCheckpoint
 	// HistQueueWait is a job's time from admission to dequeue by a
 	// worker.
-	HistQueueWait Hist = iota
+	HistQueueWait
 	// HistExecution is the wall time of one sweep execution attempt
 	// (retries observe once per attempt).
 	HistExecution
@@ -51,6 +74,12 @@ const (
 )
 
 var histNames = [numHists]string{
+	StageTraceRead:    "stage_trace_read",
+	StageDecode:       "stage_decode",
+	StageBroadcast:    "stage_broadcast",
+	StageSimulate:     "stage_simulate",
+	StageFlush:        "stage_flush",
+	StageCheckpoint:   "stage_checkpoint",
 	HistQueueWait:     "job_queue_wait",
 	HistExecution:     "job_execution",
 	HistRetryBackoff:  "job_retry_backoff",

@@ -223,19 +223,36 @@ func TestHistogramObserveDurClampsNegative(t *testing.T) {
 	}
 }
 
+// TestHistNames pins every histogram's wire name: the keys of
+// Snapshot.Hists, which /v1/stats, RUN.json, heartbeats and the load
+// harness read, and the /metrics family names derive from.
 func TestHistNames(t *testing.T) {
-	seen := map[string]bool{}
-	for h := Hist(0); h < numHists; h++ {
-		n := h.String()
-		if n == "" || n == "hist_unknown" {
-			t.Fatalf("hist %d has no name", h)
-		}
-		if seen[n] {
-			t.Fatalf("duplicate hist name %q", n)
-		}
-		seen[n] = true
+	want := []struct {
+		h    Hist
+		name string
+	}{
+		{StageTraceRead, "stage_trace_read"},
+		{StageDecode, "stage_decode"},
+		{StageBroadcast, "stage_broadcast"},
+		{StageSimulate, "stage_simulate"},
+		{StageFlush, "stage_flush"},
+		{StageCheckpoint, "stage_checkpoint"},
+		{HistQueueWait, "job_queue_wait"},
+		{HistExecution, "job_execution"},
+		{HistRetryBackoff, "job_retry_backoff"},
+		{HistCacheRead, "cache_read"},
+		{HistCacheWrite, "cache_write"},
+		{HistJobLatency, "job_latency"},
+		{HistJournalAppend, "journal_append"},
+		{Hist(-1), "hist_unknown"},
+		{numHists, "hist_unknown"},
 	}
-	if Hist(-1).String() != "hist_unknown" || numHists.String() != "hist_unknown" {
-		t.Fatal("out-of-range Hist must stringify to hist_unknown")
+	if len(want) != int(numHists)+2 {
+		t.Fatalf("table covers %d histograms, want all %d", len(want)-2, numHists)
+	}
+	for _, c := range want {
+		if got := c.h.String(); got != c.name {
+			t.Errorf("Hist(%d).String() = %q, want %q", int(c.h), got, c.name)
+		}
 	}
 }

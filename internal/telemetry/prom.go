@@ -60,16 +60,9 @@ func (p *promWriter) family(name, typ, help string) {
 	p.printf("# TYPE %s %s\n", name, typ)
 }
 
-// histFamily writes one histogram family.  Each series set (one per
-// label set) carries the cumulative buckets, +Inf, _sum and _count.
-// labels is the extra label rendered per series ("" for none).
-func (p *promWriter) histSeries(name, labels string, s *HistSnap) {
-	lbl := func(le string) string {
-		if labels == "" {
-			return fmt.Sprintf(`{le="%s"}`, le)
-		}
-		return fmt.Sprintf(`{%s,le="%s"}`, labels, le)
-	}
+// histSeries writes one histogram family's samples: the cumulative
+// buckets, +Inf, _sum and _count.
+func (p *promWriter) histSeries(name string, s *HistSnap) {
 	var cum uint64
 	for _, b := range s.Buckets {
 		cum += b.N
@@ -80,20 +73,11 @@ func (p *promWriter) histSeries(name, labels string, s *HistSnap) {
 		}
 		// The bucket's exclusive upper bound in seconds: 2*lo (1ns for
 		// the zero bucket).
-		p.printf("%s_bucket%s %d\n", name, lbl(promFloat(float64(b.hi())/1e9)), cum)
+		p.printf("%s_bucket{le=\"%s\"} %d\n", name, promFloat(float64(b.hi())/1e9), cum)
 	}
-	inf := "+Inf"
-	if labels != "" {
-		p.printf("%s_bucket{%s,le=\"%s\"} %d\n", name, labels, inf, s.Count)
-	} else {
-		p.printf("%s_bucket{le=\"%s\"} %d\n", name, inf, s.Count)
-	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	p.printf("%s_sum%s %s\n", name, suffix, promFloat(float64(s.SumNanos)/1e9))
-	p.printf("%s_count%s %d\n", name, suffix, s.Count)
+	p.printf("%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
+	p.printf("%s_sum %s\n", name, promFloat(float64(s.SumNanos)/1e9))
+	p.printf("%s_count %d\n", name, s.Count)
 }
 
 // WritePromText renders a telemetry snapshot as Prometheus text
@@ -101,8 +85,8 @@ func (p *promWriter) histSeries(name, labels string, s *HistSnap) {
 // outside the snapshot (cache sizes, worker counts); build, when
 // non-nil, emits a <ns>_build_info gauge with its entries as labels
 // (injectable so the golden test is deterministic).  Output order is
-// fully deterministic: build info, counters, gauges, stage totals,
-// histograms, shard series -- each sorted by name.
+// fully deterministic: build info, counters, gauges, histograms --
+// each sorted by name.
 func WritePromText(w io.Writer, ns string, s *Snapshot, extra map[string]float64, build map[string]string) error {
 	p := &promWriter{w: w}
 
@@ -121,24 +105,15 @@ func WritePromText(w io.Writer, ns string, s *Snapshot, extra map[string]float64
 		p.printf("%s{%s} 1\n", name, strings.Join(parts, ","))
 	}
 
-	// Counters.  Cumulative-nanosecond counters become seconds to
-	// follow Prometheus base-unit conventions.
 	cnames := make([]string, 0, len(s.Counters))
 	for n := range s.Counters {
 		cnames = append(cnames, n)
 	}
 	sort.Strings(cnames)
 	for _, n := range cnames {
-		v := s.Counters[n]
-		if strings.HasSuffix(n, "_nanos") {
-			name := ns + "_" + strings.TrimSuffix(n, "_nanos") + "_seconds_total"
-			p.family(name, "counter", "Cumulative "+strings.TrimSuffix(n, "_nanos")+" time in seconds.")
-			p.printf("%s %s\n", name, promFloat(float64(v)/1e9))
-			continue
-		}
 		name := ns + "_" + n + "_total"
 		p.family(name, "counter", "Monotonic counter "+n+" (see docs/OBSERVABILITY.md).")
-		p.printf("%s %d\n", name, v)
+		p.printf("%s %d\n", name, s.Counters[n])
 	}
 
 	// Gauges: snapshot gauges then caller extras, one sorted space.
@@ -159,73 +134,17 @@ func WritePromText(w io.Writer, ns string, s *Snapshot, extra map[string]float64
 		p.printf("%s %s\n", g.name, promFloat(g.val))
 	}
 
-	// Stage totals: cumulative seconds and observation counts, one
-	// family each with a stage label.
-	if len(s.StagesMS) > 0 {
-		snames := make([]string, 0, len(s.StagesMS))
-		for n := range s.StagesMS {
-			snames = append(snames, n)
-		}
-		sort.Strings(snames)
-		name := ns + "_stage_seconds_total"
-		p.family(name, "counter", "Cumulative wall time per pipeline stage in seconds.")
-		for _, n := range snames {
-			p.printf("%s{stage=\"%s\"} %s\n", name, promEscape(n), promFloat(s.StagesMS[n]/1e3))
-		}
-	}
-	if len(s.StagesN) > 0 {
-		snames := make([]string, 0, len(s.StagesN))
-		for n := range s.StagesN {
-			snames = append(snames, n)
-		}
-		sort.Strings(snames)
-		name := ns + "_stage_observations_total"
-		p.family(name, "counter", "Observations per pipeline stage (mean latency = stage_seconds_total / this).")
-		for _, n := range snames {
-			p.printf("%s{stage=\"%s\"} %d\n", name, promEscape(n), s.StagesN[n])
-		}
-	}
-
-	// Histograms: stage histograms fold into one family under a stage
-	// label; the service-level set gets a family per histogram.
-	var stageHists, plainHists []string
+	hnames := make([]string, 0, len(s.Hists))
 	for n, hs := range s.Hists {
-		if hs == nil || hs.Count == 0 {
-			continue
-		}
-		if strings.HasPrefix(n, "stage_") {
-			stageHists = append(stageHists, n)
-		} else {
-			plainHists = append(plainHists, n)
+		if hs != nil && hs.Count != 0 {
+			hnames = append(hnames, n)
 		}
 	}
-	sort.Strings(stageHists)
-	sort.Strings(plainHists)
-	if len(stageHists) > 0 {
-		name := ns + "_stage_duration_seconds"
-		p.family(name, "histogram", "Latency distribution per pipeline stage (log2 buckets).")
-		for _, n := range stageHists {
-			p.histSeries(name, fmt.Sprintf(`stage="%s"`, promEscape(strings.TrimPrefix(n, "stage_"))), s.Hists[n])
-		}
-	}
-	for _, n := range plainHists {
+	sort.Strings(hnames)
+	for _, n := range hnames {
 		name := ns + "_" + n + "_seconds"
 		p.family(name, "histogram", "Latency distribution of "+n+" (log2 buckets).")
-		p.histSeries(name, "", s.Hists[n])
-	}
-
-	// Per-shard aggregates.
-	if len(s.Shards) > 0 {
-		name := ns + "_shard_refs_total"
-		p.family(name, "counter", "Trace references fed to each shard worker.")
-		for _, sh := range s.Shards {
-			p.printf("%s{shard=\"%d\"} %d\n", name, sh.Shard, sh.Refs)
-		}
-		name = ns + "_shard_busy_seconds_total"
-		p.family(name, "counter", "Busy (simulating) time per shard worker in seconds.")
-		for _, sh := range s.Shards {
-			p.printf("%s{shard=\"%d\"} %s\n", name, sh.Shard, promFloat(sh.BusyMS/1e3))
-		}
+		p.histSeries(name, s.Hists[n])
 	}
 	return p.err
 }

@@ -14,15 +14,12 @@ func promTestSnapshot() *Snapshot {
 	qw.Observe(1000)
 	sim.Observe(500_000_000)
 	return &Snapshot{
-		Counters: map[string]uint64{"cache_hits": 7, "busy_nanos": 1_500_000_000},
-		Gauges:   map[string]int64{"queue_depth": 2},
-		StagesMS: map[string]float64{"simulate": 2000},
-		StagesN:  map[string]uint64{"simulate": 4},
+		Counters: map[string]uint64{"cache_hits": 7},
+		Gauges:   map[string]int64{"active_workloads": 2},
 		Hists: map[string]*HistSnap{
 			"job_queue_wait": qw.Snap(),
 			"stage_simulate": sim.Snap(),
 		},
-		Shards: []ShardSnap{{Shard: 0, Refs: 100, BusyMS: 1500}},
 	}
 }
 
@@ -41,30 +38,15 @@ func TestWritePromTextGolden(t *testing.T) {
 	const want = `# HELP test_build_info Build information as labels; value is always 1.
 # TYPE test_build_info gauge
 test_build_info{goos="linux",version="v1.2.3"} 1
-# HELP test_busy_seconds_total Cumulative busy time in seconds.
-# TYPE test_busy_seconds_total counter
-test_busy_seconds_total 1.5
 # HELP test_cache_hits_total Monotonic counter cache_hits (see docs/OBSERVABILITY.md).
 # TYPE test_cache_hits_total counter
 test_cache_hits_total 7
-# HELP test_queue_depth Instantaneous value (see docs/OBSERVABILITY.md).
-# TYPE test_queue_depth gauge
-test_queue_depth 2
+# HELP test_active_workloads Instantaneous value (see docs/OBSERVABILITY.md).
+# TYPE test_active_workloads gauge
+test_active_workloads 2
 # HELP test_workers Instantaneous value (see docs/OBSERVABILITY.md).
 # TYPE test_workers gauge
 test_workers 4
-# HELP test_stage_seconds_total Cumulative wall time per pipeline stage in seconds.
-# TYPE test_stage_seconds_total counter
-test_stage_seconds_total{stage="simulate"} 2
-# HELP test_stage_observations_total Observations per pipeline stage (mean latency = stage_seconds_total / this).
-# TYPE test_stage_observations_total counter
-test_stage_observations_total{stage="simulate"} 4
-# HELP test_stage_duration_seconds Latency distribution per pipeline stage (log2 buckets).
-# TYPE test_stage_duration_seconds histogram
-test_stage_duration_seconds_bucket{stage="simulate",le="0.536870912"} 1
-test_stage_duration_seconds_bucket{stage="simulate",le="+Inf"} 1
-test_stage_duration_seconds_sum{stage="simulate"} 0.5
-test_stage_duration_seconds_count{stage="simulate"} 1
 # HELP test_job_queue_wait_seconds Latency distribution of job_queue_wait (log2 buckets).
 # TYPE test_job_queue_wait_seconds histogram
 test_job_queue_wait_seconds_bucket{le="1e-09"} 1
@@ -72,12 +54,12 @@ test_job_queue_wait_seconds_bucket{le="1.024e-06"} 3
 test_job_queue_wait_seconds_bucket{le="+Inf"} 3
 test_job_queue_wait_seconds_sum 2e-06
 test_job_queue_wait_seconds_count 3
-# HELP test_shard_refs_total Trace references fed to each shard worker.
-# TYPE test_shard_refs_total counter
-test_shard_refs_total{shard="0"} 100
-# HELP test_shard_busy_seconds_total Busy (simulating) time per shard worker in seconds.
-# TYPE test_shard_busy_seconds_total counter
-test_shard_busy_seconds_total{shard="0"} 1.5
+# HELP test_stage_simulate_seconds Latency distribution of stage_simulate (log2 buckets).
+# TYPE test_stage_simulate_seconds histogram
+test_stage_simulate_seconds_bucket{le="0.536870912"} 1
+test_stage_simulate_seconds_bucket{le="+Inf"} 1
+test_stage_simulate_seconds_sum 0.5
+test_stage_simulate_seconds_count 1
 `
 	if got := b.String(); got != want {
 		t.Errorf("exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -97,11 +79,11 @@ func TestWritePromTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("own exposition rejected: %v\n%s", err, b.String())
 	}
-	if st.Families != 11 {
-		t.Errorf("families = %d, want 11", st.Families)
+	if st.Families != 6 {
+		t.Errorf("families = %d, want 6", st.Families)
 	}
-	if st.Samples != 18 || st.Series != 18 {
-		t.Errorf("samples/series = %d/%d, want 18/18", st.Samples, st.Series)
+	if st.Samples != 13 || st.Series != 13 {
+		t.Errorf("samples/series = %d/%d, want 13/13", st.Samples, st.Series)
 	}
 }
 

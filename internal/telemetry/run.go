@@ -6,17 +6,6 @@ import (
 	"time"
 )
 
-// MaxShards bounds the per-shard aggregate array.  Shard counts come
-// from GOMAXPROCS, so 256 is far beyond any real machine this runs on;
-// higher indexes are clamped into the last cell rather than dropped.
-const MaxShards = 256
-
-// shardCell is one shard's atomics.
-type shardCell struct {
-	refs      atomic.Uint64
-	busyNanos atomic.Int64
-}
-
 // Options configures a Run recorder.  The zero value is a pure counter
 // recorder: no events, no heartbeat.
 type Options struct {
@@ -35,17 +24,14 @@ type Options struct {
 }
 
 // Run is the live Recorder: pre-sized atomic arrays for counters,
-// gauges, stage histograms and shard aggregates, plus an optional event
-// sink and heartbeat.  All methods are safe for concurrent use.
+// gauges and histograms, plus an optional event sink and heartbeat.
+// All methods are safe for concurrent use.
 type Run struct {
-	start      time.Time
-	counters   [numCounters]atomic.Uint64
-	gauges     [numGauges]atomic.Int64
-	stageHists [numStages]Histogram
-	hists      [numHists]Histogram
-	shards     [MaxShards]shardCell
-	nshards    atomic.Int64 // highest shard index observed + 1
-	seq        atomic.Uint64
+	start    time.Time
+	counters [numCounters]atomic.Uint64
+	gauges   [numGauges]atomic.Int64
+	hists    [numHists]Histogram
+	seq      atomic.Uint64
 
 	opts Options
 
@@ -87,37 +73,10 @@ func (r *Run) SetGauge(g Gauge, v int64) {
 	}
 }
 
-// Observe implements Recorder: the duration lands in the stage's
-// latency histogram, whose count and sum are the stage's observation
-// count and total time.
-func (r *Run) Observe(s Stage, d time.Duration) {
-	if s >= 0 && s < numStages {
-		r.stageHists[s].ObserveDur(d)
-	}
-}
-
-// ObserveDur implements Recorder.
-func (r *Run) ObserveDur(h Hist, d time.Duration) {
+// Observe implements Recorder.
+func (r *Run) Observe(h Hist, d time.Duration) {
 	if h >= 0 && h < numHists {
 		r.hists[h].ObserveDur(d)
-	}
-}
-
-// ShardObserve implements Recorder.
-func (r *Run) ShardObserve(shard int, refs uint64, busy time.Duration) {
-	if shard < 0 {
-		return
-	}
-	if shard >= MaxShards {
-		shard = MaxShards - 1
-	}
-	r.shards[shard].refs.Add(refs)
-	r.shards[shard].busyNanos.Add(int64(busy))
-	for {
-		n := r.nshards.Load()
-		if int64(shard) < n || r.nshards.CompareAndSwap(n, int64(shard)+1) {
-			return
-		}
 	}
 }
 
@@ -159,7 +118,6 @@ func (r *Run) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Counters: make(map[string]uint64, numCounters),
 		Gauges:   make(map[string]int64, numGauges),
-		StagesMS: make(map[string]float64, numStages),
 	}
 	for c := Counter(0); c < numCounters; c++ {
 		if v := r.counters[c].Load(); v != 0 {
@@ -171,23 +129,6 @@ func (r *Run) Snapshot() *Snapshot {
 			s.Gauges[g.String()] = v
 		}
 	}
-	for st := Stage(0); st < numStages; st++ {
-		hs := r.stageHists[st].Snap()
-		if hs == nil {
-			continue
-		}
-		if hs.SumNanos != 0 {
-			s.StagesMS[st.String()] = float64(hs.SumNanos) / 1e6
-		}
-		if s.StagesN == nil {
-			s.StagesN = make(map[string]uint64, numStages)
-		}
-		s.StagesN[st.String()] = hs.Count
-		if s.Hists == nil {
-			s.Hists = make(map[string]*HistSnap)
-		}
-		s.Hists["stage_"+st.String()] = hs
-	}
 	for h := Hist(0); h < numHists; h++ {
 		if hs := r.hists[h].Snap(); hs != nil {
 			if s.Hists == nil {
@@ -195,13 +136,6 @@ func (r *Run) Snapshot() *Snapshot {
 			}
 			s.Hists[h.String()] = hs
 		}
-	}
-	for i := int64(0); i < r.nshards.Load(); i++ {
-		s.Shards = append(s.Shards, ShardSnap{
-			Shard:  int(i),
-			Refs:   r.shards[i].refs.Load(),
-			BusyMS: float64(r.shards[i].busyNanos.Load()) / 1e6,
-		})
 	}
 	return s
 }

@@ -39,9 +39,8 @@ func (m *memSink) all() []Event {
 	return append([]Event(nil), m.events...)
 }
 
-// TestRunSnapshot: counters, gauges, stages and shard aggregates all
-// land in the snapshot under their wire names, and zero entries are
-// omitted.
+// TestRunSnapshot: counters, gauges and histograms all land in the
+// snapshot under their wire names, and zero entries are omitted.
 func TestRunSnapshot(t *testing.T) {
 	r := NewRun(Options{})
 	r.Add(RefsRead, 100)
@@ -51,8 +50,7 @@ func TestRunSnapshot(t *testing.T) {
 	r.Observe(StageSimulate, 2*time.Millisecond)
 	r.Observe(StageSimulate, 1*time.Millisecond)
 	r.Observe(StageFlush, 0)
-	r.ShardObserve(0, 50, time.Millisecond)
-	r.ShardObserve(2, 73, 2*time.Millisecond)
+	r.Observe(HistQueueWait, time.Millisecond)
 
 	s := r.Snapshot()
 	if got := s.Counter(RefsRead); got != 123 {
@@ -67,40 +65,30 @@ func TestRunSnapshot(t *testing.T) {
 	if got := s.Gauges["free_ring_occupancy"]; got != 3 {
 		t.Errorf("free_ring_occupancy = %d, want 3", got)
 	}
-	if got := s.StagesMS["simulate"]; got != 3.0 {
-		t.Errorf("simulate stage = %vms, want 3ms", got)
+	// A stage's observation count and total time are its histogram's
+	// count and sum; a stage observed only at zero duration has a count
+	// and a zero sum.
+	if hs := s.Hists["stage_simulate"]; hs == nil || hs.Count != 2 || hs.SumNanos != uint64(3*time.Millisecond) {
+		t.Errorf("stage_simulate = %+v, want count 2, sum 3ms", hs)
 	}
-	// Stage totals and counts come from the stage histograms: a stage
-	// observed only at zero duration has a count but no total.
-	if got := s.StagesN["simulate"]; got != 2 {
-		t.Errorf("simulate observations = %d, want 2", got)
+	if hs := s.Hists["stage_flush"]; hs == nil || hs.Count != 1 || hs.SumNanos != 0 {
+		t.Errorf("zero-duration stage_flush = %+v, want count 1, sum 0", hs)
 	}
-	if _, ok := s.StagesMS["flush"]; ok || s.StagesN["flush"] != 1 {
-		t.Errorf("zero-duration flush: stages_ms %v, stages_n %v; want no total and one observation", s.StagesMS, s.StagesN)
+	if hs := s.Hist(HistQueueWait); hs == nil || hs.Count != 1 {
+		t.Errorf("job_queue_wait = %+v, want count 1", hs)
 	}
-	if _, ok := s.StagesN["decode"]; ok {
-		t.Error("unobserved stage decode present in stages_n")
-	}
-	// Shard 1 was never observed but sits inside the observed range, so
-	// it appears with zeros; the range ends at the highest shard seen.
-	if len(s.Shards) != 3 {
-		t.Fatalf("shards = %d entries, want 3", len(s.Shards))
-	}
-	if s.Shards[2].Refs != 73 || s.Shards[2].BusyMS != 2.0 {
-		t.Errorf("shard 2 = %+v, want refs 73 busy 2ms", s.Shards[2])
-	}
-	if s.Shards[1].Refs != 0 {
-		t.Errorf("unobserved shard 1 refs = %d, want 0", s.Shards[1].Refs)
+	if _, ok := s.Hists["stage_decode"]; ok {
+		t.Error("unobserved stage_decode present in hists")
 	}
 
 	// Out-of-range identifiers must be ignored, not corrupt memory.
 	r.Add(Counter(-1), 1)
 	r.Add(numCounters, 1)
-	r.Observe(numStages, time.Second)
-	r.ShardObserve(-1, 9, 0)
-	r.ShardObserve(MaxShards+10, 9, 0) // clamps into the last cell
-	if got := len(r.Snapshot().Shards); got != MaxShards {
-		t.Errorf("after clamped observe, shards = %d, want %d", got, MaxShards)
+	r.SetGauge(numGauges, 1)
+	r.Observe(Hist(-1), time.Second)
+	r.Observe(numHists, time.Second)
+	if got := len(r.Snapshot().Hists); got != 3 {
+		t.Errorf("after out-of-range observes, hists = %d entries, want 3", got)
 	}
 }
 
@@ -203,7 +191,6 @@ func TestRunConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Add(RefsSimulated, 2)
 				r.Observe(StageSimulate, time.Microsecond)
-				r.ShardObserve(w, 1, time.Microsecond)
 				r.SetGauge(ActiveWorkloads, int64(w))
 			}
 			r.Emit(&Event{Type: EventShardStat, ShardStat: &ShardStat{Workload: "W", Shard: w}})
@@ -214,13 +201,8 @@ func TestRunConcurrentUpdates(t *testing.T) {
 	if got := s.Counter(RefsSimulated); got != workers*perWorker*2 {
 		t.Errorf("refs_simulated = %d, want %d", got, workers*perWorker*2)
 	}
-	if len(s.Shards) != workers {
-		t.Fatalf("shards = %d, want %d", len(s.Shards), workers)
-	}
-	for _, sh := range s.Shards {
-		if sh.Refs != perWorker {
-			t.Errorf("shard %d refs = %d, want %d", sh.Shard, sh.Refs, perWorker)
-		}
+	if hs := s.Hist(StageSimulate); hs == nil || hs.Count != workers*perWorker || hs.SumNanos != uint64(workers*perWorker*time.Microsecond) {
+		t.Errorf("stage_simulate = %+v, want count and sum exact over %d observations of 1us", hs, workers*perWorker)
 	}
 	// Sequence numbers must be unique even under contention.
 	seen := map[uint64]bool{}
@@ -284,7 +266,6 @@ func TestNopAndOrNop(t *testing.T) {
 	Nop.Add(RefsRead, 1)
 	Nop.SetGauge(FreeRingOccupancy, 1)
 	Nop.Observe(StageFlush, time.Second)
-	Nop.ShardObserve(0, 1, time.Second)
 	Nop.Emit(&Event{})
 	if OrNop(nil) != Nop {
 		t.Error("OrNop(nil) != Nop")

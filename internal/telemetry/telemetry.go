@@ -1,5 +1,5 @@
 // Package telemetry is the observability layer of the simulation
-// pipeline: runtime counters, stage timings, a structured event
+// pipeline: runtime counters, latency histograms, a structured event
 // stream, run manifests and profiling hooks, shared by every command
 // and threaded through the sweep executors.
 //
@@ -39,15 +39,9 @@ type Recorder interface {
 	Add(c Counter, n uint64)
 	// SetGauge records the current value of an instantaneous gauge.
 	SetGauge(g Gauge, v int64)
-	// Observe accumulates wall time into a pipeline stage, and records
-	// the same duration in the stage's latency histogram.
-	Observe(s Stage, d time.Duration)
-	// ObserveDur records one duration in a service-level latency
-	// histogram.
-	ObserveDur(h Hist, d time.Duration)
-	// ShardObserve accumulates one shard worker's fed references and
-	// busy time (time spent simulating, not waiting).
-	ShardObserve(shard int, refs uint64, busy time.Duration)
+	// Observe records one duration in a latency histogram: a pipeline
+	// stage or a service hot point.
+	Observe(h Hist, d time.Duration)
 	// Emit appends a structured event to the recorder's sink, stamping
 	// its sequence number and elapsed time.  Events are a side channel:
 	// emission failures are counted, never propagated into simulation.
@@ -57,13 +51,11 @@ type Recorder interface {
 // nop is the disabled recorder.
 type nop struct{}
 
-func (nop) Enabled() bool                           { return false }
-func (nop) Add(Counter, uint64)                     {}
-func (nop) SetGauge(Gauge, int64)                   {}
-func (nop) Observe(Stage, time.Duration)            {}
-func (nop) ObserveDur(Hist, time.Duration)          {}
-func (nop) ShardObserve(int, uint64, time.Duration) {}
-func (nop) Emit(*Event)                             {}
+func (nop) Enabled() bool               { return false }
+func (nop) Add(Counter, uint64)         {}
+func (nop) SetGauge(Gauge, int64)       {}
+func (nop) Observe(Hist, time.Duration) {}
+func (nop) Emit(*Event)                 {}
 
 // Nop is the recorder that records nothing, the pipeline-wide default.
 var Nop Recorder = nop{}
