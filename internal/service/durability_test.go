@@ -77,18 +77,20 @@ func TestCrashRecoveryReplay(t *testing.T) {
 	shutdownNow(t, s0, ts0)
 
 	// Forge the crash: an admitted record with no terminal transition,
-	// as submit would have journaled it just before the power went out.
+	// as submit would have journaled it just before the power went out,
+	// followed by the "started" record older servers wrote next, which
+	// replay skips.
 	raw, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, filepath.Join(dir, "jobs.jsonl"),
 		JournalRecord{Kind: KindAdmitted, FP: fp, Tenant: "crashed", Req: raw},
-		JournalRecord{Kind: KindStarted, FP: fp},
+		JournalRecord{Kind: "started", FP: fp},
 	)
 
 	hook, started, release := blockingHook()
-	s, ts := newTestServer(t, Options{Dir: dir, Workers: 1, JobHook: hook})
+	s, ts := newTestServer(t, Options{Dir: dir, Workers: 1, SweepHook: hook})
 
 	// The job is re-admitted and starts running; until it finishes the
 	// server is alive (healthz) but not ready (readyz).
@@ -262,7 +264,7 @@ func TestDrainThenRestart(t *testing.T) {
 		t.Fatalf("submit: code %d", code)
 	}
 	fp := resp.ID
-	ckpt := s.checkpointPath(fp)
+	ckpt := s.store.checkpointPath(fp)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if fi, err := os.Stat(ckpt); err == nil && fi.Size() > 0 {
@@ -349,7 +351,7 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 			fp := first.ID
 			shutdownNow(t, s, ts)
 
-			path := s.cachePath(fp)
+			path := s.store.path(fp)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -385,8 +387,9 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 }
 
 // TestCacheTTLEviction proves expiry end to end: a result older than
-// the TTL is evicted (checkpoint included), counted, journaled, and
-// re-simulated identically on the next request.
+// the TTL is evicted (checkpoint included) and counted, its id answers
+// 404, and the next request re-simulates it identically.  The journal
+// records only the two admissions and completions.
 func TestCacheTTLEviction(t *testing.T) {
 	dir := t.TempDir()
 	ttl := 200 * time.Millisecond
@@ -403,6 +406,9 @@ func TestCacheTTLEviction(t *testing.T) {
 	}
 
 	time.Sleep(ttl + 250*time.Millisecond)
+	if code := getCode(t, ts, fp); code != http.StatusNotFound {
+		t.Fatalf("GET of the expired id: code %d, want 404", code)
+	}
 	code, resp := post(t, ts, req, true)
 	if code != http.StatusOK {
 		t.Fatalf("post-TTL submit: code %d (%s)", code, resp.Error)
@@ -421,16 +427,25 @@ func TestCacheTTLEviction(t *testing.T) {
 	if res := resultOf(t, resp.Result); res.Resumed != 0 {
 		t.Errorf("post-TTL run resumed %d workloads, want 0 (checkpoint reclaimed)", res.Resumed)
 	}
-	// The eviction is journaled.
-	if !journalHasKind(t, filepath.Join(dir, "jobs.jsonl"), KindEvicted, fp) {
-		t.Error("no evicted journal record for the expired fingerprint")
+	jf, err := os.Open(filepath.Join(dir, "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	st, err := ValidateJournal(jf)
+	if err != nil {
+		t.Fatalf("journal invalid: %v", err)
+	}
+	if want := map[string]int{KindAdmitted: 2, KindCompleted: 2}; !reflect.DeepEqual(st.ByKind, want) {
+		t.Errorf("journal records %v, want %v", st.ByKind, want)
 	}
 }
 
 // TestCacheSizeCapLRU proves the size cap: with a cap too small for
 // two entries, completing a second sweep evicts the least-recently-used
 // first one -- but keeps its checkpoint journal, so re-requesting it
-// resumes instead of re-simulating.
+// resumes instead of re-simulating.  The cap bounds what done jobs
+// hold: they leave the job table, and the evicted id answers 404.
 func TestCacheSizeCapLRU(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, CacheMaxBytes: 1})
 	reqA, reqB := smallRequest(2600), smallRequest(2601)
@@ -447,6 +462,15 @@ func TestCacheSizeCapLRU(t *testing.T) {
 	}
 	if entries, _ := s.store.stats(); entries != 1 {
 		t.Fatalf("store holds %d entries over a 1-byte cap, want 1", entries)
+	}
+	s.mu.Lock()
+	held := len(s.jobs)
+	s.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("job table holds %d jobs after both finished, want 0", held)
+	}
+	if code := getCode(t, ts, firstA.ID); code != http.StatusNotFound {
+		t.Fatalf("GET of the evicted id: code %d, want 404", code)
 	}
 
 	// A's result is gone but its checkpoint survived: the re-request
@@ -502,7 +526,7 @@ func TestTransientRetry(t *testing.T) {
 		var attempts atomic.Int32
 		s, ts := newTestServer(t, Options{
 			Workers: 1, MaxRetries: 2, RetryBackoff: time.Millisecond,
-			SweepHook: func(req *sweep.Request, fp string, attempt int) {
+			SweepHook: func(_ context.Context, req *sweep.Request, fp string, attempt int) {
 				attempts.Add(1)
 				if attempt == 0 {
 					req.Hooks = faultinject.SourceHooks("OPSYS", faultinject.ShortRead, 500)
@@ -537,7 +561,7 @@ func TestTransientRetry(t *testing.T) {
 		var attempts atomic.Int32
 		s, ts := newTestServer(t, Options{
 			Workers: 1, MaxRetries: 2, RetryBackoff: time.Millisecond,
-			SweepHook: func(req *sweep.Request, fp string, attempt int) {
+			SweepHook: func(_ context.Context, req *sweep.Request, fp string, attempt int) {
 				attempts.Add(1)
 				req.Hooks = faultinject.SourceHooks("OPSYS", faultinject.SourcePanic, 500)
 			},
@@ -577,25 +601,13 @@ func TestReadyzDraining(t *testing.T) {
 	}
 }
 
-// journalHasKind reports whether the journal at path holds a record of
-// the given kind for the given fingerprint.
-func journalHasKind(t *testing.T, path, kind, fp string) bool {
+// getCode answers the status code of GET /v1/sweeps/{id}.
+func getCode(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
-	b, err := os.ReadFile(path)
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range bytes.Split(b, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
-		if rec.Kind == kind && rec.FP == fp {
-			return true
-		}
-	}
-	return false
+	resp.Body.Close()
+	return resp.StatusCode
 }

@@ -12,7 +12,8 @@
 //	                           re-run, 200 otherwise
 //
 // Status codes: 200 done (result or cache hit), 202 accepted
-// (queued/running/deduped), 400 invalid request, 404 unknown id, 409
+// (queued/running/deduped), 400 invalid request, 404 unknown id (one
+// not of the form resolve gives, or whose result was evicted), 409
 // failed/canceled job, 429 admission refused (queue full or tenant
 // over quota), 503 draining.
 package service
@@ -131,22 +132,24 @@ func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (SweepRequest, erro
 	return wire, nil
 }
 
-// handleStatus reports one job (or cached result) by fingerprint id.
+// handleStatus reports one job, or a stored result, by fingerprint id.
+// A done job is no longer in the table, and finishLocked removes it
+// only after its result is in the store.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if !jobIDPattern.MatchString(id) {
+		writeNotFound(w, id)
+		return
+	}
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	var cached []byte
-	if !ok {
-		cached = s.cachedLocked(id)
-	}
 	s.mu.Unlock()
 	if !ok {
-		if cached != nil {
-			writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Status: string(StatusDone), Cached: true, Result: cached})
+		if b := s.store.get(id); b != nil {
+			writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Status: string(StatusDone), Cached: true, Result: b})
 			return
 		}
-		writeJSON(w, http.StatusNotFound, SubmitResponse{ID: id, Status: "unknown", Error: "no such sweep"})
+		writeNotFound(w, id)
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {
@@ -190,19 +193,19 @@ func (s *Server) writeJobStatus(w http.ResponseWriter, j *job) {
 
 // handleEvents serves a job's JSONL telemetry stream as written so
 // far (heartbeats flush it, so a live job's stream is current to the
-// last beat).
+// last beat).  A job's stream exists from its admission on, so the
+// file alone answers, and a restarted server still serves the streams
+// left on disk.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	_, known := s.jobs[id]
-	s.mu.Unlock()
+	if !jobIDPattern.MatchString(id) {
+		writeNotFound(w, id)
+		return
+	}
 	path := s.eventsPath(id)
-	if !known {
-		// A restarted server still serves streams left on disk.
-		if _, err := os.Stat(path); err != nil {
-			writeJSON(w, http.StatusNotFound, SubmitResponse{ID: id, Status: "unknown", Error: "no such sweep"})
-			return
-		}
+	if _, err := os.Stat(path); err != nil {
+		writeNotFound(w, id)
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	http.ServeFile(w, r, path)
@@ -279,6 +282,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", telemetry.PromContentType)
 	telemetry.WritePromText(w, "sweepd", snap, extra, build)
+}
+
+func writeNotFound(w http.ResponseWriter, id string) {
+	writeJSON(w, http.StatusNotFound, SubmitResponse{ID: id, Status: "unknown", Error: "no such sweep"})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

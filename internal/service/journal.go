@@ -1,24 +1,25 @@
 // Job journal: crash-safe persistence of the service's job table.
 //
-// Every job state transition -- admitted, started, completed, failed,
-// canceled, evicted -- is one appended JSON line in <dir>/jobs.jsonl,
-// following the internal/sweep checkpoint record conventions: a schema
-// version, a per-record SHA-256 checksum over the serialised payload,
-// one fsynced append per record, and torn-tail tolerance on load (a
-// record killed mid-write fails its checksum and is skipped, never
-// half-trusted).  The admitted record carries the full wire request
-// (as raw JSON, so its checksum covers the bytes as written), so
-// startup replay can reconstruct and re-admit every job that never
-// reached a terminal state: the crash-recovery half of the service's
-// "every admitted job reaches a terminal state exactly once" contract.
-// Because the job id is the request fingerprint, a client polling a
-// recovered id lands on the re-admitted job via the ordinary
-// singleflight path, and the re-run resumes bit-identically from the
-// job's per-fingerprint checkpoint journal.
+// A job's admission and its terminal state -- admitted, then completed,
+// failed or canceled -- are each one appended JSON line in
+// <dir>/jobs.jsonl, following the internal/sweep checkpoint record
+// conventions: a schema version, a per-record SHA-256 checksum over the
+// serialised payload, one fsynced append per record, and torn-tail
+// tolerance on load (a record killed mid-write fails its checksum and
+// is skipped, never half-trusted).  The journal holds only what replay
+// reads.  The admitted record carries the full wire request (as raw
+// JSON, so its checksum covers the bytes as written), so startup replay
+// can reconstruct and re-admit every job that never reached a terminal
+// state: the crash-recovery half of the service's "every admitted job
+// reaches a terminal state exactly once" contract.  Because the job id
+// is the request fingerprint, a client polling a recovered id lands on
+// the re-admitted job via the ordinary singleflight path, and the
+// re-run resumes bit-identically from the job's per-fingerprint
+// checkpoint journal.
 //
 // On open the journal is compacted: terminal jobs need no records (the
-// verified result cache serves them), so the rewritten file holds one
-// admitted record per non-terminal job, written atomically
+// verified result cache serves them), so the rewritten file holds the
+// admitted record of each non-terminal job, written atomically
 // (telemetry.WriteFileAtomic) before appends resume.  That bounds the
 // file across restarts without ever losing a live job.
 package service
@@ -48,8 +49,6 @@ const (
 	// KindAdmitted: the job passed admission control onto the queue;
 	// the record carries the wire request for crash replay.
 	KindAdmitted = "admitted"
-	// KindStarted: a worker began simulating the job.
-	KindStarted = "started"
 	// KindCompleted: the job finished; its result is in the cache.
 	KindCompleted = "completed"
 	// KindFailed: the sweep returned a non-retryable (or
@@ -58,20 +57,16 @@ const (
 	// KindCanceled: drain cut the job short before or during
 	// simulation; the client was told, so replay does not re-admit it.
 	KindCanceled = "canceled"
-	// KindEvicted: the job's cached result was removed by TTL or
-	// size-cap eviction; the job stays terminal, a resubmission
-	// re-simulates (resuming from its checkpoint journal if present).
-	KindEvicted = "evicted"
 )
 
-// journalKinds is the closed transition vocabulary.
+// journalKinds is the closed transition vocabulary.  Records of any
+// other kind, such as the "started" and "evicted" records that older
+// servers wrote, fail verification: the loader skips them.
 var journalKinds = map[string]bool{
 	KindAdmitted:  true,
-	KindStarted:   true,
 	KindCompleted: true,
 	KindFailed:    true,
 	KindCanceled:  true,
-	KindEvicted:   true,
 }
 
 // JournalRecord is one job state transition.  Sum is the hex SHA-256 of
@@ -135,20 +130,6 @@ func (r *JournalRecord) verify() error {
 	return nil
 }
 
-// jobState is one fingerprint's replayed journal state: its last
-// transition plus the admission context needed to re-admit it.
-type jobState struct {
-	fp     string
-	kind   string
-	tenant string
-	req    json.RawMessage
-}
-
-// terminal reports whether the state needs no recovery.
-func (s jobState) terminal() bool {
-	return s.kind != KindAdmitted && s.kind != KindStarted
-}
-
 // jobJournal is the open job-table write-ahead journal.  Safe for
 // concurrent Append calls; the service appends under its own mutex
 // anyway, so transitions land in the order the job table changed.
@@ -163,15 +144,17 @@ type jobJournal struct {
 }
 
 // openJobJournal loads, compacts and reopens the journal at path.  It
-// returns the journal plus every non-terminal job in admission order,
-// ready for re-admission.  The compacted file -- one fresh admitted
-// record per recovered job -- is written atomically before appends
-// resume, so a crash during open leaves either the old journal or the
-// compacted one, never a torn mix.
-func openJobJournal(path string, rec telemetry.Recorder) (*jobJournal, []jobState, error) {
+// returns the journal plus the admitted record of every non-terminal
+// job, in first-record order, ready for re-admission.  Replay is
+// last-record-wins: a job is live iff its last valid record is
+// admitted.  The compacted file -- those admitted records, as verified
+// -- is written atomically before appends resume, so a crash during
+// open leaves either the old journal or the compacted one, never a torn
+// mix.
+func openJobJournal(path string, rec telemetry.Recorder) (*jobJournal, []JournalRecord, error) {
 	j := &jobJournal{path: path, rec: telemetry.OrNop(rec)}
-	states := make(map[string]jobState)
-	var order []string // first-admission order of live fingerprints
+	last := make(map[string]JournalRecord)
+	var order []string // first-record order of fingerprints
 	if f, err := os.Open(path); err == nil {
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 1<<16), 1<<26)
@@ -185,16 +168,10 @@ func openJobJournal(path string, rec telemetry.Recorder) (*jobJournal, []jobStat
 				j.Skipped++
 				continue
 			}
-			prev, seen := states[r.FP]
-			next := jobState{fp: r.FP, kind: r.Kind, tenant: r.Tenant, req: r.Req}
-			if r.Kind != KindAdmitted && seen {
-				// Non-admission transitions keep the admission context.
-				next.tenant, next.req = prev.tenant, prev.req
-			}
-			states[r.FP] = next
-			if !seen {
+			if _, seen := last[r.FP]; !seen {
 				order = append(order, r.FP)
 			}
+			last[r.FP] = r
 		}
 		if err := sc.Err(); err != nil {
 			// An unreadable tail invalidates nothing already verified.
@@ -205,28 +182,20 @@ func openJobJournal(path string, rec telemetry.Recorder) (*jobJournal, []jobStat
 		return nil, nil, fmt.Errorf("service: job journal: %w", err)
 	}
 
-	var recovered []jobState
+	var recovered []JournalRecord
 	var compacted bytes.Buffer
 	for _, fp := range order {
-		st := states[fp]
-		if st.terminal() || st.req == nil {
+		r := last[fp]
+		if r.Kind != KindAdmitted {
 			continue
 		}
-		r := JournalRecord{
-			V: JournalVersion, Kind: KindAdmitted, FP: fp,
-			Tenant: st.tenant, Req: st.req, UnixMS: time.Now().UnixMilli(),
-		}
-		sum, err := r.sum()
-		if err != nil {
-			return nil, nil, fmt.Errorf("service: job journal: %w", err)
-		}
-		r.Sum = sum
+		// r verified, so its marshalled form carries a valid sum.
 		b, err := json.Marshal(r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("service: job journal: %w", err)
 		}
 		compacted.Write(append(b, '\n'))
-		recovered = append(recovered, st)
+		recovered = append(recovered, r)
 	}
 	if err := telemetry.WriteFileAtomic(path, compacted.Bytes(), 0o644); err != nil {
 		return nil, nil, fmt.Errorf("service: job journal: %w", err)

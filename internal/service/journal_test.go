@@ -45,48 +45,68 @@ func recoveredFPs(t *testing.T, path string) ([]string, int) {
 	}
 	defer j.Close()
 	fps := make([]string, 0, len(recovered))
-	for _, st := range recovered {
-		fps = append(fps, st.fp)
+	for _, r := range recovered {
+		fps = append(fps, r.FP)
 	}
 	return fps, j.Skipped
 }
 
 // TestJournalReplaySemantics pins last-record-wins replay: only jobs
-// whose final transition is admitted or started are recovered, in
-// first-admission order, and compaction rewrites exactly them.
+// whose final valid transition is admitted are recovered, in
+// first-record order, and compaction rewrites exactly their admitted
+// records.  The "started" and "evicted" records older servers wrote
+// fail the kind check and are skipped, so an old journal replays to the
+// same jobs, save one whose eviction record landed after a
+// re-admission: that job was live, and is now recovered.
 func TestJournalReplaySemantics(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	appendAll(t, path,
-		JournalRecord{Kind: KindAdmitted, FP: "a", Tenant: "t1", Req: journalWire(1000)},
-		JournalRecord{Kind: KindAdmitted, FP: "b", Req: journalWire(1001)},
-		JournalRecord{Kind: KindStarted, FP: "a"},
-		JournalRecord{Kind: KindAdmitted, FP: "c", Req: journalWire(1002)},
-		JournalRecord{Kind: KindCompleted, FP: "b"},
-		JournalRecord{Kind: KindAdmitted, FP: "d", Req: journalWire(1003)},
-		JournalRecord{Kind: KindCanceled, FP: "d", Error: "drained"},
-		JournalRecord{Kind: KindEvicted, FP: "b"},
-	)
-	fps, skipped := recoveredFPs(t, path)
-	if want := []string{"a", "c"}; !equalStrings(fps, want) {
-		t.Fatalf("recovered %v, want %v (a started, c admitted; b completed, d canceled)", fps, want)
+	cases := []struct {
+		name    string
+		recs    []JournalRecord
+		want    []string
+		skipped int
+	}{
+		{"mixed", []JournalRecord{
+			{Kind: KindAdmitted, FP: "a", Tenant: "t1", Req: journalWire(1000)},
+			{Kind: KindAdmitted, FP: "b", Req: journalWire(1001)},
+			{Kind: "started", FP: "a"},
+			{Kind: KindAdmitted, FP: "c", Req: journalWire(1002)},
+			{Kind: KindCompleted, FP: "b"},
+			{Kind: KindAdmitted, FP: "d", Req: journalWire(1003)},
+			{Kind: KindCanceled, FP: "d", Error: "drained"},
+			{Kind: "evicted", FP: "b"},
+		}, []string{"a", "c"}, 2},
+		{"eviction after re-admission", []JournalRecord{
+			{Kind: KindAdmitted, FP: "x", Req: journalWire(1000)},
+			{Kind: KindCompleted, FP: "x"},
+			{Kind: KindAdmitted, FP: "x", Req: journalWire(1000)},
+			{Kind: "evicted", FP: "x"},
+		}, []string{"x"}, 1},
 	}
-	if skipped != 0 {
-		t.Fatalf("skipped %d lines in a clean journal", skipped)
-	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		appendAll(t, path, tc.recs...)
+		fps, skipped := recoveredFPs(t, path)
+		if !equalStrings(fps, tc.want) {
+			t.Fatalf("%s: recovered %v, want %v", tc.name, fps, tc.want)
+		}
+		if skipped != tc.skipped {
+			t.Fatalf("%s: skipped %d lines, want %d (the old kinds)", tc.name, skipped, tc.skipped)
+		}
 
-	// The compacted file holds exactly one admitted record per live job
-	// and validates strictly.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	stats, err := ValidateJournal(f)
-	if err != nil {
-		t.Fatalf("compacted journal invalid: %v", err)
-	}
-	if stats.Records != 2 || stats.ByKind[KindAdmitted] != 2 {
-		t.Fatalf("compacted journal: %d records %v, want 2 admitted", stats.Records, stats.ByKind)
+		// The compacted file holds exactly one admitted record per live
+		// job and validates strictly.
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := ValidateJournal(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: compacted journal invalid: %v", tc.name, err)
+		}
+		if stats.Records != len(tc.want) || stats.ByKind[KindAdmitted] != len(tc.want) {
+			t.Fatalf("%s: compacted journal: %d records %v, want %d admitted", tc.name, stats.Records, stats.ByKind, len(tc.want))
+		}
 	}
 }
 
@@ -101,7 +121,6 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	appendAll(t, path,
 		JournalRecord{Kind: KindAdmitted, FP: "a", Req: journalWire(1000)},
 		JournalRecord{Kind: KindAdmitted, FP: "b", Req: journalWire(1001)},
-		JournalRecord{Kind: KindStarted, FP: "b"},
 		JournalRecord{Kind: KindCompleted, FP: "b"},
 	)
 	full, err := os.ReadFile(path)
@@ -125,7 +144,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 			}
 		} else {
 			// The completion is torn: it must be skipped whole, leaving
-			// b's last intact record (started) to drive recovery.
+			// b's last intact record (admitted) to drive recovery.
 			if want := []string{"a", "b"}; !equalStrings(fps, want) {
 				t.Fatalf("cut %d/%d: recovered %v, want %v", cut, len(full), fps, want)
 			}
@@ -146,7 +165,7 @@ func TestJournalAppendAfterCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != 1 || recovered[0].fp != "a" {
+	if len(recovered) != 1 || recovered[0].FP != "a" {
 		t.Fatalf("recovered %+v, want [a]", recovered)
 	}
 	if err := j.append(JournalRecord{Kind: KindCompleted, FP: "a"}); err != nil {

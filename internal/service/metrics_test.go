@@ -4,6 +4,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"subcache/internal/faultinject"
+	"subcache/internal/sweep"
 	"subcache/internal/telemetry"
 )
 
@@ -98,8 +101,7 @@ func TestServiceStatsCarriesVersionAndHists(t *testing.T) {
 // TestJournalAppendTimed: every job-journal append -- the record's
 // write and fsync -- is one journal_append observation, so after a
 // completed job the histogram's count equals the records in the
-// journal file, at least the job's admitted, started and completed
-// ones.
+// journal file, at least the job's admitted and completed ones.
 func TestJournalAppendTimed(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Options{Workers: 1, Dir: dir})
@@ -119,33 +121,48 @@ func TestJournalAppendTimed(t *testing.T) {
 		if h := s.Stats().Hist(telemetry.HistJournalAppend); h != nil {
 			appends = h.Count
 		}
-		if records >= 3 && appends == uint64(records) {
+		if records >= 2 && appends == uint64(records) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("journal_append count %d, journal records %d: want equal, at least 3", appends, records)
+			t.Fatalf("journal_append count %d, journal records %d: want equal, at least 2", appends, records)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestTerminalJobReleasesTelemetry: the server keeps every job for
-// its life, so a terminal job must not keep its closed recorder, the
-// recorder's sink and write buffer, or its spans.
+// TestTerminalJobReleasesTelemetry: a done job leaves the job table,
+// its result served from the store, and a failed job, which stays for
+// its 409, keeps no closed recorder, recorder sink and write buffer, or
+// spans.
 func TestTerminalJobReleasesTelemetry(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1})
-	code, sub := post(t, ts, smallRequest(4000), true)
+	s, ts := newTestServer(t, Options{
+		Workers: 1,
+		SweepHook: func(_ context.Context, req *sweep.Request, _ string, _ int) {
+			if req.Refs == 4001 {
+				req.Hooks = faultinject.SourceHooks("OPSYS", faultinject.SourcePanic, 500)
+			}
+		},
+	})
+	code, done := post(t, ts, smallRequest(4000), true)
 	if code != http.StatusOK {
-		t.Fatalf("submit: code %d (%s)", code, sub.Error)
+		t.Fatalf("submit: code %d (%s)", code, done.Error)
+	}
+	code, failed := post(t, ts, smallRequest(4001), true)
+	if code != http.StatusConflict {
+		t.Fatalf("panicking submit: code %d (%s), want 409", code, failed.Error)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[sub.ID]
+	if _, ok := s.jobs[done.ID]; ok {
+		t.Errorf("done job %s still in the job table", done.ID)
+	}
+	j := s.jobs[failed.ID]
 	if j == nil {
-		t.Fatalf("job %s not kept", sub.ID)
+		t.Fatalf("failed job %s not kept", failed.ID)
 	}
 	if j.rec != nil || j.span != nil || j.qspan != nil {
-		t.Errorf("terminal job still holds telemetry: rec %p, span %p, qspan %p", j.rec, j.span, j.qspan)
+		t.Errorf("failed job still holds telemetry: rec %p, span %p, qspan %p", j.rec, j.span, j.qspan)
 	}
 }
 

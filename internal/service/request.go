@@ -9,6 +9,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"time"
 
 	"subcache/internal/sweep"
@@ -121,6 +122,12 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 	}
 	return req, fp, nil
 }
+
+// jobIDPattern is the form of every job id resolve produces: a request
+// fingerprint, plus the workload-subset suffix.  The HTTP routes refuse
+// an id of any other form before it can reach a table, the store or a
+// file path.
+var jobIDPattern = regexp.MustCompile(`^[0-9a-f]{16}(-w[0-9]+)?$`)
 
 // resolveJournaled decodes and resolves the request of a journaled
 // admission.  The decode is lenient, unlike a POST's: a record that an

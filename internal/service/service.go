@@ -8,21 +8,25 @@
 // simulation, one result-cache entry, and one checkpoint journal.
 // Concurrent identical requests are deduplicated singleflight-style
 // (they join the in-flight job and all observe its one result), and a
-// completed fingerprint is never re-simulated: results are cached in
-// memory and in the verified on-disk store (<dir>/cache/<fp>.json,
-// written atomically, checksummed on read, TTL- and size-bounded; see
-// store.go).
+// completed fingerprint is never re-simulated: its result lives in the
+// verified store (<dir>/cache/<fp>.json, written atomically,
+// checksummed on read, kept in memory once read or written, TTL- and
+// size-bounded; see store.go), the service's only result cache.
 //
-// The job table itself is durable: every state transition is one
-// fsynced record in the <dir>/jobs.jsonl write-ahead journal (see
-// journal.go), so a crash -- SIGKILL included -- loses nothing that was
-// admitted.  On startup the journal replays: jobs that never reached a
-// terminal state are re-admitted onto the queue and resume
-// bit-identically from their per-fingerprint checkpoint journals, while
-// /readyz reports "recovering" until they have all reached terminal
-// states again.  Graceful drain is different from a crash on purpose: a
-// drain-canceled job gets a terminal canceled record -- the client was
-// told -- so replay does not resurrect it.
+// Each piece of state has one home.  The job table holds queued and
+// running jobs, plus failed and canceled ones so a GET can answer 409
+// until a resubmission replaces them; a done job leaves the table and
+// its id is served from the store.  The table is durable: each
+// admission and each terminal state is one fsynced record in the
+// <dir>/jobs.jsonl write-ahead journal (see journal.go), so a crash --
+// SIGKILL included -- loses nothing that was admitted.  On startup the
+// journal replays: jobs that never reached a terminal state are
+// re-admitted onto the queue and resume bit-identically from their
+// per-fingerprint checkpoint journals, while /readyz reports
+// "recovering" until they have all reached terminal states again.
+// Graceful drain is different from a crash on purpose: a drain-canceled
+// job gets a terminal canceled record -- the client was told -- so
+// replay does not resurrect it.
 //
 // Admission control bounds the damage any client can do: a full queue
 // or an over-quota tenant is refused with 429 before any work is
@@ -41,14 +45,14 @@
 // resumes from the job's checkpoint journal, so completed workloads
 // are never paid for twice.
 //
-// Every job writes the PR 5 telemetry event stream to its own JSONL
+// Every job writes the telemetry event stream to its own JSONL
 // file (<dir>/jobs/<fp>/events.jsonl), flushed on each heartbeat so
 // GET /v1/sweeps/{id}/events can tail a live run; the stream ends with
 // the terminal run-end event (interrupted=true when drain cancelled
 // it).  Service-level counters (requests admitted/rejected/deduped,
-// cache hits/evictions/quarantines, retries, recoveries, journal
-// records, queue depth) ride the same telemetry vocabulary; see
-// docs/SERVICE.md and docs/OBSERVABILITY.md.
+// cache hits/evictions/quarantines, retries, recoveries) and latency
+// histograms ride the same telemetry vocabulary; see docs/SERVICE.md
+// and docs/OBSERVABILITY.md.
 package service
 
 import (
@@ -107,14 +111,11 @@ type Options struct {
 	// RetryBackoff is the base delay before retry attempt n, doubled
 	// per attempt with jitter (default 250ms).
 	RetryBackoff time.Duration
-	// JobHook, if non-nil, runs at the start of every job execution,
-	// before the sweep; tests use it to hold jobs in the running state.
-	// nil in production.
-	JobHook func(ctx context.Context, fp string)
 	// SweepHook, if non-nil, runs before every sweep execution attempt
-	// (including retries) and may mutate the request; tests use it to
+	// (including retries) with the job's context, and may mutate the
+	// request; tests use it to hold jobs in the running state and to
 	// inject per-attempt faults.  nil in production.
-	SweepHook func(req *sweep.Request, fp string, attempt int)
+	SweepHook func(ctx context.Context, req *sweep.Request, fp string, attempt int)
 }
 
 // jobStatus is a job's lifecycle state.
@@ -125,7 +126,8 @@ const (
 	StatusQueued jobStatus = "queued"
 	// StatusRunning: a worker is simulating it.
 	StatusRunning jobStatus = "running"
-	// StatusDone: completed; its result is cached and served.
+	// StatusDone: completed; its result is in the store, and the job
+	// leaves the table.
 	StatusDone jobStatus = "done"
 	// StatusFailed: the sweep returned an error (or hit its deadline);
 	// resubmitting retries.
@@ -173,7 +175,7 @@ type job struct {
 
 	status  jobStatus
 	errText string
-	result  []byte // encoded Result, set iff status == StatusDone
+	result  []byte // encoded Result for the job's waiters, set iff status == StatusDone
 	done    chan struct{}
 	cancel  context.CancelFunc // set while running
 }
@@ -202,9 +204,8 @@ type Server struct {
 	store   *diskStore
 
 	mu         sync.Mutex
-	jobs       map[string]*job // fingerprint -> latest job
+	jobs       map[string]*job // fingerprint -> live, failed or canceled job
 	tenants    map[string]int  // tenant -> live jobs
-	memCache   map[string][]byte
 	queued     int
 	recovering int // recovered jobs not yet terminal
 	draining   bool
@@ -270,19 +271,18 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := openStore(filepath.Join(opts.Dir, "cache"), opts.CacheTTL, opts.CacheMaxBytes)
+	store, err := openStore(filepath.Join(opts.Dir, "cache"), opts.CacheTTL, opts.CacheMaxBytes, rec)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:     opts,
-		rec:      rec,
-		journal:  journal,
-		store:    store,
-		jobs:     make(map[string]*job),
-		tenants:  make(map[string]int),
-		memCache: make(map[string][]byte),
+		opts:    opts,
+		rec:     rec,
+		journal: journal,
+		store:   store,
+		jobs:    make(map[string]*job),
+		tenants: make(map[string]int),
 		// Recovered jobs ride above QueueDepth so re-admission can
 		// never block or refuse what a previous process accepted.
 		queue:      make(chan *job, opts.QueueDepth+len(recovered)),
@@ -290,14 +290,14 @@ func New(opts Options) (*Server, error) {
 		cancelRuns: cancel,
 	}
 	for _, st := range recovered {
-		wire, req, fp, rerr := s.resolveJournaled(st.req)
+		wire, req, fp, rerr := s.resolveJournaled(st.Req)
 		if rerr != nil {
 			// The request no longer resolves (e.g. limits tightened);
 			// terminalise it so replay stops resurrecting it.
-			journal.append(JournalRecord{Kind: KindFailed, FP: st.fp, Error: "recovery: " + rerr.Error()})
+			journal.append(JournalRecord{Kind: KindFailed, FP: st.FP, Error: "recovery: " + rerr.Error()})
 			continue
 		}
-		tenant := st.tenant
+		tenant := st.Tenant
 		if tenant == "" {
 			tenant = defaultTenant
 		}
@@ -311,7 +311,7 @@ func New(opts Options) (*Server, error) {
 		if rerr := s.openJobRecorder(j); rerr != nil {
 			// The event stream cannot be (re)created; terminalise rather
 			// than abort startup over an observability file.
-			journal.append(JournalRecord{Kind: KindFailed, FP: st.fp, Error: "recovery: " + rerr.Error()})
+			journal.append(JournalRecord{Kind: KindFailed, FP: st.FP, Error: "recovery: " + rerr.Error()})
 			continue
 		}
 		s.jobs[fp] = j
@@ -390,9 +390,10 @@ func (s *Server) submit(req sweep.Request, wire *SweepRequest, fp, tenant string
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Result cache, memory then verified disk store: a completed
-	// fingerprint is never simulated again.
-	if b := s.cachedLocked(fp); b != nil {
+	// The store first: a completed fingerprint is never simulated
+	// again.  It is read under mu, so a job that finishes meanwhile is
+	// either in the store or still in the table.
+	if b := s.store.get(fp); b != nil {
 		s.rec.Add(telemetry.CacheHits, 1)
 		return submitOutcome{status: StatusDone, result: b, cached: true}, nil
 	}
@@ -448,62 +449,6 @@ func (s *Server) submit(req sweep.Request, wire *SweepRequest, fp, tenant string
 	return submitOutcome{job: j, status: StatusQueued}, nil
 }
 
-// cachedLocked returns the encoded result for fp from the memory
-// cache, falling back to (and refilling from) the verified disk store.
-// TTL expiry and verification failures surface here: an expired entry
-// is evicted (journal record, counter, checkpoint reclaimed) and a
-// corrupt one quarantined and counted; both read as a miss, so the
-// caller transparently re-simulates.  Caller holds mu.
-func (s *Server) cachedLocked(fp string) []byte {
-	if b, ok := s.memCache[fp]; ok {
-		if fresh, expired := s.store.touch(fp); fresh {
-			return b
-		} else if expired {
-			s.noteEvictionsLocked([]string{fp}, true)
-		}
-		// Evicted or expired on disk: the memory copy dies with it.
-		delete(s.memCache, fp)
-		return nil
-	}
-	t0 := time.Now()
-	payload, status := s.store.get(fp)
-	// Disk-read latency only; memory-cache hits return above unobserved.
-	s.rec.Observe(telemetry.HistCacheRead, time.Since(t0))
-	switch status {
-	case storeHit:
-		s.memCache[fp] = payload
-		return payload
-	case storeExpired:
-		s.noteEvictionsLocked([]string{fp}, true)
-	case storeCorrupt:
-		s.rec.Add(telemetry.CacheCorruptQuarantined, 1)
-	}
-	return nil
-}
-
-// noteEvictionsLocked records store evictions: counter, a journal
-// evicted record per fingerprint, the memory copy dropped, and -- for
-// TTL reclamation -- the checkpoint journal removed too (a stale
-// result's resume insurance is equally stale).  Caller holds mu.
-func (s *Server) noteEvictionsLocked(fps []string, reclaimCheckpoint bool) {
-	for _, fp := range fps {
-		s.rec.Add(telemetry.CacheEvictions, 1)
-		delete(s.memCache, fp)
-		s.journal.append(JournalRecord{Kind: KindEvicted, FP: fp})
-		if reclaimCheckpoint {
-			os.Remove(s.checkpointPath(fp))
-		}
-	}
-}
-
-func (s *Server) cachePath(fp string) string {
-	return filepath.Join(s.opts.Dir, "cache", fp+".json")
-}
-
-func (s *Server) checkpointPath(fp string) string {
-	return filepath.Join(s.opts.Dir, "cache", fp+".ckpt.jsonl")
-}
-
 func (s *Server) eventsPath(fp string) string {
 	return filepath.Join(s.opts.Dir, "jobs", fp, "events.jsonl")
 }
@@ -530,9 +475,6 @@ func (s *Server) worker() {
 		ctx, cancel := context.WithCancel(s.runCtx)
 		j.status = StatusRunning
 		j.cancel = cancel
-		// Best effort: if this record is lost, replay re-runs from the
-		// admitted record and the checkpoint journal still dedups work.
-		s.journal.append(JournalRecord{Kind: KindStarted, FP: j.fp})
 		s.mu.Unlock()
 
 		status, result, errText := s.runJob(ctx, j)
@@ -545,19 +487,21 @@ func (s *Server) worker() {
 }
 
 // finishLocked moves a job to a terminal state, journals the
-// transition, and releases its quota.  Caller holds mu.
+// transition, and releases its quota.  A done job leaves the table: its
+// result is already in the store, and its waiters hold the job.  Caller
+// holds mu.
 func (s *Server) finishLocked(j *job, status jobStatus, result []byte, errText string) {
 	j.status = status
 	j.errText = errText
 	j.result = result
 	if status == StatusDone {
-		s.memCache[j.fp] = result
+		delete(s.jobs, j.fp)
 	}
 	if !j.admittedAt.IsZero() {
 		s.rec.Observe(telemetry.HistJobLatency, time.Since(j.admittedAt))
 	}
 	// Best effort: a lost terminal record means replay re-admits the
-	// job, and the result cache / checkpoint journal absorb the rerun.
+	// job, and the result store / checkpoint journal absorb the rerun.
 	s.journal.append(JournalRecord{Kind: journalKindFor(status), FP: j.fp, Error: errText})
 	if j.recovered {
 		s.recovering--
@@ -602,18 +546,15 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 		jctx, cancel = context.WithTimeout(ctx, j.timeout)
 		defer cancel()
 	}
-	if s.opts.JobHook != nil {
-		s.opts.JobHook(jctx, j.fp)
-	}
 	req := j.req
 	req.Recorder = j.rec
-	req.Checkpoint = s.checkpointPath(j.fp)
+	req.Checkpoint = s.store.checkpointPath(j.fp)
 
 	var res *sweep.Result
 	var runErr error
 	for attempt := 0; ; attempt++ {
 		if s.opts.SweepHook != nil {
-			s.opts.SweepHook(&req, j.fp, attempt)
+			s.opts.SweepHook(jctx, &req, j.fp, attempt)
 		}
 		asp := telemetry.StartSpan(j.rec, telemetry.Span{
 			Name:   "attempt",
@@ -669,7 +610,7 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 		}
 		csp := telemetry.StartSpan(j.rec, telemetry.Span{Name: "cache-write", Parent: j.span.ID()})
 		t0 := time.Now()
-		expired, evicted, err := s.store.put(j.fp, b)
+		err = s.store.put(j.fp, b)
 		wdur := time.Since(t0)
 		s.rec.Observe(telemetry.HistCacheWrite, wdur)
 		j.rec.Observe(telemetry.HistCacheWrite, wdur)
@@ -678,12 +619,6 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 			return StatusFailed, nil, err.Error()
 		}
 		csp.End()
-		if len(expired) > 0 || len(evicted) > 0 {
-			s.mu.Lock()
-			s.noteEvictionsLocked(expired, true)
-			s.noteEvictionsLocked(evicted, false)
-			s.mu.Unlock()
-		}
 		return StatusDone, b, ""
 	}()
 	if errText != "" {

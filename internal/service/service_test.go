@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"subcache/internal/sweep"
 	"subcache/internal/telemetry"
 )
 
@@ -107,14 +108,17 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatal("cached result differs from the simulated one")
 	}
 
-	// Status endpoint agrees.
+	// Status endpoint agrees: the done job left the table, and the
+	// store serves its id.
 	st, err := http.Get(ts.URL + "/v1/sweeps/" + resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stResp SubmitResponse
+	json.NewDecoder(st.Body).Decode(&stResp)
 	st.Body.Close()
-	if st.StatusCode != http.StatusOK {
-		t.Fatalf("status: code %d, want 200", st.StatusCode)
+	if st.StatusCode != http.StatusOK || !stResp.Cached || !bytes.Equal(stResp.Result, resp.Result) {
+		t.Fatalf("status: code %d cached=%v, want 200, cached, the same result", st.StatusCode, stResp.Cached)
 	}
 
 	// The job's event stream is a valid versioned stream ending on the
@@ -215,13 +219,16 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// blockingHook returns a JobHook that parks every job until release is
-// closed (or the job's context is cancelled), plus a channel that
-// receives each job's fingerprint as it starts running.
-func blockingHook() (hook func(context.Context, string), started chan string, release chan struct{}) {
+// blockingHook returns a SweepHook that parks every job's first attempt
+// until release is closed (or the job's context is cancelled), plus a
+// channel that receives each job's fingerprint as it starts running.
+func blockingHook() (hook func(context.Context, *sweep.Request, string, int), started chan string, release chan struct{}) {
 	started = make(chan string, 64)
 	release = make(chan struct{})
-	hook = func(ctx context.Context, fp string) {
+	hook = func(ctx context.Context, _ *sweep.Request, fp string, attempt int) {
+		if attempt > 0 {
+			return
+		}
 		started <- fp
 		select {
 		case <-release:
@@ -236,7 +243,7 @@ func blockingHook() (hook func(context.Context, string), started chan string, re
 // refused with 429 and counted as rejected.
 func TestAdmissionControlQueueFull(t *testing.T) {
 	hook, started, release := blockingHook()
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, JobHook: hook})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, SweepHook: hook})
 	defer close(release)
 
 	// Job A starts running (leaving the queue), job B fills the queue.
@@ -261,7 +268,7 @@ func TestAdmissionControlQueueFull(t *testing.T) {
 // refused while another tenant is still admitted.
 func TestTenantQuota(t *testing.T) {
 	hook, started, release := blockingHook()
-	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8, TenantQuota: 1, JobHook: hook})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8, TenantQuota: 1, SweepHook: hook})
 	defer close(release)
 
 	a := smallRequest(1000)
@@ -288,7 +295,7 @@ func TestTenantQuota(t *testing.T) {
 // parked, all N block on wait, and all N observe one identical result.
 func TestSingleflightDedup(t *testing.T) {
 	hook, started, release := blockingHook()
-	s, ts := newTestServer(t, Options{Workers: 2, JobHook: hook})
+	s, ts := newTestServer(t, Options{Workers: 2, SweepHook: hook})
 
 	const n = 8
 	req := smallRequest(4000)
@@ -358,7 +365,7 @@ func TestDrainResume(t *testing.T) {
 
 	// Wait for the first fsynced journal record, then drain with an
 	// already-expired grace so the sweep is cancelled mid-run.
-	ckpt := s.checkpointPath(fp)
+	ckpt := s.store.checkpointPath(fp)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if fi, err := os.Stat(ckpt); err == nil && fi.Size() > 0 {
@@ -425,7 +432,7 @@ func TestDrainCancelsQueuedJobs(t *testing.T) {
 	hook, started, release := blockingHook()
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	defer releaseOnce()
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, JobHook: hook})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, SweepHook: hook})
 
 	if code, _ := post(t, ts, smallRequest(1000), false); code != http.StatusAccepted {
 		t.Fatal("job A not admitted")

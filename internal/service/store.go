@@ -1,5 +1,4 @@
-// Verified on-disk result store: the durable half of the service's
-// result cache.
+// Verified on-disk result store: the service's one result cache.
 //
 // Each entry (<dir>/cache/<fp>.json) is a JSON envelope -- schema
 // version, owning fingerprint, write timestamp, SHA-256 of the payload,
@@ -10,15 +9,18 @@
 // or whose payload checksum mismatches is quarantined into
 // <dir>/cache/corrupt/ (never served, never silently deleted -- the
 // evidence is kept for inspection) and the request is transparently
-// re-simulated.
+// re-simulated.  A verified payload, read or written, stays in memory
+// beside its index entry, so only the first read of an entry touches
+// the disk.
 //
 // The store is bounded two ways: entries older than the TTL are
 // reclaimed (along with their checkpoint journals -- a stale result's
-// resume insurance is stale too), and when the total payload size
+// resume insurance is stale too), and when the total entry size
 // exceeds the cap, least-recently-used entries are evicted -- their
 // checkpoint journals are kept, so an evicted fingerprint re-simulates
-// cheaply by journal resume.  Access order survives restarts via
-// best-effort mtime updates on hits.
+// cheaply by journal resume.  Both bounds cover the payloads held in
+// memory.  Access order survives restarts via best-effort mtime updates
+// on disk reads.
 package service
 
 import (
@@ -49,34 +51,23 @@ type storeEnvelope struct {
 	Payload     json.RawMessage `json:"payload"`
 }
 
-// storeStatus classifies one store lookup.
-type storeStatus int
-
-const (
-	// storeMiss: no entry (never written, or evicted earlier).
-	storeMiss storeStatus = iota
-	// storeHit: a verified, fresh entry.
-	storeHit
-	// storeExpired: the entry outlived the TTL and was reclaimed.
-	storeExpired
-	// storeCorrupt: the entry failed verification and was quarantined.
-	storeCorrupt
-)
-
 // storeInfo is one entry's in-memory index state.
 type storeInfo struct {
 	size    int64
 	written time.Time
 	lastUse time.Time
+	payload []byte // the verified payload, once read or written
 }
 
-// diskStore indexes and bounds the on-disk result cache.  All methods
+// diskStore indexes, caches and bounds the result entries.  All methods
 // are safe for concurrent use; file I/O happens under the store mutex,
-// which is fine at request granularity.
+// which is fine at request granularity.  It counts its own evictions
+// and quarantines, and times its disk reads, on rec.
 type diskStore struct {
 	dir      string // the cache directory
 	ttl      time.Duration
 	maxBytes int64
+	rec      telemetry.Recorder
 
 	mu      sync.Mutex
 	entries map[string]*storeInfo
@@ -85,8 +76,8 @@ type diskStore struct {
 
 // openStore indexes every result entry already on disk.  Sizes and
 // times come from file metadata; full verification happens on access.
-func openStore(dir string, ttl time.Duration, maxBytes int64) (*diskStore, error) {
-	st := &diskStore{dir: dir, ttl: ttl, maxBytes: maxBytes, entries: make(map[string]*storeInfo)}
+func openStore(dir string, ttl time.Duration, maxBytes int64, rec telemetry.Recorder) (*diskStore, error) {
+	st := &diskStore{dir: dir, ttl: ttl, maxBytes: maxBytes, rec: telemetry.OrNop(rec), entries: make(map[string]*storeInfo)}
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("service: cache: %w", err)
@@ -109,51 +100,46 @@ func openStore(dir string, ttl time.Duration, maxBytes int64) (*diskStore, error
 
 func (st *diskStore) path(fp string) string { return filepath.Join(st.dir, fp+".json") }
 
+func (st *diskStore) checkpointPath(fp string) string {
+	return filepath.Join(st.dir, fp+".ckpt.jsonl")
+}
+
 // payloadSum is the entry checksum: hex SHA-256 over the payload bytes.
 func payloadSum(payload []byte) string {
 	h := sha256.Sum256(payload)
 	return hex.EncodeToString(h[:])
 }
 
-// touch reports whether a fresh entry exists for fp, bumping its access
-// time; expired reports that the entry existed but outlived the TTL and
-// was reclaimed just now (the caller owns the bookkeeping: counters,
-// journal record, checkpoint removal).
-func (st *diskStore) touch(fp string) (ok, expired bool) {
+// get returns fp's verified payload, or nil when there is none: never
+// written, evicted, expired just now, or quarantined just now.
+func (st *diskStore) get(fp string) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e, found := st.entries[fp]
-	if !found {
-		return false, false
+	now := time.Now()
+	if e, ok := st.entries[fp]; ok && e.payload != nil {
+		if st.expiredLocked(e, now) {
+			st.evictLocked(fp, e, true)
+			return nil
+		}
+		e.lastUse = now
+		return e.payload
 	}
-	if st.expiredLocked(e, time.Now()) {
-		st.dropLocked(fp, e)
-		return false, true
-	}
-	e.lastUse = time.Now()
-	return true, false
-}
-
-// get loads and fully verifies one entry.
-func (st *diskStore) get(fp string) ([]byte, storeStatus) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	defer func() { st.rec.Observe(telemetry.HistCacheRead, time.Since(now)) }()
 	path := st.path(fp)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		if e, ok := st.entries[fp]; ok {
 			st.dropIndexLocked(fp, e)
 		}
-		return nil, storeMiss
+		return nil
 	}
 	var env storeEnvelope
-	if uerr := json.Unmarshal(b, &env); uerr != nil ||
+	if uerr := json.Unmarshal(b, &env); uerr != nil || len(env.Payload) == 0 ||
 		env.V != storeVersion || env.FP != fp ||
 		env.Sum == "" || env.Sum != payloadSum(env.Payload) {
 		st.quarantineLocked(fp, path)
-		return nil, storeCorrupt
+		return nil
 	}
-	written := time.UnixMilli(env.WrittenUnix)
 	e, ok := st.entries[fp]
 	if !ok {
 		// Written behind our back (another process sharing the dir);
@@ -162,30 +148,27 @@ func (st *diskStore) get(fp string) ([]byte, storeStatus) {
 		st.entries[fp] = e
 		st.total += e.size
 	}
-	e.written = written
-	if st.expiredLocked(e, time.Now()) {
-		st.dropLocked(fp, e)
-		return nil, storeExpired
+	e.written = time.UnixMilli(env.WrittenUnix)
+	if st.expiredLocked(e, now) {
+		st.evictLocked(fp, e, true)
+		return nil
 	}
-	e.lastUse = time.Now()
+	e.lastUse, e.payload = now, env.Payload
 	// Persist the access order across restarts; best effort.
-	now := time.Now()
 	os.Chtimes(path, now, now)
-	return env.Payload, storeHit
+	return e.payload
 }
 
-// put atomically writes one verified entry, then applies the TTL and
-// size-cap policies.  expired lists entries reclaimed by TTL (their
-// checkpoint journals should go too); evicted lists entries removed by
-// the LRU size cap (their checkpoint journals stay, as cheap-resume
-// insurance).  The entry just written is never evicted by its own put.
-func (st *diskStore) put(fp string, payload []byte) (expired, evicted []string, err error) {
+// put atomically writes one verified entry and keeps its payload, then
+// applies the TTL and size-cap policies to the other entries: the entry
+// just written is never evicted by its own put.
+func (st *diskStore) put(fp string, payload []byte) error {
 	// The envelope stores the payload compacted and HTML-escaped, as
 	// json.Marshal writes a RawMessage, and get verifies what is stored:
 	// checksum that form, not the bytes given.
 	stored, err := json.Marshal(json.RawMessage(payload))
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: cache %s: %w", fp, err)
+		return fmt.Errorf("service: cache %s: %w", fp, err)
 	}
 	env := storeEnvelope{
 		V: storeVersion, FP: fp,
@@ -195,67 +178,49 @@ func (st *diskStore) put(fp string, payload []byte) (expired, evicted []string, 
 	}
 	b, err := json.Marshal(env)
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: cache %s: %w", fp, err)
+		return fmt.Errorf("service: cache %s: %w", fp, err)
 	}
 	if err := telemetry.WriteFileAtomic(st.path(fp), b, 0o644); err != nil {
-		return nil, nil, fmt.Errorf("service: cache %s: %w", fp, err)
+		return fmt.Errorf("service: cache %s: %w", fp, err)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	now := time.Now()
-	if e, ok := st.entries[fp]; ok {
-		st.total += int64(len(b)) - e.size
-		e.size = int64(len(b))
-		e.written, e.lastUse = now, now
-	} else {
-		st.entries[fp] = &storeInfo{size: int64(len(b)), written: now, lastUse: now}
-		st.total += int64(len(b))
+	e, ok := st.entries[fp]
+	if !ok {
+		e = &storeInfo{}
+		st.entries[fp] = e
 	}
-	// TTL reclamation first (it frees space the LRU pass then may not
-	// need), oldest first for determinism.
-	for _, cand := range st.sortedLocked(func(a, b *storeInfo) bool { return a.written.Before(b.written) }) {
-		e := st.entries[cand]
-		if cand == fp || !st.expiredLocked(e, now) {
-			continue
-		}
-		st.dropLocked(cand, e)
-		expired = append(expired, cand)
-	}
-	// LRU size cap.
-	if st.maxBytes > 0 {
-		for _, cand := range st.sortedLocked(func(a, b *storeInfo) bool { return a.lastUse.Before(b.lastUse) }) {
-			if st.total <= st.maxBytes {
-				break
-			}
-			if cand == fp {
-				continue
-			}
-			e, ok := st.entries[cand]
-			if !ok {
-				continue
-			}
-			st.dropLocked(cand, e)
-			evicted = append(evicted, cand)
+	st.total += int64(len(b)) - e.size
+	e.size, e.written, e.lastUse, e.payload = int64(len(b)), now, now, stored
+	// TTL reclamation first: it frees space the LRU pass then may not
+	// need.
+	for cand, old := range st.entries {
+		if cand != fp && st.expiredLocked(old, now) {
+			st.evictLocked(cand, old, true)
 		}
 	}
-	return expired, evicted, nil
-}
-
-// sortedLocked returns the index's fingerprints ordered by less over
-// their infos (ties broken by fingerprint for determinism).
-func (st *diskStore) sortedLocked(less func(a, b *storeInfo) bool) []string {
+	if st.maxBytes <= 0 || st.total <= st.maxBytes {
+		return nil
+	}
+	// LRU size cap, ties broken by fingerprint for determinism.
 	fps := make([]string, 0, len(st.entries))
-	for fp := range st.entries {
-		fps = append(fps, fp)
+	for cand := range st.entries {
+		fps = append(fps, cand)
 	}
 	sort.Slice(fps, func(i, j int) bool {
-		a, b := st.entries[fps[i]], st.entries[fps[j]]
-		if less(a, b) != less(b, a) {
-			return less(a, b)
-		}
-		return fps[i] < fps[j]
+		a, b := st.entries[fps[i]].lastUse, st.entries[fps[j]].lastUse
+		return a.Before(b) || a.Equal(b) && fps[i] < fps[j]
 	})
-	return fps
+	for _, cand := range fps {
+		if st.total <= st.maxBytes {
+			break
+		}
+		if cand != fp {
+			st.evictLocked(cand, st.entries[cand], false)
+		}
+	}
+	return nil
 }
 
 // expiredLocked applies the TTL policy.
@@ -263,10 +228,16 @@ func (st *diskStore) expiredLocked(e *storeInfo, now time.Time) bool {
 	return st.ttl > 0 && now.Sub(e.written) > st.ttl
 }
 
-// dropLocked removes an entry's file and index state.
-func (st *diskStore) dropLocked(fp string, e *storeInfo) {
+// evictLocked removes an entry by policy and counts it.  A TTL expiry
+// takes the entry's checkpoint journal too; a size-cap eviction keeps
+// it, so a re-request resumes instead of re-simulating.
+func (st *diskStore) evictLocked(fp string, e *storeInfo, expired bool) {
 	os.Remove(st.path(fp))
 	st.dropIndexLocked(fp, e)
+	if expired {
+		os.Remove(st.checkpointPath(fp))
+	}
+	st.rec.Add(telemetry.CacheEvictions, 1)
 }
 
 func (st *diskStore) dropIndexLocked(fp string, e *storeInfo) {
@@ -275,7 +246,7 @@ func (st *diskStore) dropIndexLocked(fp string, e *storeInfo) {
 }
 
 // quarantineLocked moves a failed entry into corrupt/ under a unique
-// name, keeping the evidence out of the serving path.
+// name, keeping the evidence out of the serving path, and counts it.
 func (st *diskStore) quarantineLocked(fp, path string) {
 	qdir := filepath.Join(st.dir, "corrupt")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
@@ -295,9 +266,10 @@ func (st *diskStore) quarantineLocked(fp, path string) {
 	if e, ok := st.entries[fp]; ok {
 		st.dropIndexLocked(fp, e)
 	}
+	st.rec.Add(telemetry.CacheCorruptQuarantined, 1)
 }
 
-// stats returns the index's entry count and payload byte total.
+// stats returns the index's entry count and entry byte total.
 func (st *diskStore) stats() (entries int, bytes int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

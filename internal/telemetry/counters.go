@@ -69,8 +69,8 @@ const (
 	// exponential-backoff delay.
 	JobRetries
 	// JobsRecovered counts jobs re-admitted from the service's job
-	// journal at startup: admitted or started at crash time, never
-	// terminal.
+	// journal at startup: their last valid record is admitted, so they
+	// never reached a terminal state.
 	JobsRecovered
 	numCounters
 )
