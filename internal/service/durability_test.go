@@ -374,6 +374,9 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 			if got := s2.Stats().Counter(telemetry.CacheCorruptQuarantined); got != 1 {
 				t.Errorf("cache_corrupt_quarantined = %d, want 1", got)
 			}
+			if h := s2.Stats().Hist(telemetry.HistCacheRead); h == nil || h.Count != 1 {
+				t.Errorf("cache_read = %+v, want one read: the corrupt entry's", h)
+			}
 			des, err := os.ReadDir(filepath.Join(dir, "cache", "corrupt"))
 			if err != nil || len(des) != 1 {
 				t.Fatalf("quarantine dir: %v entries, err %v; want exactly 1 entry", len(des), err)

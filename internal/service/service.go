@@ -289,15 +289,15 @@ func New(opts Options) (*Server, error) {
 		runCtx:     ctx,
 		cancelRuns: cancel,
 	}
-	for _, st := range recovered {
-		wire, req, fp, rerr := s.resolveJournaled(st.Req)
+	for _, r := range recovered {
+		wire, req, fp, rerr := s.resolveJournaled(r.Req)
 		if rerr != nil {
 			// The request no longer resolves (e.g. limits tightened);
 			// terminalise it so replay stops resurrecting it.
-			journal.append(JournalRecord{Kind: KindFailed, FP: st.FP, Error: "recovery: " + rerr.Error()})
+			journal.append(JournalRecord{Kind: KindFailed, FP: r.FP, Error: "recovery: " + rerr.Error()})
 			continue
 		}
-		tenant := st.Tenant
+		tenant := r.Tenant
 		if tenant == "" {
 			tenant = defaultTenant
 		}
@@ -311,7 +311,7 @@ func New(opts Options) (*Server, error) {
 		if rerr := s.openJobRecorder(j); rerr != nil {
 			// The event stream cannot be (re)created; terminalise rather
 			// than abort startup over an observability file.
-			journal.append(JournalRecord{Kind: KindFailed, FP: st.FP, Error: "recovery: " + rerr.Error()})
+			journal.append(JournalRecord{Kind: KindFailed, FP: r.FP, Error: "recovery: " + rerr.Error()})
 			continue
 		}
 		s.jobs[fp] = j

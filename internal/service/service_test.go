@@ -148,6 +148,11 @@ func TestServiceEndToEnd(t *testing.T) {
 	if got := snap.Counter(telemetry.CacheHits); got != 1 {
 		t.Errorf("cache_hits = %d, want 1", got)
 	}
+	// The miss found no entry and the hit was served from memory, so
+	// no entry was read.
+	if h := snap.Hist(telemetry.HistCacheRead); h != nil && h.Count != 0 {
+		t.Errorf("cache_read count = %d, want 0", h.Count)
+	}
 
 	// Unknown ids are 404.
 	nf, err := http.Get(ts.URL + "/v1/sweeps/no-such-sweep")

@@ -124,7 +124,6 @@ func (st *diskStore) get(fp string) []byte {
 		e.lastUse = now
 		return e.payload
 	}
-	defer func() { st.rec.Observe(telemetry.HistCacheRead, time.Since(now)) }()
 	path := st.path(fp)
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -133,6 +132,8 @@ func (st *diskStore) get(fp string) []byte {
 		}
 		return nil
 	}
+	// cache_read times entry reads only: not memory hits, not misses.
+	defer func() { st.rec.Observe(telemetry.HistCacheRead, time.Since(now)) }()
 	var env storeEnvelope
 	if uerr := json.Unmarshal(b, &env); uerr != nil || len(env.Payload) == 0 ||
 		env.V != storeVersion || env.FP != fp ||

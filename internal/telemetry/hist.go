@@ -58,8 +58,9 @@ const (
 	// HistRetryBackoff is the realised backoff delay before a retry
 	// attempt (shorter than scheduled when a cancellation cut it off).
 	HistRetryBackoff
-	// HistCacheRead is the verified disk store's read latency
-	// (memory-cache hits are not observed).
+	// HistCacheRead is the result store's entry read and verification
+	// latency (payloads it holds in memory, and lookups that find no
+	// entry, are not observed).
 	HistCacheRead
 	// HistCacheWrite is the verified disk store's write latency
 	// (atomic write + fsync + index update).
