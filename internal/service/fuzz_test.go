@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -201,7 +202,7 @@ func FuzzSubmitBody(f *testing.F) {
 		if refused[string(data)] || !json.Valid(data) {
 			t.Fatalf("accepted %q", data)
 		}
-		if len(req.Points) == 0 || !jobIDPattern.MatchString(fp) {
+		if len(req.Points) == 0 || !isJobID(fp) {
 			t.Fatalf("accepted %q with %d points and job id %q", data, len(req.Points), fp)
 		}
 		raw, err := json.Marshal(wire)
@@ -303,11 +304,15 @@ func TestServiceIDOutsideDataDir(t *testing.T) {
 	}
 }
 
-// FuzzSweepID: any id sent to both GET routes of one server is answered
-// 404 unless it has the form of a job id, and no file outside the data
-// dir changes.
+// jobIDForm is the job id form as a regular expression: the reference
+// isJobID must agree with.
+var jobIDForm = regexp.MustCompile(`^[0-9a-f]{16}(-w[0-9]+)?$`)
+
+// FuzzSweepID: isJobID agrees with jobIDForm, any id sent to both GET
+// routes of one server is answered 404 unless it has that form, and no
+// file outside the data dir changes.
 func FuzzSweepID(f *testing.F) {
-	for _, id := range []string{"../../victim", "..", "0123456789abcdef", "0123456789abcdef-w42", "0123456789ABCDEF", "0123456789abcdef-w", "x/../../victim"} {
+	for _, id := range []string{"../../victim", "..", "0123456789abcdef", "0123456789abcdef-w42", "0123456789ABCDEF", "0123456789abcdef-w", "0123456789abcdef-w1-w2", "x/../../victim"} {
 		f.Add(id)
 	}
 	root := f.TempDir()
@@ -325,9 +330,12 @@ func FuzzSweepID(f *testing.F) {
 			// path and redirects before any handler runs.
 			return
 		}
+		if isJobID(id) != jobIDForm.MatchString(id) {
+			t.Fatalf("isJobID(%q) = %v, the form says %v", id, isJobID(id), !isJobID(id))
+		}
 		before := treeOf(t, root, data)
 		for _, route := range []string{"", "events"} {
-			if code := getByID(s, id, route); code != http.StatusNotFound && !jobIDPattern.MatchString(id) {
+			if code := getByID(s, id, route); code != http.StatusNotFound && !isJobID(id) {
 				t.Fatalf("GET %q %s: code %d for an id no request resolves to", id, route, code)
 			}
 		}

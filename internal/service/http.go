@@ -137,7 +137,7 @@ func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (SweepRequest, erro
 // only after its result is in the store.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !jobIDPattern.MatchString(id) {
+	if !isJobID(id) {
 		writeNotFound(w, id)
 		return
 	}
@@ -198,7 +198,7 @@ func (s *Server) writeJobStatus(w http.ResponseWriter, j *job) {
 // left on disk.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !jobIDPattern.MatchString(id) {
+	if !isJobID(id) {
 		writeNotFound(w, id)
 		return
 	}

@@ -9,7 +9,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"regexp"
+	"strings"
 	"time"
 
 	"subcache/internal/sweep"
@@ -123,11 +123,18 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 	return req, fp, nil
 }
 
-// jobIDPattern is the form of every job id resolve produces: a request
-// fingerprint, plus the workload-subset suffix.  The HTTP routes refuse
-// an id of any other form before it can reach a table, the store or a
-// file path.
-var jobIDPattern = regexp.MustCompile(`^[0-9a-f]{16}(-w[0-9]+)?$`)
+// isJobID reports whether id has the form of every job id resolve
+// produces: 16 lowercase hex digits (the request fingerprint),
+// optionally followed by "-w" and decimal digits (the workload-subset
+// suffix).  The HTTP routes refuse an id of any other form before it
+// can reach a table, the store or a file path.
+func isJobID(id string) bool {
+	fp, subset, hasSubset := strings.Cut(id, "-w")
+	if len(fp) != 16 || strings.Trim(fp, "0123456789abcdef") != "" {
+		return false
+	}
+	return !hasSubset || subset != "" && strings.Trim(subset, "0123456789") == ""
+}
 
 // resolveJournaled decodes and resolves the request of a journaled
 // admission.  The decode is lenient, unlike a POST's: a record that an
