@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X subcache/internal/telemetry.Version=$(VERSION)"
 
-.PHONY: all build test test-race vet test-faults test-telemetry test-stackdist test-service test-durability bench bench-kernel bench-layers bench-smoke experiments golden traces cover fmt clean
+.PHONY: all build test test-race vet test-faults test-telemetry test-stackdist test-service test-durability bench-kernel bench-layers bench-smoke experiments golden traces cover fmt clean
 
 all: build test
 
@@ -57,10 +57,6 @@ test-durability:
 # but the comparison perfbench still replays and times.
 test-stackdist:
 	$(GO) test -race -run 'StackDist|Diff|Property|Group|Supported|Engine' ./internal/stackdist/...
-
-# One reduced-size benchmark per paper table/figure plus ablations.
-bench:
-	$(GO) test -bench=. -benchmem ./...
 
 # Hot access-kernel microbenchmarks (hit, miss, load-forward fill) with
 # allocation counts; all three must report 0 allocs/op.

@@ -73,33 +73,75 @@ func TestTable8PointsMatchPaper(t *testing.T) {
 	}
 }
 
-// TestExperimentsRunAtTinyScale executes a representative subset of the
-// experiment runners end-to-end with a tiny trace, checking that each
-// produces a non-empty artifact.
+// TestExperimentsRunAtTinyScale runs every registry entry end to end
+// on 3,000-reference traces and writes its artifact as main does,
+// failing on an error or an empty text artifact.
 func TestExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs several simulations")
+		t.Skip("runs every experiment")
 	}
+	dir := t.TempDir()
 	ctx := newRunCtx(context.Background(), 3000, "")
-	for _, id := range []string{"table6", "table8", "fig9", "optsub", "compare",
-		"ablate-lf", "ibuf", "riscii", "split", "writepol"} {
-		var found bool
-		for _, e := range experiments {
-			if e.id != id {
-				continue
-			}
-			found = true
+	for _, e := range experiments {
+		t.Run(e.id, func(t *testing.T) {
 			art, err := e.run(ctx)
 			if err != nil {
-				t.Errorf("%s: %v", id, err)
-				continue
+				t.Fatal(err)
 			}
 			if strings.TrimSpace(art.text) == "" {
-				t.Errorf("%s: empty text artifact", id)
+				t.Fatal("empty text artifact")
 			}
+			if err := writeArtifact(dir, e.id, art, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDesignIndexMatchesRegistry keeps DESIGN.md's experiment index
+// (section 4) and the registry in step: each index row ends with the
+// `experiments -run` id of its artifact, every registered id has a
+// row, and every row names a registered id.
+func TestDesignIndexMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	start := strings.Index(doc, "\n## 4.")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no section 4")
+	}
+	section, _, _ := strings.Cut(doc[start+1:], "\n## ")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "|") {
+			rows = append(rows, line)
 		}
-		if !found {
-			t.Errorf("experiment %q not found", id)
+	}
+	if len(rows) < 2 {
+		t.Fatal("section 4 has no index table")
+	}
+	indexed := map[string]bool{}
+	for _, row := range rows[2:] { // past the header and its rule
+		cells := strings.Split(strings.Trim(row, "| "), " | ")
+		id := strings.Trim(cells[len(cells)-1], "`")
+		if id == "" || strings.ContainsAny(id, " `") {
+			t.Errorf("index row names no run id: %s", row)
+			continue
+		}
+		indexed[id] = true
+	}
+	registered := map[string]bool{}
+	for _, e := range experiments {
+		registered[e.id] = true
+		if !indexed[e.id] {
+			t.Errorf("experiment %q has no row in DESIGN.md's index", e.id)
+		}
+	}
+	for id := range indexed {
+		if !registered[id] {
+			t.Errorf("DESIGN.md's index names %q, which is not a registered experiment", id)
 		}
 	}
 }

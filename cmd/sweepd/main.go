@@ -34,8 +34,9 @@
 // answers 503 "recovering" until the backlog is terminal).  The result
 // cache is verified on read (corrupt entries are quarantined under
 // <dir>/cache/corrupt/ and re-simulated) and bounded by -cache-ttl and
-// -cache-max-bytes; transient trace-source failures are retried up to
-// -retries times with exponential backoff starting at -retry-backoff.
+// -cache-max-bytes; transient failures (a trace-stream error or a failed
+// checkpoint append) are retried up to -retries times with exponential
+// backoff starting at -retry-backoff.
 // docs/SERVICE.md ("Durability and recovery") has the full story.
 //
 // The API, cache semantics and drain behavior are documented in

@@ -43,12 +43,6 @@ func AlignDown(a Addr, size uint64) Addr {
 	return a &^ Addr(size-1)
 }
 
-// AlignUp rounds a up to the nearest multiple of size.  size must be a
-// power of two.
-func AlignUp(a Addr, size uint64) Addr {
-	return (a + Addr(size-1)) &^ Addr(size-1)
-}
-
 // IsAligned reports whether a is a multiple of size (a power of two).
 func IsAligned(a Addr, size uint64) bool {
 	return a&Addr(size-1) == 0
@@ -59,7 +53,3 @@ func IsAligned(a Addr, size uint64) bool {
 func Offset(a Addr, size uint64) uint64 {
 	return uint64(a) & (size - 1)
 }
-
-// Mask returns an address mask that keeps the low bits(n) of an address,
-// i.e. (1<<n)-1.
-func Mask(n uint) Addr { return Addr(1)<<n - 1 }

@@ -58,40 +58,12 @@ func TestAlignDown(t *testing.T) {
 	}
 }
 
-func TestAlignUp(t *testing.T) {
-	cases := []struct {
-		a    Addr
-		size uint64
-		want Addr
-	}{
-		{0, 8, 0}, {1, 8, 8}, {7, 8, 8}, {8, 8, 8}, {9, 8, 16},
-		{0x1231, 16, 0x1240}, {100, 1, 100},
-	}
-	for _, c := range cases {
-		if got := AlignUp(c.a, c.size); got != c.want {
-			t.Errorf("AlignUp(%v, %d) = %v, want %v", c.a, c.size, got, c.want)
-		}
-	}
-}
-
 func TestOffset(t *testing.T) {
 	if got := Offset(0x1234, 16); got != 4 {
 		t.Errorf("Offset(0x1234, 16) = %d, want 4", got)
 	}
 	if got := Offset(0x1230, 16); got != 0 {
 		t.Errorf("Offset(0x1230, 16) = %d, want 0", got)
-	}
-}
-
-func TestMask(t *testing.T) {
-	if Mask(0) != 0 {
-		t.Errorf("Mask(0) = %v, want 0", Mask(0))
-	}
-	if Mask(4) != 0xf {
-		t.Errorf("Mask(4) = %v, want 0xf", Mask(4))
-	}
-	if Mask(32) != 0xffffffff {
-		t.Errorf("Mask(32) = %v, want 0xffffffff", Mask(32))
 	}
 }
 
@@ -104,20 +76,6 @@ func TestAlignDownProperties(t *testing.T) {
 		return uint64(d) <= uint64(a) &&
 			uint64(a) < uint64(d)+size &&
 			IsAligned(d, size)
-	}
-	if err := quick.Check(f, quickCfg(100)); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: AlignUp(a) >= a, is aligned, and is less than a+size.
-func TestAlignUpProperties(t *testing.T) {
-	f := func(a uint32, shift uint8) bool {
-		size := uint64(1) << (shift % 12)
-		u := AlignUp(Addr(a), size)
-		return uint64(u) >= uint64(a) &&
-			uint64(u) < uint64(a)+size &&
-			IsAligned(u, size)
 	}
 	if err := quick.Check(f, quickCfg(100)); err != nil {
 		t.Error(err)

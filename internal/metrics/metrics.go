@@ -110,15 +110,3 @@ func Average(runs []Run) Summary {
 func EffectiveAccessTime(tCache, tMem, missRatio float64) float64 {
 	return tCache*(1-missRatio) + tMem*missRatio
 }
-
-// Speedup returns the ratio of memory access time without a cache to
-// the effective access time with one: how much a cache with miss ratio
-// m accelerates a machine whose memory costs tMem and cache costs
-// tCache per access.
-func Speedup(tCache, tMem, missRatio float64) float64 {
-	eff := EffectiveAccessTime(tCache, tMem, missRatio)
-	if eff == 0 {
-		return 0
-	}
-	return tMem / eff
-}

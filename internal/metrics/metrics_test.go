@@ -90,23 +90,3 @@ func TestEffectiveAccessTime(t *testing.T) {
 		t.Errorf("t_eff(m=1) = %g", got)
 	}
 }
-
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(1, 10, 0.1); math.Abs(got-10.0/1.9) > 1e-12 {
-		t.Errorf("Speedup = %g", got)
-	}
-	if got := Speedup(0, 0, 0); got != 0 {
-		t.Errorf("Speedup degenerate = %g", got)
-	}
-}
-
-func TestSpeedupMonotoneInMissRatio(t *testing.T) {
-	prev := math.Inf(1)
-	for m := 0.0; m <= 1.0; m += 0.05 {
-		s := Speedup(1, 20, m)
-		if s > prev {
-			t.Fatalf("speedup not monotone at m=%.2f", m)
-		}
-		prev = s
-	}
-}

@@ -37,7 +37,7 @@ func Table7(results map[synth.Arch]*sweep.Result) *Table {
 			}
 		}
 	}
-	rows = sortPoints(rows)
+	sweep.SortPoints(rows)
 
 	for _, p := range rows {
 		gross := p.Config(synth.PDP11).GrossSize()
@@ -59,29 +59,6 @@ func Table7(results map[synth.Arch]*sweep.Result) *Table {
 		t.Add(cells...)
 	}
 	return t
-}
-
-func sortPoints(pts []sweep.Point) []sweep.Point {
-	out := append([]sweep.Point(nil), pts...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && pointLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func pointLess(a, b sweep.Point) bool {
-	if a.Net != b.Net {
-		return a.Net < b.Net
-	}
-	if a.Block != b.Block {
-		return a.Block > b.Block
-	}
-	if a.Sub != b.Sub {
-		return a.Sub > b.Sub
-	}
-	return a.Fetch < b.Fetch
 }
 
 // Table8 renders the load-forward study (paper Table 8): miss ratio,

@@ -33,17 +33,6 @@ func TestTableAddPanicsOnWideRow(t *testing.T) {
 	tb.Add("a", "b")
 }
 
-func TestTableAddf(t *testing.T) {
-	tb := NewTable("", "s", "f", "i")
-	tb.Addf("x", 0.12345, 7)
-	if tb.Rows[0][1] != "0.1234" && tb.Rows[0][1] != "0.1235" {
-		t.Errorf("float cell = %q", tb.Rows[0][1])
-	}
-	if tb.Rows[0][2] != "7" {
-		t.Errorf("int cell = %q", tb.Rows[0][2])
-	}
-}
-
 func TestTableCSV(t *testing.T) {
 	tb := NewTable("", "x", "y")
 	tb.Add(`va"l`, "a,b")

@@ -31,24 +31,6 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Addf appends one row formatting each value with the given verbs, a
-// convenience for numeric rows: values are formatted with %v unless they
-// are float64 (%.4f).
-func (t *Table) Addf(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.4f", v))
-		case string:
-			row = append(row, v)
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.Add(row...)
-}
-
 // String renders the table as aligned text.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Header))

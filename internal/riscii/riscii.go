@@ -124,9 +124,6 @@ func (r *RemotePC) Accuracy() float64 {
 	return float64(r.correct) / float64(r.predictions)
 }
 
-// Predictions returns the number of scored predictions.
-func (r *RemotePC) Predictions() uint64 { return r.predictions }
-
 // AccessTimeReduction converts prediction accuracy into the perceived
 // access-time saving: a correct prediction overlaps the cache's
 // private-store access with the processor's address generation, hiding

@@ -86,7 +86,7 @@ func TestRemotePCValidation(t *testing.T) {
 
 func TestRemotePCZeroSafe(t *testing.T) {
 	r, _ := NewRemotePC(4)
-	if r.Accuracy() != 0 || r.Predictions() != 0 {
+	if r.Accuracy() != 0 {
 		t.Error("fresh predictor not zeroed")
 	}
 }

@@ -164,15 +164,6 @@ func (g Geom) Next() int {
 	return int(k)
 }
 
-// Exp returns an exponentially distributed sample with the given mean.
-func (r *Stream) Exp(mean float64) float64 {
-	u := r.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -mean * math.Log(u)
-}
-
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(i+1)^s.  It precomputes the CDF once; use NewZipf for repeated
 // sampling.
@@ -199,10 +190,7 @@ func NewZipf(r *Stream, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, r: r}
 }
 
-// N returns the number of categories.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next returns the next sample in [0, N()).
+// Next returns the next sample in [0, n).
 func (z *Zipf) Next() int {
 	u := z.r.Float64()
 	// Binary search for the first cdf entry >= u.

@@ -133,19 +133,6 @@ func TestGeometricTinyP(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(17)
-	const mean, trials = 5.0, 50000
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += r.Exp(mean)
-	}
-	got := sum / trials
-	if math.Abs(got-mean) > 0.1*mean {
-		t.Errorf("Exp(%g) mean = %.3f", mean, got)
-	}
-}
-
 func TestZipfRangeAndSkew(t *testing.T) {
 	r := New(19)
 	z := NewZipf(r, 100, 1.0)
@@ -286,12 +273,5 @@ func TestBoolProbabilities(t *testing.T) {
 	}
 	if r.Bool(0) {
 		t.Error("Bool(0) returned true")
-	}
-}
-
-func TestZipfN(t *testing.T) {
-	z := NewZipf(New(1), 42, 1)
-	if z.N() != 42 {
-		t.Errorf("N = %d", z.N())
 	}
 }

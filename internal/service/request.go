@@ -86,21 +86,10 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 	if len(points) == 0 {
 		return sweep.Request{}, "", fmt.Errorf("net sizes %v produce an empty grid", wire.Nets)
 	}
-	if len(wire.Workloads) > 0 {
-		known := make(map[string]bool)
-		for _, p := range synth.Workloads(arch) {
-			known[p.Name] = true
-		}
-		seen := make(map[string]bool, len(wire.Workloads))
-		for _, w := range wire.Workloads {
-			if !known[w] {
-				return sweep.Request{}, "", fmt.Errorf("workload %q not in the %s suite", w, arch)
-			}
-			if seen[w] {
-				return sweep.Request{}, "", fmt.Errorf("workload %q named twice", w)
-			}
-			seen[w] = true
-		}
+	// An unknown or repeated workload is refused here, before
+	// admission, by the check the sweep itself runs.
+	if _, err := sweep.SelectWorkloads(arch, wire.Workloads); err != nil {
+		return sweep.Request{}, "", err
 	}
 	req := sweep.Request{Arch: arch, Points: points, Refs: wire.Refs}
 	if len(wire.Workloads) > 0 {
@@ -114,9 +103,9 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 		return sweep.Request{}, "", err
 	}
 	// The sweep fingerprint covers arch/word/refs/points but not the
-	// workload subset (a partial-suite journal may seed a full-suite
-	// resume).  The service's unit of caching is the whole request, so
-	// a restricted suite gets its own cache identity.
+	// workload subset.  The service's unit of caching is the whole
+	// request, so a restricted suite gets its own cache identity, and
+	// its own checkpoint journal, which is named after the same id.
 	if len(wire.Workloads) > 0 {
 		fp = fmt.Sprintf("%s-w%d", fp, hashStrings(wire.Workloads))
 	}

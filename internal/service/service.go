@@ -40,8 +40,8 @@
 //
 // Execution is hardened per job: a request-supplied deadline
 // (timeout_sec) bounds a sweep via its context, and transient failures
-// (sweep.Transient: trace-source I/O, never panics or cancellations)
-// are retried with exponential backoff plus jitter -- each retry
+// (sweep.Transient: a trace-stream error or a failed checkpoint append,
+// never panics or cancellations) are retried with exponential backoff plus jitter -- each retry
 // resumes from the job's checkpoint journal, so completed workloads
 // are never paid for twice.
 //
@@ -105,8 +105,10 @@ type Options struct {
 	// negative disables).
 	CacheMaxBytes int64
 	// MaxRetries bounds sweep re-executions after a transient failure
-	// (sweep.Transient); each retry resumes from the job's checkpoint
-	// journal (default 2; negative disables retries).
+	// (sweep.Transient: a trace-stream error or a failed checkpoint
+	// append; the service's synthetic streams do not fail, so outside
+	// fault injection only the append); each retry resumes from the
+	// job's checkpoint journal (default 2; negative disables retries).
 	MaxRetries int
 	// RetryBackoff is the base delay before retry attempt n, doubled
 	// per attempt with jitter (default 250ms).
@@ -575,8 +577,8 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 			attempt >= s.opts.MaxRetries || !sweep.Transient(runErr) {
 			break
 		}
-		// Transient (trace-source I/O) and attempts remain: back off and
-		// re-run.  The checkpoint journal carries every workload that
+		// Transient (a trace-stream or checkpoint-append failure) and
+		// attempts remain: back off and re-run.  The checkpoint journal carries every workload that
 		// completed before the failure, so the retry resumes, not
 		// restarts.
 		s.rec.Add(telemetry.JobRetries, 1)

@@ -17,7 +17,6 @@ package stackdist
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"subcache/internal/addr"
 	"subcache/internal/trace"
@@ -118,7 +117,8 @@ func (p *Profiler) Run(src trace.Source) error {
 // Total returns the number of counted references.
 func (p *Profiler) Total() uint64 { return p.total }
 
-// Cold returns the number of first-touch (infinite-distance) references.
+// Cold returns the number of first-touch (infinite-distance) references,
+// which is the number of distinct blocks touched.
 func (p *Profiler) Cold() uint64 { return p.cold }
 
 // Histogram returns a copy of the stack-distance histogram; index d is
@@ -152,19 +152,6 @@ func (p *Profiler) MissRatio(capacity int) float64 {
 	return float64(p.Misses(capacity)) / float64(p.total)
 }
 
-// Curve evaluates the miss ratio at each of the given capacities,
-// a convenience for size sweeps.  Capacities need not be sorted.
-func (p *Profiler) Curve(capacities []int) map[int]float64 {
-	out := make(map[int]float64, len(capacities))
-	for _, c := range capacities {
-		out[c] = p.MissRatio(c)
-	}
-	return out
-}
-
-// FootprintBlocks returns the number of distinct blocks touched.
-func (p *Profiler) FootprintBlocks() uint64 { return p.cold }
-
 // Percentile returns the smallest capacity (in blocks) at which the hit
 // ratio reaches q (0 < q <= 1), or -1 if even a cache holding the whole
 // footprint cannot (because of cold misses).  Useful for characterising
@@ -182,17 +169,4 @@ func (p *Profiler) Percentile(q float64) int {
 		}
 	}
 	return -1
-}
-
-// SortedDistances returns the distances with nonzero counts, ascending,
-// for report output.
-func (p *Profiler) SortedDistances() []int {
-	var ds []int
-	for d, n := range p.hist {
-		if n > 0 {
-			ds = append(ds, d)
-		}
-	}
-	sort.Ints(ds)
-	return ds
 }

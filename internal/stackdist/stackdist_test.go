@@ -188,12 +188,12 @@ func TestRunAndCurve(t *testing.T) {
 	if err := p.Run(trace.NewSliceSource(refs)); err != nil {
 		t.Fatal(err)
 	}
-	curve := p.Curve([]int{1, 2})
-	if curve[2] >= curve[1] {
-		t.Errorf("curve not decreasing: %v", curve)
+	m1, m2 := p.MissRatio(1), p.MissRatio(2)
+	if m2 >= m1 {
+		t.Errorf("curve not decreasing: %g at 1 block, %g at 2", m1, m2)
 	}
-	if curve[2] != 0.5 { // two cold misses out of four
-		t.Errorf("curve[2] = %g, want 0.5", curve[2])
+	if m2 != 0.5 { // two cold misses out of four
+		t.Errorf("miss ratio at 2 blocks = %g, want 0.5", m2)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestFootprintBlocks(t *testing.T) {
 	for _, a := range []addr.Addr{0, 4, 8, 16, 16} {
 		p.Touch(ref(a))
 	}
-	if got := p.FootprintBlocks(); got != 3 { // blocks 0, 1, 2
+	if got := p.Cold(); got != 3 { // blocks 0, 1, 2
 		t.Errorf("footprint = %d, want 3", got)
 	}
 }
@@ -222,18 +222,5 @@ func TestPercentile(t *testing.T) {
 	empty, _ := New(8, 1, false)
 	if got := empty.Percentile(0.5); got != -1 {
 		t.Errorf("empty Percentile = %d", got)
-	}
-}
-
-func TestSortedDistances(t *testing.T) {
-	p, _ := New(8, 1, false)
-	for _, a := range []addr.Addr{0, 8, 0, 8, 16, 0} {
-		p.Touch(ref(a))
-	}
-	ds := p.SortedDistances()
-	for i := 1; i < len(ds); i++ {
-		if ds[i] <= ds[i-1] {
-			t.Fatalf("distances not sorted: %v", ds)
-		}
 	}
 }

@@ -224,7 +224,7 @@ func requestFingerprint(req Request) (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d arch=%s word=%d refs=%d\n", journalVersion, req.Arch, req.Arch.WordSize(), req.Refs)
 	pts := append([]Point(nil), req.Points...)
-	sortPoints(pts)
+	SortPoints(pts)
 	for _, p := range pts {
 		fmt.Fprintln(h, p.String())
 	}

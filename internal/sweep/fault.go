@@ -87,15 +87,18 @@ func (e *PointError) event() *telemetry.Event {
 }
 
 // Transient reports whether a sweep failure is plausibly transient and
-// worth retrying: a workload-scope PointError -- a trace-source failure
-// such as a short read or a corrupt record, which loses the workload
-// without poisoning any state -- whose cause is neither a recovered
-// panic (a programming error repeats identically) nor the caller's own
-// cancellation or deadline.  Point-scope failures (configuration
-// construction, unit panics) and non-attributed errors are never
-// transient.  The sweep service retries transient failures with
-// exponential backoff; because completed workloads sit in the
-// checkpoint journal, a retry resumes instead of restarting.
+// worth retrying: a workload-scope PointError, which loses the workload
+// without poisoning any state, whose cause is neither a recovered panic
+// (a programming error repeats identically) nor the caller's own
+// cancellation or deadline.  Two failures are workload-scope: a
+// trace-stream error such as a short read or a corrupt record, and a
+// failed append to the checkpoint journal.  Point-scope failures
+// (configuration construction, unit panics) and non-attributed errors
+// are never transient.  The sweep service retries transient failures
+// with exponential backoff; because completed workloads sit in the
+// checkpoint journal, a retry resumes instead of restarting.  Its
+// synthetic trace streams do not fail, so outside fault injection the
+// service retries only after a failed checkpoint append.
 func Transient(err error) bool {
 	var pe *PointError
 	if !errors.As(err, &pe) || !pe.WorkloadScope() {

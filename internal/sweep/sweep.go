@@ -232,7 +232,7 @@ func (r *Result) Points() []Point {
 	for p := range r.Summaries {
 		pts = append(pts, p)
 	}
-	sortPoints(pts)
+	SortPoints(pts)
 	return pts
 }
 
@@ -251,8 +251,9 @@ func pointLess(a, b Point) bool {
 	return a.Fetch < b.Fetch
 }
 
-// sortPoints orders points canonically (see pointLess).
-func sortPoints(pts []Point) {
+// SortPoints orders points in place canonically (see pointLess): the
+// row order of Table 7 and of every result listing.
+func SortPoints(pts []Point) {
 	sort.Slice(pts, func(i, j int) bool { return pointLess(pts[i], pts[j]) })
 }
 
@@ -299,7 +300,7 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 			return nil, fmt.Errorf("sweep: point %v: WordSize %d, want %v's %d (points share one word-split trace)", p, ws, req.Arch, req.Arch.WordSize())
 		}
 	}
-	profiles, err := selectWorkloads(req.Arch, req.Workloads)
+	profiles, err := SelectWorkloads(req.Arch, req.Workloads)
 	if err != nil {
 		return nil, err
 	}
@@ -531,10 +532,11 @@ func pointConfig(p Point, req Request) cache.Config {
 	return cfg
 }
 
-// selectWorkloads resolves the request's workload list.  A name may
+// SelectWorkloads resolves a request's workload list against the
+// architecture's suite; an empty list is the whole suite.  A name may
 // appear once: a repeat would simulate the workload twice and count it
 // twice in the unweighted per-point average.
-func selectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
+func SelectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
 	all := synth.Workloads(arch)
 	if len(names) == 0 {
 		return all, nil

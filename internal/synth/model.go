@@ -287,9 +287,6 @@ func (g *Generator) newPhase() {
 	g.phaseLeft = 1 + g.phaseGeom.Next()
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.p }
-
 // instrLen returns the deterministic instruction length at a, so loop
 // re-walks refetch identical addresses: static code has static layout.
 func (g *Generator) instrLen(a addr.Addr) int {

@@ -305,16 +305,6 @@ func TestPhasesChangeWorkingSet(t *testing.T) {
 	}
 }
 
-func TestGeneratorProfileAccessor(t *testing.T) {
-	g, err := NewGenerator(testProfile(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Profile().Name != "test" {
-		t.Error("Profile() accessor wrong")
-	}
-}
-
 func TestNoPhaseConfiguration(t *testing.T) {
 	// Phases disabled must still generate a valid stream.
 	p := testProfile()

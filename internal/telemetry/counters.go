@@ -65,8 +65,8 @@ const (
 	// directory instead of being served.
 	CacheCorruptQuarantined
 	// JobRetries counts sweep re-executions after a transient failure
-	// (trace-source I/O; see sweep.Transient), each preceded by an
-	// exponential-backoff delay.
+	// (a trace-stream error or a failed checkpoint append; see
+	// sweep.Transient), each preceded by an exponential-backoff delay.
 	JobRetries
 	// JobsRecovered counts jobs re-admitted from the service's job
 	// journal at startup: their last valid record is admitted, so they

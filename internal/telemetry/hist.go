@@ -145,9 +145,6 @@ func (h *Histogram) ObserveDur(d time.Duration) {
 	h.Observe(uint64(d))
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snap copies the histogram's current state (nil when it has recorded
 // nothing, so snapshots omit untouched histograms).
 func (h *Histogram) Snap() *HistSnap {
@@ -249,36 +246,4 @@ func (s *HistSnap) Quantile(q float64) float64 {
 		return v
 	}
 	return float64(s.MaxNanos)
-}
-
-// Merge adds another snapshot into this one, exactly: equal-bound
-// buckets add, totals add, and the maximum takes the larger value.
-// Merging the per-shard or per-job histograms of a partitioned run
-// yields the histogram a single recorder would have produced.
-func (s *HistSnap) Merge(o *HistSnap) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	s.Count += o.Count
-	s.SumNanos += o.SumNanos
-	if o.MaxNanos > s.MaxNanos {
-		s.MaxNanos = o.MaxNanos
-	}
-	byLo := make(map[uint64]int, len(s.Buckets))
-	for i, b := range s.Buckets {
-		byLo[b.LoNanos] = i
-	}
-	for _, b := range o.Buckets {
-		if i, ok := byLo[b.LoNanos]; ok {
-			s.Buckets[i].N += b.N
-		} else {
-			s.Buckets = append(s.Buckets, b)
-		}
-	}
-	// Restore bound order after appends.
-	for i := 1; i < len(s.Buckets); i++ {
-		for j := i; j > 0 && s.Buckets[j-1].LoNanos > s.Buckets[j].LoNanos; j-- {
-			s.Buckets[j-1], s.Buckets[j] = s.Buckets[j], s.Buckets[j-1]
-		}
-	}
 }

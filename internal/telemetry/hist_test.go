@@ -181,39 +181,6 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeExact(t *testing.T) {
-	var a, b, whole Histogram
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 4000; i++ {
-		v := uint64(rng.Int63n(int64(time.Hour)))
-		if i%5 == 0 {
-			v = overflowLo + uint64(rng.Int63())
-		}
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	merged := a.Snap()
-	merged.Merge(b.Snap())
-	merged.Merge(nil) // no-op
-	want := whole.Snap()
-	if merged.Count != want.Count || merged.SumNanos != want.SumNanos || merged.MaxNanos != want.MaxNanos {
-		t.Fatalf("merged totals {%d %d %d}, want {%d %d %d}",
-			merged.Count, merged.SumNanos, merged.MaxNanos, want.Count, want.SumNanos, want.MaxNanos)
-	}
-	if len(merged.Buckets) != len(want.Buckets) {
-		t.Fatalf("merged buckets %v, want %v", merged.Buckets, want.Buckets)
-	}
-	for i := range merged.Buckets {
-		if merged.Buckets[i] != want.Buckets[i] {
-			t.Fatalf("merged bucket %d = %+v, want %+v", i, merged.Buckets[i], want.Buckets[i])
-		}
-	}
-}
-
 func TestHistogramObserveDurClampsNegative(t *testing.T) {
 	var h Histogram
 	h.ObserveDur(-time.Second)

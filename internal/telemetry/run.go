@@ -110,9 +110,6 @@ func (r *Run) Emit(ev *Event) {
 	}
 }
 
-// Elapsed is the wall time since the recorder was created.
-func (r *Run) Elapsed() time.Duration { return time.Since(r.start) }
-
 // Snapshot copies the recorder's current state.
 func (r *Run) Snapshot() *Snapshot {
 	s := &Snapshot{

@@ -37,11 +37,8 @@ func NewSplitter(src Source, wordSize int) *Splitter {
 	return &Splitter{src: src, wordShift: addr.Log2(uint64(wordSize))}
 }
 
-// WordSize returns the data-path width in bytes.
-func (s *Splitter) WordSize() int { return 1 << s.wordShift }
-
-// Next implements Source.  Every returned Ref has Size == WordSize() and
-// an address aligned to the word size.
+// Next implements Source.  Every returned Ref has the splitter's word
+// size and an address aligned to it.
 func (s *Splitter) Next() (Ref, error) {
 	if s.pending == 0 {
 		r, err := s.src.Next()

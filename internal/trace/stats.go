@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"subcache/internal/addr"
 )
@@ -114,15 +113,4 @@ func RunLengths(src Source, wordSize int) (hist map[int]int, meanRun float64, er
 		meanRun = float64(totalLen) / float64(runs)
 	}
 	return hist, meanRun, nil
-}
-
-// HistKeys returns the sorted keys of a run-length histogram, a helper
-// for deterministic report output.
-func HistKeys(hist map[int]int) []int {
-	keys := make([]int, 0, len(hist))
-	for k := range hist {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

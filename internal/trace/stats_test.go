@@ -104,10 +104,3 @@ func TestRunLengthsEmpty(t *testing.T) {
 		t.Errorf("hist=%v mean=%g", hist, mean)
 	}
 }
-
-func TestHistKeysSorted(t *testing.T) {
-	keys := HistKeys(map[int]int{5: 1, 1: 2, 3: 3})
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 3 || keys[2] != 5 {
-		t.Errorf("keys = %v", keys)
-	}
-}

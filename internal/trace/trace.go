@@ -100,13 +100,6 @@ func (s *SliceSource) Next() (Ref, error) {
 	return r, nil
 }
 
-// Reset rewinds the source to the beginning so the same slice can be
-// replayed through another cache configuration.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of references in the underlying slice.
-func (s *SliceSource) Len() int { return len(s.refs) }
-
 // Limit wraps src, terminating the stream after n references.  The
 // paper's runs use n = 1,000,000.
 func Limit(src Source, n int) Source { return &limitSource{src: src, left: n} }

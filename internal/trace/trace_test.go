@@ -33,9 +33,6 @@ func TestSliceSource(t *testing.T) {
 		{Addr: 0x300, Kind: Write, Size: 1},
 	}
 	s := NewSliceSource(refs)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
 	for i, want := range refs {
 		got, err := s.Next()
 		if err != nil {
@@ -47,10 +44,6 @@ func TestSliceSource(t *testing.T) {
 	}
 	if _, err := s.Next(); !errors.Is(err, io.EOF) {
 		t.Errorf("after end: err = %v, want io.EOF", err)
-	}
-	s.Reset()
-	if got, err := s.Next(); err != nil || got != refs[0] {
-		t.Errorf("after Reset: got %v, %v", got, err)
 	}
 }
 
