@@ -41,9 +41,9 @@
 // Execution is hardened per job: a request-supplied deadline
 // (timeout_sec) bounds a sweep via its context, and transient failures
 // (sweep.Transient: a trace-stream error or a failed checkpoint append,
-// never panics or cancellations) are retried with exponential backoff plus jitter -- each retry
-// resumes from the job's checkpoint journal, so completed workloads
-// are never paid for twice.
+// never panics or cancellations) are retried with exponential backoff
+// plus jitter -- each retry resumes from the job's checkpoint journal,
+// so completed workloads are never paid for twice.
 //
 // Every job writes the telemetry event stream to its own JSONL
 // file (<dir>/jobs/<fp>/events.jsonl), flushed on each heartbeat so
@@ -578,9 +578,9 @@ func (s *Server) runJob(ctx context.Context, j *job) (jobStatus, []byte, string)
 			break
 		}
 		// Transient (a trace-stream or checkpoint-append failure) and
-		// attempts remain: back off and re-run.  The checkpoint journal carries every workload that
-		// completed before the failure, so the retry resumes, not
-		// restarts.
+		// attempts remain: back off and re-run.  The checkpoint journal
+		// carries every workload that completed before the failure, so
+		// the retry resumes, not restarts.
 		s.rec.Add(telemetry.JobRetries, 1)
 		t0 = time.Now()
 		select {

@@ -96,9 +96,9 @@ func (e *PointError) event() *telemetry.Event {
 // (configuration construction, unit panics) and non-attributed errors
 // are never transient.  The sweep service retries transient failures
 // with exponential backoff; because completed workloads sit in the
-// checkpoint journal, a retry resumes instead of restarting.  Its
-// synthetic trace streams do not fail, so outside fault injection the
-// service retries only after a failed checkpoint append.
+// checkpoint journal, a retry resumes instead of restarting.  The
+// service's trace streams are synthetic and do not fail, so outside
+// fault injection it retries only after a failed checkpoint append.
 func Transient(err error) bool {
 	var pe *PointError
 	if !errors.As(err, &pe) || !pe.WorkloadScope() {
