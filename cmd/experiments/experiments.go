@@ -83,7 +83,8 @@ type experiment struct {
 }
 
 // experiments lists every artifact in the paper's order.  DESIGN.md's
-// experiment index maps each id to its modules and bench target.
+// experiment index maps each id to its paper artifact and modules, and
+// TestDesignIndexMatchesRegistry keeps the two in step.
 var experiments = []experiment{
 	{"table6", "Table 6: 360/85 sector cache vs set-associative (16 KB)", runTable6},
 	{"table7", "Table 7: miss/traffic/nibble ratios, all architectures", runTable7},
